@@ -12,7 +12,7 @@ BENCH_OUT ?= bench_current.ndjson
 # `make chaos` runs the whole matrix sequentially.
 CHAOS_SEEDS ?= 1 7 42
 
-.PHONY: verify fmt vet build test lint lint-selfcheck lint-suppressions fuzz-smoke bench bench-baseline chaos chaos-write qlog-smoke serve-smoke
+.PHONY: verify fmt vet build test lint lint-selfcheck lint-suppressions fuzz-smoke bench bench-baseline chaos chaos-write qlog-smoke serve-smoke ledger
 
 # Tier-1 gate: vet, build, race-checked order-shuffled tests.
 verify: vet build test
@@ -108,6 +108,19 @@ bench:
 	$(GO) run ./cmd/cubebench -stats-json > $(BENCH_OUT)
 	bash scripts/serve_smoke.sh bench >> $(BENCH_OUT)
 	$(GO) run ./scripts/benchdiff.go -baseline BENCH_BASELINE.json -current $(BENCH_OUT)
+
+# Performance ledger: every BENCHMARK.json workload through the driver's
+# own command (bench/run.sh, 15 s windows), saved as one result set, then
+# compared with a parent's against BENCHMARK.json's bounds. Run it on the
+# parent checkout first and copy that bench/out/ledger.json to
+# bench/out/ledger_parent.json here; without one the target only measures.
+ledger:
+	bash bench/run.sh -o bench/out/ledger.json
+	@if [ -f bench/out/ledger_parent.json ]; then \
+		$(GO) run ./bench -compare bench/out/ledger_parent.json bench/out/ledger.json; \
+	else \
+		echo "ledger: no bench/out/ledger_parent.json to compare against; wrote bench/out/ledger.json"; \
+	fi
 
 # Flight-recorder smoke: run a short benchmark slice with the query
 # flight recorder on, then require statprof to reduce the NDJSON log to

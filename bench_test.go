@@ -303,7 +303,7 @@ func BenchmarkE9CubeROLAPNaiveParallel(b *testing.B) {
 	opts := cube.Options{Workers: 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cube.BuildROLAPNaiveWith(in, opts); err != nil {
+		if _, err := cube.BuildROLAPNaiveCtx(context.Background(), in, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -314,7 +314,7 @@ func BenchmarkE9CubeROLAPSmallestParentParallel(b *testing.B) {
 	opts := cube.Options{Workers: 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cube.BuildROLAPSmallestParentWith(in, opts); err != nil {
+		if _, err := cube.BuildROLAPSmallestParentCtx(context.Background(), in, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -325,7 +325,7 @@ func BenchmarkE9CubeMOLAPParallel(b *testing.B) {
 	opts := cube.Options{Workers: 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cube.BuildMOLAPWith(in, opts); err != nil {
+		if _, err := cube.BuildMOLAPCtx(context.Background(), in, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -46,6 +46,7 @@ import (
 	"statcube/internal/parallel"
 	"statcube/internal/qlog"
 	"statcube/internal/serve"
+	"statcube/internal/stats"
 )
 
 const (
@@ -206,7 +207,7 @@ func main() {
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	p50, p95, p99 := percentile(all, 50), percentile(all, 95), percentile(all, 99)
+	p50, p95, p99 := stats.NearestRank(all, 50), stats.NearestRank(all, 95), stats.NearestRank(all, 99)
 	n := total.ok + total.shed + total.errs
 	hitRatio := 0.0
 	if total.hits+total.misses > 0 {
@@ -326,21 +327,6 @@ func urlEncode(q string) string {
 		}
 	}
 	return b.String()
-}
-
-// percentile is the exact nearest-rank percentile of a sorted sample.
-func percentile(sorted []time.Duration, p int) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := (len(sorted)*p + 99) / 100
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }
 
 // fetchMetrics reads the daemon's /metrics.json into an obs.Snapshot.

@@ -43,15 +43,6 @@ func (o *StatObject) AutoAggregate(q AutoQuery) (*StatObject, error) {
 	return o.AutoAggregateCtx(context.Background(), q, nil)
 }
 
-// AutoAggregateSpan is AutoAggregate with tracing: each storage-level
-// operator (the store scan behind S-select/S-aggregate/S-project) opens a
-// child span on sp annotated with the cells it scanned and the groups it
-// emitted. A nil span evaluates identically with tracing off — Span
-// methods are nil-safe.
-func (o *StatObject) AutoAggregateSpan(q AutoQuery, sp *obs.Span) (*StatObject, error) {
-	return o.AutoAggregateCtx(context.Background(), q, sp)
-}
-
 // AutoAggregateCtx is AutoAggregate with a context and optional tracing
 // span — the cancellable, budget-governed entry point. The context is
 // checked between operators and, inside the group-by shaped ones, between

@@ -166,13 +166,6 @@ func (o *StatObject) SProject(removeDims ...string) (*StatObject, error) {
 	return o.SProjectCtx(context.Background(), nil, removeDims...)
 }
 
-// SProjectSpan is SProject with tracing: the underlying store scan runs as
-// a fan-out stage that reports itself (parallel or sequential, task and
-// worker counts) as a child of sp. A nil span disables tracing only.
-func (o *StatObject) SProjectSpan(sp *obs.Span, removeDims ...string) (*StatObject, error) {
-	return o.SProjectCtx(context.Background(), sp, removeDims...)
-}
-
 // SProjectCtx is SProject with a context and optional tracing span — the
 // cancellable, budget-governed entry point. The store scan checks ctx
 // between cell segments, so canceling mid-scan returns budget.ErrCanceled
@@ -245,13 +238,6 @@ func (o *StatObject) mergeSlots(coords []int, slots []float64) {
 // measure must be additive along the dimension.
 func (o *StatObject) SAggregate(dim, toLevel string) (*StatObject, error) {
 	return o.sAggregate(context.Background(), nil, dim, toLevel, true)
-}
-
-// SAggregateSpan is SAggregate with tracing: the roll-up's store scan runs
-// as a fan-out stage that reports itself as a child of sp (see
-// SProjectSpan).
-func (o *StatObject) SAggregateSpan(sp *obs.Span, dim, toLevel string) (*StatObject, error) {
-	return o.sAggregate(context.Background(), sp, dim, toLevel, true)
 }
 
 // SAggregateCtx is SAggregate with a context and optional tracing span —

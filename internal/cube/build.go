@@ -214,16 +214,17 @@ func (a *accountant) close() {
 	}
 }
 
-// Identical reports whether two cubes are exactly equal: same keys, with
-// bit-identical float values. The parallel builders guarantee this against
-// their sequential counterparts.
+// Identical reports whether two cubes are exactly equal: the same masks
+// stored, the same keys, bit-identical float values. The parallel builders
+// guarantee this against their sequential counterparts, and the write
+// path's chaos suite asserts it of recovered generations.
 func (v *Views) Identical(o *Views) bool {
 	if len(v.ByMask) != len(o.ByMask) {
 		return false
 	}
-	for mask := range v.ByMask {
-		a, b := v.ByMask[mask], o.ByMask[mask]
-		if len(a) != len(b) {
+	for mask, a := range v.ByMask {
+		b := o.ByMask[mask]
+		if (a == nil) != (b == nil) || len(a) != len(b) {
 			return false
 		}
 		for k, av := range a {
@@ -236,15 +237,34 @@ func (v *Views) Identical(o *Views) bool {
 	return true
 }
 
+// masks lists the stored view masks, ascending.
+func (v *Views) masks() []int {
+	var out []int
+	for mask, m := range v.ByMask {
+		if m != nil {
+			out = append(out, mask)
+		}
+	}
+	return out
+}
+
+// size is the entry count of a stored view — the linear scan cost of
+// answering from it.
+func (v *Views) size(mask int) int64 { return int64(len(v.ByMask[mask])) }
+
+// newViews allocates the container for a cube of the given cardinalities
+// with no view stored yet.
+func newViews(card []int) *Views {
+	return &Views{Card: append([]int(nil), card...), ByMask: make([]map[uint64]float64, 1<<uint(len(card)))}
+}
+
+// everyMask is the wanted-predicate of a full cube build.
+func everyMask(int) bool { return true }
+
 // BuildROLAPNaive computes every view with an independent hash group-by
 // over the base rows: 2^n full scans.
 func BuildROLAPNaive(in *Input) (*Views, error) {
 	return BuildROLAPNaiveCtx(context.Background(), in, Options{})
-}
-
-// BuildROLAPNaiveWith is BuildROLAPNaive with explicit build options.
-func BuildROLAPNaiveWith(in *Input, opt Options) (*Views, error) {
-	return BuildROLAPNaiveCtx(context.Background(), in, opt)
 }
 
 // BuildROLAPNaiveCtx is BuildROLAPNaive with a context and build options:
@@ -255,25 +275,18 @@ func BuildROLAPNaiveWith(in *Input, opt Options) (*Views, error) {
 // governor on ctx is charged per finished view map; on any failure the
 // build returns the typed error and no Views. An enabled flight recorder
 // logs the build's wall time, ledger peaks and typed outcome.
-func BuildROLAPNaiveCtx(ctx context.Context, in *Input, opt Options) (*Views, error) {
-	start := qlog.Start()
-	v, err := buildROLAPNaiveCtx(ctx, in, opt)
-	recordBuildFlight(ctx, "rolap_naive", start, in, opt, false, err)
-	return v, err
-}
-
-func buildROLAPNaiveCtx(ctx context.Context, in *Input, opt Options) (*Views, error) {
+func BuildROLAPNaiveCtx(ctx context.Context, in *Input, opt Options) (_ *Views, err error) {
+	defer recordBuildFlight(ctx, "rolap_naive", qlog.Start(), in, opt, nil, &err)
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
 	n := len(in.Card)
-	nviews := 1 << uint(n)
-	out := &Views{Card: append([]int(nil), in.Card...), ByMask: make([]map[uint64]float64, nviews)}
+	out := newViews(in.Card)
 	st := opt.stage(ctx, "cube.rolap_naive", len(in.Rows))
 	acct := newAccountant(ctx)
 	defer acct.close()
 	inj := fault.From(ctx)
-	err := st.ForEach(nviews, func(mask int) error {
+	err = st.ForEach(len(out.ByMask), func(mask int) error {
 		// Each view scan is a cube.view fault hook: chaos tests fail or
 		// panic a single view's computation and assert the whole build
 		// unwinds cleanly.
@@ -310,92 +323,99 @@ func BuildROLAPSmallestParent(in *Input) (*Views, error) {
 	return BuildROLAPSmallestParentCtx(context.Background(), in, Options{})
 }
 
-// BuildROLAPSmallestParentWith is BuildROLAPSmallestParent with explicit
-// build options.
-func BuildROLAPSmallestParentWith(in *Input, opt Options) (*Views, error) {
-	return BuildROLAPSmallestParentCtx(context.Background(), in, opt)
-}
-
 // BuildROLAPSmallestParentCtx is BuildROLAPSmallestParent with a context
-// and build options. The base group-by runs as a deterministic grouped
-// reduction over the rows; the lattice walk then proceeds one popcount
-// level at a time, computing every view of a level concurrently. Parent
-// choices for a level are resolved sequentially before the fan-out — views
-// of equal popcount can never derive from each other, so the choices match
-// the sequential walk exactly and the concurrent tasks only read finished
-// parent views. Cancellation is checked between levels and between row
-// segments, bounding latency; a governor on ctx is charged one map-entry
-// reservation per finished view. An enabled flight recorder logs the
-// build's wall time, ledger peaks and typed outcome.
-func BuildROLAPSmallestParentCtx(ctx context.Context, in *Input, opt Options) (*Views, error) {
-	start := qlog.Start()
-	v, err := buildROLAPSmallestParentCtx(ctx, in, opt)
-	recordBuildFlight(ctx, "rolap_sp", start, in, opt, false, err)
-	return v, err
-}
-
-func buildROLAPSmallestParentCtx(ctx context.Context, in *Input, opt Options) (*Views, error) {
+// and build options: the lattice walk (see walk) over every mask, with map
+// views. Cancellation is checked between levels and between row segments,
+// bounding latency; a governor on ctx is charged one map-entry reservation
+// per finished view. An enabled flight recorder logs the build's wall
+// time, ledger peaks and typed outcome.
+func BuildROLAPSmallestParentCtx(ctx context.Context, in *Input, opt Options) (_ *Views, err error) {
+	defer recordBuildFlight(ctx, "rolap_sp", qlog.Start(), in, opt, nil, &err)
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
+	return walkMaps(ctx, in, opt.stage(ctx, "cube.rolap_sp", len(in.Rows)), everyMask)
+}
+
+// walkMaps computes the wanted map views of in (the base cuboid always):
+// the base by a deterministic grouped reduction over the rows, every other
+// view rolled up from its smallest computed ancestor. It is the whole of
+// the smallest-parent ROLAP build and of MaterializeCtx, which differ only
+// in the masks they want.
+func walkMaps(ctx context.Context, in *Input, st parallel.Stage, wanted func(mask int) bool) (*Views, error) {
 	n := len(in.Card)
-	nviews := 1 << uint(n)
-	out := &Views{Card: append([]int(nil), in.Card...), ByMask: make([]map[uint64]float64, nviews)}
-	base := nviews - 1
-	st := opt.stage(ctx, "cube.rolap_sp", len(in.Rows))
+	out := newViews(in.Card)
 	acct := newAccountant(ctx)
 	defer acct.close()
-	bm, err := baseGroupBy(ctx, in, maskDims(base, n), st)
+	err := walk(ctx, st, n, wanted, out.size, func(mask, parent int) (err error) {
+		var m map[uint64]float64
+		if parent < 0 {
+			if m, err = baseGroupBy(ctx, in, maskDims(mask, n), st); err != nil {
+				return err
+			}
+		} else {
+			m = aggregateFromParent(out, parent, mask, n)
+		}
+		if err := acct.chargeView(len(m), rolapEntryBytes); err != nil {
+			return err
+		}
+		out.ByMask[mask] = m
+		return nil
+	})
 	if err != nil {
-		recordBuildAbort(err)
 		return nil, err
 	}
-	if err := acct.chargeView(len(bm), rolapEntryBytes); err != nil {
-		recordBuildAbort(err)
-		return nil, err
-	}
-	out.ByMask[base] = bm
-	// Process masks in descending popcount so parents exist.
-	order := make([]int, 0, nviews-1)
-	for mask := 0; mask < nviews; mask++ {
-		if mask != base {
-			order = append(order, mask)
+	return out, nil
+}
+
+// walk is the one lattice traversal every ancestor-derived build runs: the
+// base cuboid first (compute is handed parent -1), then one popcount level
+// at a time, finest first, every wanted view of a level concurrently, each
+// from its smallest computed ancestor. Parent choices for a level are
+// resolved sequentially before the fan-out — views of equal popcount can
+// never derive from each other, so the choices match a sequential walk
+// exactly and the concurrent tasks only read finished views. size reports
+// the cost of scanning a computed view; compute stores the view it
+// produces. Cancellation is checked between levels, each non-base view is
+// a cube.view fault hook, and any failure is classified once, here.
+func walk(ctx context.Context, st parallel.Stage, n int, wanted func(mask int) bool, size func(mask int) int64, compute func(mask, parent int) error) (err error) {
+	defer func() { recordBuildAbort(err) }() // a no-op on nil
+	base := 1<<uint(n) - 1
+	levels := make([][]int, n) // wanted non-base masks by popcount, ascending within a level
+	for mask := 0; mask < base; mask++ {
+		if wanted(mask) {
+			pc := bits.OnesCount(uint(mask))
+			levels[pc] = append(levels[pc], mask)
 		}
 	}
-	sortByPopcountDesc(order)
-	for lo := 0; lo < len(order); {
+	if err := compute(base, -1); err != nil {
+		return err
+	}
+	computed := []int{base}
+	for pc := n - 1; pc >= 0; pc-- {
+		level := levels[pc]
+		if len(level) == 0 {
+			continue
+		}
 		if err := budget.Check(ctx); err != nil {
-			recordBuildAbort(err)
-			return nil, err
+			return err
 		}
-		hi := lo
-		pc := bits.OnesCount(uint(order[lo]))
-		for hi < len(order) && bits.OnesCount(uint(order[hi])) == pc {
-			hi++
-		}
-		level := order[lo:hi]
 		parents := make([]int, len(level))
 		for i, mask := range level {
-			parents[i] = smallestComputedParent(mask, out)
+			parents[i], _, _ = smallestAncestor(mask, computed, size)
 		}
 		err := st.ForEach(len(level), func(i int) error {
 			if err := fault.Hit(ctx, fault.PointCubeView); err != nil {
 				return err
 			}
-			m := aggregateFromParent(out, parents[i], level[i], n)
-			if err := acct.chargeView(len(m), rolapEntryBytes); err != nil {
-				return err
-			}
-			out.ByMask[level[i]] = m
-			return nil
+			return compute(level[i], parents[i])
 		})
 		if err != nil {
-			recordBuildAbort(err)
-			return nil, err
+			return err
 		}
-		lo = hi
+		computed = append(computed, level...)
 	}
-	return out, nil
+	return nil
 }
 
 // baseGroupBy aggregates the base view from the raw rows. The parallel
@@ -448,33 +468,20 @@ func baseGroupBy(ctx context.Context, in *Input, dims []int, st parallel.Stage) 
 	return m, nil
 }
 
-// sortByPopcountDesc orders masks so larger (finer) views come first.
-func sortByPopcountDesc(masks []int) {
-	sort.Slice(masks, func(i, j int) bool {
-		pa, pb := bits.OnesCount(uint(masks[i])), bits.OnesCount(uint(masks[j]))
-		if pa != pb {
-			return pa > pb
-		}
-		return masks[i] < masks[j]
-	})
-}
-
-// smallestComputedParent finds the computed superset view with the fewest
-// entries.
-func smallestComputedParent(mask int, v *Views) int {
-	best, bestLen := -1, 0
-	for parent := range v.ByMask {
-		if parent == mask || v.ByMask[parent] == nil || !DerivableFrom(mask, parent) {
+// smallestAncestor picks, among the candidate views, the one mask is
+// derivable from that is cheapest to scan, and reports whether any
+// qualifies. Ties go to the lowest mask, so the choice never depends on
+// the order (or the map iteration) that produced the candidates.
+func smallestAncestor(mask int, candidates []int, size func(mask int) int64) (best int, bestSize int64, ok bool) {
+	for _, c := range candidates {
+		if !DerivableFrom(mask, c) {
 			continue
 		}
-		if best < 0 || len(v.ByMask[parent]) < bestLen {
-			best, bestLen = parent, len(v.ByMask[parent])
+		if s := size(c); !ok || s < bestSize || (s == bestSize && c < best) {
+			best, bestSize, ok = c, s, true
 		}
 	}
-	if best < 0 {
-		panic("cube: no computed parent; traversal order broken")
-	}
-	return best
+	return best, bestSize, ok
 }
 
 // aggregateFromParent rolls a parent view's entries up into the child

@@ -83,7 +83,7 @@ func (w matLen) Len() int {
 	if w.m == nil {
 		return 0
 	}
-	return len(w.m.views)
+	return len(w.m.MaterializedMasks())
 }
 
 // TestBuildPreCanceled: a context that is already done must abort every

@@ -107,19 +107,10 @@ func (l *Lattice) ViewName(mask int) string {
 func DerivableFrom(v, w int) bool { return v&w == v }
 
 // SmallestParent returns the cheapest view in materialized from which v is
-// derivable, and whether one exists. Cost is the parent's size (linear
-// scan cost model).
+// derivable, and whether one exists. Cost is the parent's estimated size
+// (linear scan cost model); ties go to the lowest mask.
 func (l *Lattice) SmallestParent(v int, materialized []int) (int, int64, bool) {
-	best, bestSize, ok := 0, int64(0), false
-	for _, m := range materialized {
-		if !DerivableFrom(v, m) {
-			continue
-		}
-		if !ok || l.sizes[m] < bestSize {
-			best, bestSize, ok = m, l.sizes[m], true
-		}
-	}
-	return best, bestSize, ok
+	return smallestAncestor(v, materialized, l.ViewSize)
 }
 
 // TotalCost returns the total cost of answering one query per view, each

@@ -3,8 +3,6 @@ package cube
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
 	"sync/atomic"
 
 	"statcube/internal/budget"
@@ -16,11 +14,10 @@ import (
 // cost model made operational: a group-by query is answered from its
 // smallest materialized ancestor, charging the ancestor's entry count as
 // the scan cost — exactly the linear cost model [HUR96] analyze. The base
-// cuboid is always materialized.
+// cuboid is always materialized. Storage is the same Views container a
+// full cube uses; an unmaterialized mask is a nil slot.
 type MaterializedSet struct {
-	card  []int
-	views map[int]map[uint64]float64
-	base  int
+	views *Views
 	// scanCost is atomic so a published, immutable set can serve Answer
 	// to any number of concurrent readers (the MVCC read path) — the
 	// views themselves are never written after construction.
@@ -33,98 +30,31 @@ func Materialize(in *Input, masks []int) (*MaterializedSet, error) {
 	return MaterializeCtx(context.Background(), in, masks)
 }
 
-// MaterializeCtx is Materialize with a context: cancellation is checked
-// between the base scan's row segments and between views, and a governor
-// on ctx is charged per materialized view. On any failure the set under
-// construction is discarded whole — callers never see (or register) a
-// partially-materialized set. An enabled flight recorder logs the
+// MaterializeCtx is Materialize with a context: the same lattice walk as
+// the smallest-parent ROLAP build, over the requested masks only, so
+// coarser requested views are served by finer ones. Cancellation is
+// checked between the base scan's row segments and between levels, and a
+// governor on ctx is charged per materialized view. On any failure the set
+// under construction is discarded whole — callers never see (or register)
+// a partially-materialized set. An enabled flight recorder logs the
 // materialization like the full-cube builders.
-func MaterializeCtx(ctx context.Context, in *Input, masks []int) (*MaterializedSet, error) {
-	start := qlog.Start()
-	m, err := materializeCtx(ctx, in, masks)
-	recordBuildFlight(ctx, "materialize", start, in, Options{}, false, err)
-	return m, err
-}
-
-func materializeCtx(ctx context.Context, in *Input, masks []int) (*MaterializedSet, error) {
+func MaterializeCtx(ctx context.Context, in *Input, masks []int) (_ *MaterializedSet, err error) {
+	defer recordBuildFlight(ctx, "materialize", qlog.Start(), in, Options{}, nil, &err)
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(in.Card)
-	base := 1<<uint(n) - 1
-	m := &MaterializedSet{
-		card:  append([]int(nil), in.Card...),
-		views: map[int]map[uint64]float64{},
-		base:  base,
-	}
-	acct := newAccountant(ctx)
-	defer acct.close()
-	baseDims := maskDims(base, n)
-	bm := map[uint64]float64{}
-	tick := budget.NewTicker(ctx, 0)
-	for ri, row := range in.Rows {
-		if err := tick.Tick(); err != nil {
-			recordBuildAbort(err)
-			return nil, err
-		}
-		bm[groupKey(row, baseDims, in.Card)] += in.Vals[ri]
-	}
-	if err := acct.chargeView(len(bm), rolapEntryBytes); err != nil {
-		recordBuildAbort(err)
-		return nil, err
-	}
-	m.views[base] = bm
-	// Compute requested views from their smallest already-computed parent,
-	// coarsest requests last so finer requested views can serve them.
-	sorted := append([]int(nil), masks...)
-	sort.Slice(sorted, func(a, b int) bool { return PopCount(sorted[a]) > PopCount(sorted[b]) })
-	for _, mask := range sorted {
-		if err := budget.Check(ctx); err != nil {
-			recordBuildAbort(err)
-			return nil, err
-		}
-		if err := fault.Hit(ctx, fault.PointCubeView); err != nil {
-			recordBuildAbort(err)
-			return nil, err
-		}
-		if mask < 0 || mask > base {
+	want := make([]bool, 1<<uint(len(in.Card)))
+	for _, mask := range masks {
+		if mask < 0 || mask >= len(want) {
 			return nil, fmt.Errorf("cube: view mask %d out of range", mask)
 		}
-		if _, done := m.views[mask]; done {
-			continue
-		}
-		parent := m.smallestParent(mask)
-		view := m.aggregate(parent, mask)
-		if err := acct.chargeView(len(view), rolapEntryBytes); err != nil {
-			recordBuildAbort(err)
-			return nil, err
-		}
-		m.views[mask] = view
+		want[mask] = true
 	}
-	return m, nil
-}
-
-// smallestParent finds the materialized superset view with fewest entries.
-func (m *MaterializedSet) smallestParent(mask int) int {
-	best, bestLen := -1, 0
-	for parent, view := range m.views {
-		if parent != mask && DerivableFrom(mask, parent) {
-			if best < 0 || len(view) < bestLen {
-				best, bestLen = parent, len(view)
-			}
-		}
+	v, err := walkMaps(ctx, in, Options{}.stage(ctx, "cube.materialize", len(in.Rows)), func(mask int) bool { return want[mask] })
+	if err != nil {
+		return nil, err
 	}
-	if best < 0 {
-		panic("cube: base cuboid missing")
-	}
-	return best
-}
-
-// aggregate rolls the parent view's entries into the child view.
-func (m *MaterializedSet) aggregate(parent, child int) map[uint64]float64 {
-	v := &Views{Card: m.card, ByMask: make([]map[uint64]float64, 1<<uint(len(m.card)))}
-	v.ByMask[parent] = m.views[parent]
-	return aggregateFromParent(v, parent, child, len(m.card))
+	return &MaterializedSet{views: v}, nil
 }
 
 // Answer computes the group-by for mask, materialized or not, from the
@@ -132,43 +62,30 @@ func (m *MaterializedSet) aggregate(parent, child int) map[uint64]float64 {
 // scanned (the ancestor's entry count; zero when the view itself is
 // materialized — a stored view answers by lookup).
 func (m *MaterializedSet) Answer(mask int) (map[uint64]float64, int64, error) {
-	if mask < 0 || mask > m.base {
+	if mask < 0 || mask >= len(m.views.ByMask) {
 		return nil, 0, fmt.Errorf("cube: view mask %d out of range", mask)
 	}
-	if view, ok := m.views[mask]; ok {
+	if view := m.views.ByMask[mask]; view != nil {
 		recordAnswer(true, 0)
 		return view, 0, nil
 	}
-	parent := m.smallestParent(mask)
-	cost := int64(len(m.views[parent]))
+	// The base cuboid is always stored, so an ancestor always exists.
+	parent, cost, _ := smallestAncestor(mask, m.views.masks(), m.views.size)
 	m.scanCost.Add(cost)
 	recordAnswer(false, cost)
-	return m.aggregate(parent, mask), cost, nil
+	return aggregateFromParent(m.views, parent, mask, len(m.views.Card)), cost, nil
 }
 
 // ScanCost returns the cumulative rows scanned by Answer calls.
 func (m *MaterializedSet) ScanCost() int64 { return m.scanCost.Load() }
 
 // MaterializedMasks returns the stored view masks, sorted.
-func (m *MaterializedSet) MaterializedMasks() []int {
-	out := make([]int, 0, len(m.views))
-	for mask := range m.views {
-		out = append(out, mask)
-	}
-	sort.Ints(out)
-	return out
-}
+func (m *MaterializedSet) MaterializedMasks() []int { return m.views.masks() }
 
 // StorageEntries returns the total stored entries beyond the base cuboid —
 // the "space" of the space/time trade-off.
 func (m *MaterializedSet) StorageEntries() int64 {
-	var t int64
-	for mask, view := range m.views {
-		if mask != m.base {
-			t += int64(len(view))
-		}
-	}
-	return t
+	return m.Entries() - m.views.size(len(m.views.ByMask)-1)
 }
 
 // AppendRows folds a batch of new facts into the base cuboid AND every
@@ -191,19 +108,9 @@ func (m *MaterializedSet) AppendRows(rows [][]int, vals []float64) (int64, error
 // and publishes only complete ones, which is how a partial delta is
 // never reader-visible.
 func (m *MaterializedSet) AppendRowsCtx(ctx context.Context, rows [][]int, vals []float64) (int64, error) {
-	if len(rows) != len(vals) {
-		return 0, fmt.Errorf("cube: %d rows, %d values", len(rows), len(vals))
-	}
-	n := len(m.card)
-	for ri, row := range rows {
-		if len(row) != n {
-			return 0, fmt.Errorf("cube: row %d has %d dims, want %d", ri, len(row), n)
-		}
-		for d, c := range row {
-			if c < 0 || c >= m.card[d] {
-				return 0, fmt.Errorf("cube: row %d dim %d code %d out of [0,%d)", ri, d, c, m.card[d])
-			}
-		}
+	card := m.views.Card
+	if err := (&Input{Card: card, Rows: rows, Vals: vals}).Validate(); err != nil {
+		return 0, err
 	}
 	inj := fault.From(ctx)
 	gov := budget.From(ctx)
@@ -221,10 +128,10 @@ func (m *MaterializedSet) AppendRowsCtx(ctx context.Context, rows [][]int, vals 
 		if err := inj.Hit(fault.PointWriterDelta); err != nil {
 			return touched, err
 		}
-		view := m.views[mask]
-		dims := maskDims(mask, n)
+		view := m.views.ByMask[mask]
+		dims := maskDims(mask, len(card))
 		for ri, row := range rows {
-			view[groupKey(row, dims, m.card)] += vals[ri]
+			view[groupKey(row, dims, card)] += vals[ri]
 			touched++
 		}
 	}
@@ -238,53 +145,33 @@ func (m *MaterializedSet) AppendRowsCtx(ctx context.Context, rows [][]int, vals 
 // The copy moves O(entries) bytes but recomputes nothing: no fact-table
 // scan, no aggregation.
 func (m *MaterializedSet) Clone() *MaterializedSet {
-	c := &MaterializedSet{
-		card:  append([]int(nil), m.card...),
-		views: make(map[int]map[uint64]float64, len(m.views)),
-		base:  m.base,
-	}
-	for mask, view := range m.views {
+	c := newViews(m.views.Card)
+	for mask, view := range m.views.ByMask {
+		if view == nil {
+			continue
+		}
 		nv := make(map[uint64]float64, len(view))
 		for k, v := range view {
 			nv[k] = v
 		}
-		c.views[mask] = nv
+		c.ByMask[mask] = nv
 	}
-	return c
+	return &MaterializedSet{views: c}
 }
 
 // Entries returns the total stored entries across every materialized
 // view — the footprint a clone copies and a budget governor charges.
 func (m *MaterializedSet) Entries() int64 {
 	var t int64
-	for _, view := range m.views {
-		t += int64(len(view))
+	for mask := range m.views.ByMask {
+		t += m.views.size(mask)
 	}
 	return t
 }
 
 // Card returns the per-dimension cardinalities (a copy).
-func (m *MaterializedSet) Card() []int { return append([]int(nil), m.card...) }
+func (m *MaterializedSet) Card() []int { return append([]int(nil), m.views.Card...) }
 
 // Identical reports exact equality: same materialized masks, same keys,
-// bit-identical float values. The write path's chaos suite uses it to
-// assert that a recovered, retried load converges to the same bytes a
-// fault-free load produces.
-func (m *MaterializedSet) Identical(o *MaterializedSet) bool {
-	if len(m.views) != len(o.views) {
-		return false
-	}
-	for mask, a := range m.views {
-		b, ok := o.views[mask]
-		if !ok || len(a) != len(b) {
-			return false
-		}
-		for k, av := range a {
-			bv, ok := b[k]
-			if !ok || math.Float64bits(av) != math.Float64bits(bv) {
-				return false
-			}
-		}
-	}
-	return true
-}
+// bit-identical float values (see Views.Identical).
+func (m *MaterializedSet) Identical(o *MaterializedSet) bool { return m.views.Identical(o.views) }

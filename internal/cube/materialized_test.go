@@ -1,6 +1,8 @@
 package cube
 
 import (
+	"bytes"
+	"context"
 	"testing"
 )
 
@@ -42,7 +44,7 @@ func TestMaterializedCostModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseEntries := int64(len(bare.views[bare.base]))
+	baseEntries := bare.Entries() // only the base cuboid is stored
 	if costBare != baseEntries {
 		t.Errorf("bare cost = %d, want base size %d", costBare, baseEntries)
 	}
@@ -71,7 +73,7 @@ func TestMaterializedCostModel(t *testing.T) {
 		t.Error("materialized view not counted in storage")
 	}
 	masks := rich.MaterializedMasks()
-	if len(masks) != 2 || masks[0] != 0b011 || masks[1] != rich.base {
+	if len(masks) != 2 || masks[0] != 0b011 || masks[1] != 0b111 {
 		t.Errorf("MaterializedMasks = %v", masks)
 	}
 }
@@ -175,5 +177,64 @@ func TestAppendRowsValidation(t *testing.T) {
 	}
 	if _, err := ms.AppendRows([][]int{{0, 9}}, []float64{1}); err == nil {
 		t.Error("out-of-range code should fail")
+	}
+}
+
+// tiedInput is a dense cube whose two-dimensional views all hold the same
+// number of entries, with values whose float sums depend on addition
+// order — the shape on which an ancestor picked by map iteration order
+// shows up as differing low-order bits.
+func tiedInput() *Input {
+	in := &Input{Card: []int{6, 6, 6}}
+	for a := 0; a < 6; a++ {
+		for b := 0; b < 6; b++ {
+			for c := 0; c < 6; c++ {
+				in.Rows = append(in.Rows, []int{a, b, c})
+				in.Vals = append(in.Vals, 1/float64(1+a+7*b+49*c))
+			}
+		}
+	}
+	return in
+}
+
+// TestTiedAncestorsDeterministic: when stored ancestors tie on entry
+// count the lowest mask serves, every time — answers and snapshot bytes
+// never vary run to run.
+func TestTiedAncestorsDeterministic(t *testing.T) {
+	in := tiedInput()
+	var first map[uint64]float64
+	for run := 0; run < 200; run++ {
+		ms, err := Materialize(in, []int{0b011, 0b101, 0b110})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := ms.Answer(0b001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = got
+		}
+		va, vb := newViews(in.Card), newViews(in.Card)
+		va.ByMask[0b001], vb.ByMask[0b001] = first, got
+		if !va.Identical(vb) {
+			t.Fatalf("run %d: Answer(001) differs in float bits from run 0", run)
+		}
+	}
+	var golden []byte
+	for run := 0; run < 50; run++ {
+		ms, err := Materialize(in, []int{0b011, 0b101, 0b001})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := EncodeMaterialized(context.Background(), &buf, ms); err != nil {
+			t.Fatal(err)
+		}
+		if golden == nil {
+			golden = buf.Bytes()
+		} else if !bytes.Equal(golden, buf.Bytes()) {
+			t.Fatalf("run %d: EncodeMaterialized bytes differ from run 0", run)
+		}
 	}
 }

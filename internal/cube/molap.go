@@ -2,10 +2,7 @@ package cube
 
 import (
 	"context"
-	"math/bits"
-
 	"statcube/internal/budget"
-	"statcube/internal/fault"
 	"statcube/internal/marray"
 	"statcube/internal/parallel"
 	"statcube/internal/qlog"
@@ -27,11 +24,6 @@ import (
 // it.
 func BuildMOLAP(in *Input) (*Views, error) {
 	return BuildMOLAPCtx(context.Background(), in, Options{})
-}
-
-// BuildMOLAPWith is BuildMOLAP with explicit build options.
-func BuildMOLAPWith(in *Input, opt Options) (*Views, error) {
-	return BuildMOLAPCtx(context.Background(), in, opt)
 }
 
 // denseCellBytes is the per-cell footprint of a dense view array: an
@@ -70,16 +62,11 @@ func EstimateMOLAPBytes(card []int) int64 {
 // no Views. An enabled flight recorder logs the build — outcome
 // "degraded" when the ROLAP downgrade was taken (the inner ROLAP build
 // additionally logs its own flight).
-func BuildMOLAPCtx(ctx context.Context, in *Input, opt Options) (*Views, error) {
-	start := qlog.Start()
-	v, degraded, err := buildMOLAPCtx(ctx, in, opt)
-	recordBuildFlight(ctx, "molap", start, in, opt, degraded, err)
-	return v, err
-}
-
-func buildMOLAPCtx(ctx context.Context, in *Input, opt Options) (*Views, bool, error) {
+func BuildMOLAPCtx(ctx context.Context, in *Input, opt Options) (_ *Views, err error) {
+	var degraded bool
+	defer recordBuildFlight(ctx, "molap", qlog.Start(), in, opt, &degraded, &err)
 	if err := in.Validate(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	acct := newAccountant(ctx)
 	defer acct.close()
@@ -87,85 +74,52 @@ func buildMOLAPCtx(ctx context.Context, in *Input, opt Options) (*Views, bool, e
 	if est < 0 {
 		est = 1 << 62 // overflow: force the reservation to decide
 	}
-	if acct.gov != nil {
-		if err := acct.reserve(est); err != nil {
-			// Degradation ladder: dense arrays refused → smallest-parent
-			// ROLAP, whose maps grow with the data instead of the cross
-			// product. The reason is recorded on the span so EXPLAIN
-			// ANALYZE shows the downgrade, and in the metrics registry.
-			recordDegrade()
-			d := opt.Span.Child("degrade:molap→rolap_sp")
-			d.SetStr("reason", err.Error())
-			d.AddInt("estimated_bytes", est)
-			d.End()
-			v, err := BuildROLAPSmallestParentCtx(ctx, in, opt)
-			return v, true, err
-		}
+	if err := acct.reserve(est); err != nil {
+		// Degradation ladder: dense arrays refused → smallest-parent
+		// ROLAP, whose maps grow with the data instead of the cross
+		// product. The reason is recorded on the span so EXPLAIN
+		// ANALYZE shows the downgrade, and in the metrics registry.
+		recordDegrade()
+		d := opt.Span.Child("degrade:molap→rolap_sp")
+		d.SetStr("reason", err.Error())
+		d.AddInt("estimated_bytes", est)
+		d.End()
+		degraded = true
+		return BuildROLAPSmallestParentCtx(ctx, in, opt)
 	}
 	n := len(in.Card)
-	nviews := 1 << uint(n)
 	// arrays[mask] is the dense array of the view's own shape.
-	arrays := make([]*dense, nviews)
-	base := nviews - 1
-	arrays[base] = newDenseView(in.Card, base)
+	arrays := make([]*dense, 1<<uint(n))
 	st := opt.stage(ctx, "cube.molap", len(in.Rows))
-	if err := loadDense(ctx, in, arrays[base], st); err != nil {
-		recordBuildAbort(err)
-		return nil, false, err
-	}
-	order := make([]int, 0, nviews-1)
-	for mask := 0; mask < nviews; mask++ {
-		if mask != base {
-			order = append(order, mask)
-		}
-	}
-	sortByPopcountDesc(order)
-	for lo := 0; lo < len(order); {
-		if err := budget.Check(ctx); err != nil {
-			recordBuildAbort(err)
-			return nil, false, err
-		}
-		hi := lo
-		pc := bits.OnesCount(uint(order[lo]))
-		for hi < len(order) && bits.OnesCount(uint(order[hi])) == pc {
-			hi++
-		}
-		level := order[lo:hi]
-		parents := make([]int, len(level))
-		for i, mask := range level {
-			parents[i] = smallestDenseParent(mask, arrays)
-		}
-		err := st.ForEach(len(level), func(i int) error {
-			if err := fault.Hit(ctx, fault.PointCubeView); err != nil {
-				return err
+	err = walk(ctx, st, n, everyMask,
+		func(mask int) int64 { return int64(len(arrays[mask].vals)) },
+		func(mask, parent int) error {
+			if parent < 0 {
+				arrays[mask] = newDenseView(in.Card, mask)
+				return loadDense(ctx, in, arrays[mask], st)
 			}
-			arrays[level[i]] = arrays[parents[i]].rollup(level[i])
+			arrays[mask] = arrays[parent].rollup(mask)
 			return nil
 		})
-		if err != nil {
-			recordBuildAbort(err)
-			return nil, false, err
-		}
-		lo = hi
+	if err != nil {
+		return nil, err
 	}
 	// Convert to Views for comparison; the map form is charged per view
 	// against the cell quota (the dense bytes are already reserved).
-	out := &Views{Card: append([]int(nil), in.Card...), ByMask: make([]map[uint64]float64, nviews)}
-	err := st.ForEach(nviews, func(mask int) error {
+	out := newViews(in.Card)
+	err = st.ForEach(len(arrays), func(mask int) error {
 		m := arrays[mask].toMap()
-		if acct.gov != nil {
-			if err := acct.gov.AddCells(int64(len(m))); err != nil {
-				return err
-			}
+		if err := acct.gov.AddCells(int64(len(m))); err != nil {
+			return err
 		}
 		out.ByMask[mask] = m
 		return nil
 	})
 	if err != nil {
 		recordBuildAbort(err)
-		return nil, false, err
+		return nil, err
 	}
-	return out, false, nil
+	return out, nil
 }
 
 // loadDense folds the rows into the base array. The parallel path owns the
@@ -304,20 +258,4 @@ func MolapFeasible(card []int, maxCells int) bool {
 		}
 	}
 	return true
-}
-
-func smallestDenseParent(mask int, arrays []*dense) int {
-	best, bestSize := -1, 0
-	for parent := range arrays {
-		if parent == mask || arrays[parent] == nil || !DerivableFrom(mask, parent) {
-			continue
-		}
-		if best < 0 || len(arrays[parent].vals) < bestSize {
-			best, bestSize = parent, len(arrays[parent].vals)
-		}
-	}
-	if best < 0 {
-		panic("cube: no dense parent; traversal order broken")
-	}
-	return best
 }

@@ -42,21 +42,21 @@ func TestParallelBuildersByteIdentical(t *testing.T) {
 	in := fuzzyInput([]int{5, 4, 3, 3}, 3000, 7)
 	builders := []struct {
 		name  string
-		build func(*Input, Options) (*Views, error)
+		build func(context.Context, *Input, Options) (*Views, error)
 	}{
-		{"ROLAPNaive", BuildROLAPNaiveWith},
-		{"ROLAPSmallestParent", BuildROLAPSmallestParentWith},
-		{"MOLAP", BuildMOLAPWith},
+		{"ROLAPNaive", BuildROLAPNaiveCtx},
+		{"ROLAPSmallestParent", BuildROLAPSmallestParentCtx},
+		{"MOLAP", BuildMOLAPCtx},
 	}
 	for _, b := range builders {
-		seq, err := b.build(in, Options{Workers: 1})
+		seq, err := b.build(context.Background(), in, Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s sequential: %v", b.name, err)
 		}
 		for _, procs := range []int{1, 2, 8} {
 			runtime.GOMAXPROCS(procs)
 			for _, workers := range []int{0, 2, 4, 8} {
-				par, err := b.build(in, Options{Workers: workers})
+				par, err := b.build(context.Background(), in, Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", b.name, workers, err)
 				}
@@ -76,15 +76,15 @@ func TestParallelBuildersAgreeAcrossAlgorithms(t *testing.T) {
 	forceParallel(t)
 	in := fuzzyInput([]int{6, 5, 4}, 2000, 11)
 	opt := Options{Workers: 4}
-	rn, err := BuildROLAPNaiveWith(in, opt)
+	rn, err := BuildROLAPNaiveCtx(context.Background(), in, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := BuildROLAPSmallestParentWith(in, opt)
+	sp, err := BuildROLAPSmallestParentCtx(context.Background(), in, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mo, err := BuildMOLAPWith(in, opt)
+	mo, err := BuildMOLAPCtx(context.Background(), in, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,11 +33,13 @@ const (
 	sectionView = 2
 )
 
-// encodeCube writes the meta section plus one view section per mask in
-// masks order. The context's fault injector is consulted at every
+// EncodeViews writes a cube — full or partial — to w in the snapshot
+// container format: the meta section plus one view section per stored
+// mask, ascending. The context's fault injector is consulted at every
 // section boundary (snapshot.section), the hook chaos tests use to die
 // mid-file.
-func encodeCube(ctx context.Context, w io.Writer, card []int, masks []int, view func(int) map[uint64]float64) error {
+func EncodeViews(ctx context.Context, w io.Writer, v *Views) error {
+	card := v.Card
 	inj := fault.From(ctx)
 	enc, err := snapshot.NewEncoder(w)
 	if err != nil {
@@ -55,8 +57,8 @@ func encodeCube(ctx context.Context, w io.Writer, card []int, masks []int, view 
 		return err
 	}
 	keys := make([]uint64, 0, 1024)
-	for _, mask := range masks {
-		m := view(mask)
+	for _, mask := range v.masks() {
+		m := v.ByMask[mask]
 		keys = keys[:0]
 		for k := range m {
 			keys = append(keys, k)
@@ -86,144 +88,123 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("cube snapshot: %w: %s", snapshot.ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// decodeCube reads a cube payload back: dimension cardinalities plus the
-// stored views. Each finished view is charged to the context's governor
-// (cells and bytes) before the next is decoded, so an over-budget load
-// fails with the typed budget error partway in instead of materializing
-// the whole cube first.
-func decodeCube(ctx context.Context, r io.Reader) ([]int, map[int]map[uint64]float64, error) {
+// DecodeViews reads a cube payload back: dimension cardinalities plus the
+// stored views; masks absent from the snapshot stay nil, exactly as an
+// unbuilt view would be. Each finished view is charged to the context's
+// governor (cells and bytes) before the next is decoded, so an
+// over-budget load fails with the typed budget error partway in instead
+// of materializing the whole cube first.
+func DecodeViews(ctx context.Context, r io.Reader) (*Views, error) {
 	dec, err := snapshot.NewDecoder(r)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	acct := newAccountant(ctx)
 	defer acct.close()
-	var card []int
-	views := map[int]map[uint64]float64{}
+	var v *Views
 	for {
 		kind, payload, err := dec.Next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		switch kind {
 		case sectionMeta:
-			if card != nil {
-				return nil, nil, corruptf("duplicate meta section")
+			if v != nil {
+				return nil, corruptf("duplicate meta section")
 			}
 			if len(payload) < 1 {
-				return nil, nil, corruptf("empty meta section")
+				return nil, corruptf("empty meta section")
 			}
 			n := int(payload[0])
 			if n > 16 || len(payload) != 1+4*n {
-				return nil, nil, corruptf("meta section claims %d dims in %d bytes", n, len(payload))
+				return nil, corruptf("meta section claims %d dims in %d bytes", n, len(payload))
 			}
-			card = make([]int, n)
+			card := make([]int, n)
 			for d := range card {
 				c := binary.LittleEndian.Uint32(payload[1+4*d:])
 				if c == 0 || c > 1<<28 {
-					return nil, nil, corruptf("dim %d cardinality %d", d, c)
+					return nil, corruptf("dim %d cardinality %d", d, c)
 				}
 				card[d] = int(c)
 			}
+			v = newViews(card)
 		case sectionView:
-			if card == nil {
-				return nil, nil, corruptf("view section before meta")
+			if v == nil {
+				return nil, corruptf("view section before meta")
 			}
 			if len(payload) < 12 {
-				return nil, nil, corruptf("view section of %d bytes", len(payload))
+				return nil, corruptf("view section of %d bytes", len(payload))
 			}
 			mask := int(binary.LittleEndian.Uint32(payload))
-			if mask >= 1<<uint(len(card)) {
-				return nil, nil, corruptf("view mask %d beyond %d dims", mask, len(card))
+			if mask >= len(v.ByMask) {
+				return nil, corruptf("view mask %d beyond %d dims", mask, len(v.Card))
 			}
-			if _, dup := views[mask]; dup {
-				return nil, nil, corruptf("duplicate view mask %d", mask)
+			if v.ByMask[mask] != nil {
+				return nil, corruptf("duplicate view mask %d", mask)
 			}
 			n := binary.LittleEndian.Uint64(payload[4:])
 			if uint64(len(payload)) != 12+16*n {
-				return nil, nil, corruptf("view mask %d claims %d entries in %d bytes", mask, n, len(payload))
+				return nil, corruptf("view mask %d claims %d entries in %d bytes", mask, n, len(payload))
 			}
 			m := make(map[uint64]float64, n)
 			prev, off := uint64(0), 12
 			for i := uint64(0); i < n; i++ {
 				k := binary.LittleEndian.Uint64(payload[off:])
 				if i > 0 && k <= prev {
-					return nil, nil, corruptf("view mask %d keys out of order", mask)
+					return nil, corruptf("view mask %d keys out of order", mask)
 				}
 				prev = k
 				m[k] = math.Float64frombits(binary.LittleEndian.Uint64(payload[off+8:]))
 				off += 16
 			}
 			if err := acct.chargeView(len(m), rolapEntryBytes); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			views[mask] = m
+			v.ByMask[mask] = m
 		default:
-			return nil, nil, corruptf("unknown section kind %d", kind)
+			return nil, corruptf("unknown section kind %d", kind)
 		}
 	}
-	if card == nil {
-		return nil, nil, corruptf("no meta section")
-	}
-	return card, views, nil
-}
-
-// EncodeViews writes a full cube to w in the snapshot container format.
-func EncodeViews(ctx context.Context, w io.Writer, v *Views) error {
-	masks := make([]int, 0, len(v.ByMask))
-	for mask, m := range v.ByMask {
-		if m != nil {
-			masks = append(masks, mask)
-		}
-	}
-	return encodeCube(ctx, w, v.Card, masks, v.View)
-}
-
-// DecodeViews reads a full cube back. Masks absent from the snapshot
-// stay nil, exactly as an unbuilt view would be.
-func DecodeViews(ctx context.Context, r io.Reader) (*Views, error) {
-	card, views, err := decodeCube(ctx, r)
-	if err != nil {
-		return nil, err
-	}
-	v := &Views{Card: card, ByMask: make([]map[uint64]float64, 1<<uint(len(card)))}
-	for mask, m := range views {
-		v.ByMask[mask] = m
+	if v == nil {
+		return nil, corruptf("no meta section")
 	}
 	return v, nil
 }
 
-// SaveViews writes a full cube as the next generation of name in the
-// store, atomically. See Store.Save for the crash contract.
+// SaveViews writes a cube as the next generation of name in the store,
+// atomically. See Store.Save for the crash contract.
 func SaveViews(ctx context.Context, st *snapshot.Store, name string, v *Views) (uint64, error) {
 	return st.Save(ctx, name, func(w io.Writer) error { return EncodeViews(ctx, w, v) })
 }
 
-// LoadViews reads the newest loadable generation of name from the store,
+// load reads the newest generation of name that decode accepts,
 // recovering past corrupt generations (see Store.Load).
-func LoadViews(ctx context.Context, st *snapshot.Store, name string) (*Views, uint64, error) {
-	var v *Views
+func load[T any](ctx context.Context, st *snapshot.Store, name string, decode func(context.Context, io.Reader) (*T, error)) (*T, uint64, error) {
+	var out *T
 	gen, err := st.Load(ctx, name, func(r io.Reader) error {
 		var err error
-		v, err = DecodeViews(ctx, r)
+		out, err = decode(ctx, r)
 		return err
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return v, gen, nil
+	return out, gen, nil
+}
+
+// LoadViews reads the newest loadable generation of name from the store.
+func LoadViews(ctx context.Context, st *snapshot.Store, name string) (*Views, uint64, error) {
+	return load(ctx, st, name, DecodeViews)
 }
 
 // EncodeMaterialized writes a materialized-view set to w. Only the
 // stored views travel; scan-cost statistics are runtime state and reset
 // on load.
 func EncodeMaterialized(ctx context.Context, w io.Writer, m *MaterializedSet) error {
-	return encodeCube(ctx, w, m.card, m.MaterializedMasks(), func(mask int) map[uint64]float64 {
-		return m.views[mask]
-	})
+	return EncodeViews(ctx, w, m.views)
 }
 
 // DecodeMaterialized reads a materialized-view set back. A snapshot
@@ -231,34 +212,25 @@ func EncodeMaterialized(ctx context.Context, w io.Writer, m *MaterializedSet) er
 // query was never a valid MaterializedSet, and half-loaded state must
 // not impersonate one.
 func DecodeMaterialized(ctx context.Context, r io.Reader) (*MaterializedSet, error) {
-	card, views, err := decodeCube(ctx, r)
+	v, err := DecodeViews(ctx, r)
 	if err != nil {
 		return nil, err
 	}
-	base := 1<<uint(len(card)) - 1
-	if views[base] == nil {
+	if v.ByMask[len(v.ByMask)-1] == nil {
 		return nil, corruptf("materialized set without its base cuboid")
 	}
-	return &MaterializedSet{card: card, views: views, base: base}, nil
+	return &MaterializedSet{views: v}, nil
 }
 
 // SaveMaterialized writes a materialized set as the next generation of
 // name in the store, atomically.
 func SaveMaterialized(ctx context.Context, st *snapshot.Store, name string, m *MaterializedSet) (uint64, error) {
-	return st.Save(ctx, name, func(w io.Writer) error { return EncodeMaterialized(ctx, w, m) })
+	return SaveViews(ctx, st, name, m.views)
 }
 
 // LoadMaterialized reads the newest loadable materialized set of name,
-// recovering past corrupt generations.
+// recovering past corrupt generations (one without its base cuboid counts
+// as corrupt).
 func LoadMaterialized(ctx context.Context, st *snapshot.Store, name string) (*MaterializedSet, uint64, error) {
-	var m *MaterializedSet
-	gen, err := st.Load(ctx, name, func(r io.Reader) error {
-		var err error
-		m, err = DecodeMaterialized(ctx, r)
-		return err
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return m, gen, nil
+	return load(ctx, st, name, DecodeMaterialized)
 }

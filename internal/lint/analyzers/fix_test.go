@@ -20,10 +20,7 @@ func runFixCorpus(t *testing.T, name string, wantFindings int) {
 		t.Fatalf("no analyzer named %q", name)
 	}
 	dir := filepath.Join("testdata", "fix", name)
-	loader, err := lint.NewLoader("")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	loader := testLoader(t)
 	res, err := lint.Run(loader, []string{dir}, []*lint.Analyzer{a})
 	if err != nil {
 		t.Fatalf("lint.Run: %v", err)
@@ -77,11 +74,7 @@ func runFixCorpus(t *testing.T, name string, wantFindings int) {
 			t.Fatalf("writing round-trip file: %v", err)
 		}
 	}
-	loader2, err := lint.NewLoader("")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	res2, err := lint.Run(loader2, []string{tmp}, []*lint.Analyzer{a})
+	res2, err := lint.Run(loader, []string{tmp}, []*lint.Analyzer{a})
 	if err != nil {
 		t.Fatalf("lint.Run (round trip): %v", err)
 	}

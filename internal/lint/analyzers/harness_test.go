@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"statcube/internal/lint"
@@ -14,6 +15,27 @@ import (
 // wantRE extracts the expectation from a `// want "regexp"` trailing
 // comment in a corpus file.
 var wantRE = regexp.MustCompile(`// want "([^"]+)"`)
+
+var (
+	loaderOnce   sync.Once
+	sharedLoader *lint.Loader
+	loaderErr    error
+)
+
+// testLoader returns the one loader every test in the package shares.
+// A loader's source importer type-checks the standard library and the
+// module's own packages from source the first time a corpus imports them;
+// sharing it pays that once per test binary instead of once per corpus.
+// Corpus packages themselves are parsed and checked afresh by every
+// lint.Run, and analyzers stay fresh per run.
+func testLoader(t *testing.T) *lint.Loader {
+	t.Helper()
+	loaderOnce.Do(func() { sharedLoader, loaderErr = lint.NewLoader("") })
+	if loaderErr != nil {
+		t.Fatalf("NewLoader: %v", loaderErr)
+	}
+	return sharedLoader
+}
 
 // runCorpus runs exactly one analyzer over its testdata corpus and
 // diffs the produced diagnostics against the corpus's want annotations:
@@ -27,11 +49,7 @@ func runCorpus(t *testing.T, name string) {
 		t.Fatalf("no analyzer named %q", name)
 	}
 	dir := filepath.Join("testdata", "src", name)
-	loader, err := lint.NewLoader("")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	res, err := lint.Run(loader, []string{dir + "/..."}, []*lint.Analyzer{a})
+	res, err := lint.Run(testLoader(t), []string{dir + "/..."}, []*lint.Analyzer{a})
 	if err != nil {
 		t.Fatalf("lint.Run: %v", err)
 	}
@@ -120,11 +138,7 @@ func TestErrdropCorpus(t *testing.T)         { runCorpus(t, "errdrop") }
 // a duplicate.
 func TestAllFresh(t *testing.T) {
 	for i := 0; i < 2; i++ {
-		loader, err := lint.NewLoader("")
-		if err != nil {
-			t.Fatalf("NewLoader: %v", err)
-		}
-		res, err := lint.Run(loader, []string{filepath.Join("testdata", "src", "metricname")}, []*lint.Analyzer{ByName("metricname")})
+		res, err := lint.Run(testLoader(t), []string{filepath.Join("testdata", "src", "metricname")}, []*lint.Analyzer{ByName("metricname")})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}

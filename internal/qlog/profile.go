@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"statcube/internal/stats"
 )
 
 // CostStat summarizes one cost distribution (wall ns, bytes, cells)
@@ -53,8 +55,8 @@ type Profile struct {
 	TopPlans  []PlanStat     `json:"top_plans"`
 }
 
-// costStat reduces raw samples to a CostStat (exact percentiles via
-// nearest-rank on the sorted sample set).
+// costStat reduces raw samples to a CostStat (exact percentiles:
+// stats.NearestRank on the sorted sample set).
 func costStat(vals []float64) CostStat {
 	if len(vals) == 0 {
 		return CostStat{}
@@ -65,17 +67,13 @@ func costStat(vals []float64) CostStat {
 	for _, v := range s {
 		sum += v
 	}
-	rank := func(q float64) float64 {
-		i := int(q*float64(len(s)-1) + 0.5)
-		return s[i]
-	}
 	return CostStat{
 		Count: int64(len(s)),
 		Sum:   sum,
 		Mean:  sum / float64(len(s)),
-		P50:   rank(0.50),
-		P95:   rank(0.95),
-		P99:   rank(0.99),
+		P50:   stats.NearestRank(s, 50),
+		P95:   stats.NearestRank(s, 95),
+		P99:   stats.NearestRank(s, 99),
 		Max:   s[len(s)-1],
 	}
 }

@@ -65,10 +65,11 @@ func TestBuildProfileSkew(t *testing.T) {
 			t.Errorf("nodes[%d] wall count = %d, want %d", i, ws.Count, w.count)
 		}
 	}
-	// Exact nearest-rank on the dominant node's samples 1000..8000.
+	// Exact nearest-rank (stats.NearestRank: rank ⌈n·p/100⌉, the 4th of 8)
+	// on the dominant node's samples 1000..8000.
 	top := p.Nodes[0].WallNs
-	if top.P50 != 5000 || top.Max != 8000 {
-		t.Errorf("dominant node p50=%g max=%g, want 5000 and 8000", top.P50, top.Max)
+	if top.P50 != 4000 || top.Max != 8000 {
+		t.Errorf("dominant node p50=%g max=%g, want 4000 and 8000", top.P50, top.Max)
 	}
 }
 

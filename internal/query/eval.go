@@ -72,17 +72,12 @@ func resolveName(o *core.StatObject, name string) (resolved, error) {
 	}
 }
 
-// Eval runs a parsed query against a statistical object, returning the
+// EvalCtx runs a parsed query against a statistical object, returning the
 // result as a derived statistical object (its dimensions are the BY and
-// WHERE names).
-func Eval(o *core.StatObject, q *Query) (*core.StatObject, error) {
-	return EvalWithSpan(context.Background(), o, q, nil)
-}
-
-// EvalCtx is Eval with a context: cancellation and deadlines are honored
-// between operators and between cell segments inside them, surfacing as
-// the typed budget.ErrCanceled; a budget.Governor attached to ctx caps the
-// memory and cells the evaluation may consume.
+// WHERE names). Cancellation and deadlines are honored between operators
+// and between cell segments inside them, surfacing as the typed
+// budget.ErrCanceled; a budget.Governor attached to ctx caps the memory
+// and cells the evaluation may consume.
 func EvalCtx(ctx context.Context, o *core.StatObject, q *Query) (*core.StatObject, error) {
 	return EvalWithSpan(ctx, o, q, nil)
 }
@@ -191,19 +186,15 @@ func Run(o *core.StatObject, input string) (*core.StatObject, error) {
 // cancellation, deadline and resource budget. When the flight recorder
 // is on, the completed query — fingerprint, lattice node, wall time,
 // ledger peaks, typed outcome — is logged as one qlog record.
-func RunCtx(ctx context.Context, o *core.StatObject, input string) (*core.StatObject, error) {
+func RunCtx(ctx context.Context, o *core.StatObject, input string) (res *core.StatObject, err error) {
 	//lint:ignore nodeterm feeds only the query.latency_ns histogram, which no baseline diffs
 	start := time.Now()
-	q, err := Parse(input)
-	if err != nil {
-		recordQuery(start, err)
-		recordFlight(ctx, "query", input, o, nil, start, nil, err)
+	var q *Query
+	defer func() { record(ctx, "query", input, o, q, start, nil, err) }()
+	if q, err = Parse(input); err != nil {
 		return nil, err
 	}
-	res, err := EvalCtx(ctx, o, q)
-	recordQuery(start, err)
-	recordFlight(ctx, "query", input, o, q, start, nil, err)
-	return res, err
+	return EvalCtx(ctx, o, q)
 }
 
 // RunScalar parses, evaluates, and reduces to one number, for queries
@@ -213,29 +204,20 @@ func RunScalar(o *core.StatObject, input string) (float64, error) {
 }
 
 // RunScalarCtx is RunScalar with a context (see RunCtx).
-func RunScalarCtx(ctx context.Context, o *core.StatObject, input string) (float64, error) {
+func RunScalarCtx(ctx context.Context, o *core.StatObject, input string) (v float64, err error) {
 	//lint:ignore nodeterm feeds only the query.latency_ns histogram, which no baseline diffs
 	start := time.Now()
-	q, err := Parse(input)
-	if err != nil {
-		recordQuery(start, err)
-		recordFlight(ctx, "query.scalar", input, o, nil, start, nil, err)
+	var q *Query
+	defer func() { record(ctx, "query.scalar", input, o, q, start, nil, err) }()
+	if q, err = Parse(input); err != nil {
 		return 0, err
 	}
 	if len(q.By) > 0 {
-		err := fmt.Errorf("query: BY queries return tables; use Run")
-		recordQuery(start, err)
-		recordFlight(ctx, "query.scalar", input, o, q, start, nil, err)
-		return 0, err
+		return 0, fmt.Errorf("query: BY queries return tables; use Run")
 	}
 	res, err := EvalCtx(ctx, o, q)
 	if err != nil {
-		recordQuery(start, err)
-		recordFlight(ctx, "query.scalar", input, o, q, start, nil, err)
 		return 0, err
 	}
-	v, err := res.Total(q.Measure)
-	recordQuery(start, err)
-	recordFlight(ctx, "query.scalar", input, o, q, start, nil, err)
-	return v, err
+	return res.Total(q.Measure)
 }

@@ -28,22 +28,24 @@ func RunExplain(o *core.StatObject, input string) (*core.StatObject, *obs.Span, 
 // "canceled" attribute (the context's cause when there is one), so the
 // EXPLAIN ANALYZE tree shows both where execution stopped and what stopped
 // it.
-func RunExplainCtx(ctx context.Context, o *core.StatObject, input string) (*core.StatObject, *obs.Span, error) {
+func RunExplainCtx(ctx context.Context, o *core.StatObject, input string) (res *core.StatObject, root *obs.Span, err error) {
 	//lint:ignore nodeterm feeds only the query.latency_ns histogram, which no baseline diffs
 	start := time.Now()
-	root := obs.NewSpan("query")
+	root = obs.NewSpan("query")
 	root.SetStr("text", input)
+	var q *Query
+	defer func() {
+		root.End()
+		record(ctx, "query.explain", input, o, q, start, root, err)
+	}()
 	ps := root.Child("parse")
-	q, err := Parse(input)
+	q, err = Parse(input)
 	ps.SetErr(err)
 	ps.End()
 	if err != nil {
-		root.End()
-		recordQuery(start, err)
-		recordFlight(ctx, "query.explain", input, o, nil, start, root, err)
 		return nil, root, err
 	}
-	res, err := EvalWithSpan(ctx, o, q, root)
+	res, err = EvalWithSpan(ctx, o, q, root)
 	if err != nil && budget.IsCanceled(err) {
 		cause := context.Cause(ctx)
 		if cause == nil {
@@ -60,8 +62,5 @@ func RunExplainCtx(ctx context.Context, o *core.StatObject, input string) (*core
 		root.AddInt("budget_cells", gov.CellsUsed())
 	}
 	root.SetErr(err)
-	root.End()
-	recordQuery(start, err)
-	recordFlight(ctx, "query.explain", input, o, q, start, root, err)
 	return res, root, err
 }

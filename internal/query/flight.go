@@ -10,18 +10,19 @@ import (
 	"statcube/internal/qlog"
 )
 
-// recordFlight captures one query into the flight recorder. Callers gate
-// on qlog.On() having been true at entry (start is the zero Time
-// otherwise), so the disabled path never reaches here with work to do —
-// the recorder costs nothing unless someone turned it on.
+// record is the one exit hook of Run/RunScalar/RunExplain, deferred at
+// entry: it charges the query metrics and, when the flight recorder is
+// on, captures the query as one qlog record — the recorder costs nothing
+// unless someone turned it on. q is nil when the text did not parse.
 //
 // The fingerprint is built from resolved names (dimension.level) so two
 // spellings of the same plan — "profession" vs "profession.profession",
 // clause order, literal values — collide on one identity; names that
 // fail to resolve (the query errored) fall back to their raw lowercased
 // form so even failing flights keep a stable shape.
-func recordFlight(ctx context.Context, kind, text string, o *core.StatObject, q *Query, start time.Time, sp *obs.Span, err error) {
-	if start.IsZero() || !qlog.On() {
+func record(ctx context.Context, kind, text string, o *core.StatObject, q *Query, start time.Time, sp *obs.Span, err error) {
+	recordQuery(start, err)
+	if !qlog.On() {
 		return
 	}
 	rec := &qlog.Record{

@@ -298,47 +298,55 @@ func queryText(r *http.Request) (string, error) {
 	return req.Q, nil
 }
 
+// begin is the preamble every engine-touching request shares: count it,
+// rate-limit the client, derive the deadline- and governor-carrying
+// context, take an admission slot. The per-client limiter runs ahead of
+// admission — a hot client is refused before it can take slots or ledger
+// reservations from everyone else — and the arrival timestamp doubles as
+// the bucket clock. When ok is false the typed refusal has been written.
+// The handler defers done either way: it observes the request's latency
+// and gives back whatever begin took.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, start time.Time) (ctx context.Context, done func(), ok bool) {
+	if obs.On() {
+		reqCounter.Inc()
+	}
+	done = func() { s.observeLatency(start) }
+	if !s.lim.allow(clientKey(r.RemoteAddr), start) {
+		writeError(w, fmt.Errorf("%w: client %s over %s", ErrRateLimited, clientKey(r.RemoteAddr), "per-client rate"))
+		return nil, done, false
+	}
+	ctx, cancel := r.Context(), context.CancelFunc(func() {})
+	if s.timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, s.timeout)
+	}
+	ctx = budget.WithGovernor(ctx, s.gov)
+	release, err := s.adm.admit(ctx)
+	if err != nil {
+		cancel()
+		writeError(w, err)
+		return nil, done, false
+	}
+	return ctx, func() { s.observeLatency(start); release(); cancel() }, true
+}
+
 // handleQuery is the request path: admit, normalize, answer from the
 // cache or fill through the engine, write the pre-encoded payload.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, binary bool) {
 	//lint:ignore nodeterm feeds only the serve.latency_ns histogram, which no baseline diffs
 	start := time.Now()
-	if obs.On() {
-		reqCounter.Inc()
-	}
-	// The per-client limiter runs ahead of admission: a hot client is
-	// refused before it can take slots or ledger reservations from
-	// everyone else. The arrival timestamp doubles as the bucket clock.
-	if !s.lim.allow(clientKey(r.RemoteAddr), start) {
-		writeError(w, fmt.Errorf("%w: client %s over %s", ErrRateLimited, clientKey(r.RemoteAddr), "per-client rate"))
-		s.observeLatency(start)
+	ctx, done, ok := s.begin(w, r, start)
+	defer done()
+	if !ok {
 		return
 	}
-	ctx := r.Context()
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
-	ctx = budget.WithGovernor(ctx, s.gov)
-
-	release, err := s.adm.admit(ctx)
-	if err != nil {
-		writeError(w, err)
-		s.observeLatency(start)
-		return
-	}
-	defer release()
 	if err := fault.Hit(ctx, fault.PointServeHandler); err != nil {
 		writeError(w, err)
-		s.observeLatency(start)
 		return
 	}
 
 	qtext, err := queryText(r)
 	if err != nil {
 		writeError(w, err)
-		s.observeLatency(start)
 		return
 	}
 	// A query text that failed recently fails identically now — answer
@@ -350,19 +358,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, binary bool
 		}
 		w.Header().Set("X-Statd-Cache", "neg")
 		writeErrorEnvelope(w, e.status, e.code, e.msg)
-		s.observeLatency(start)
 		return
 	}
 	q, err := query.Parse(qtext)
 	if err != nil {
 		s.noteFailure(w, qtext, err, start)
-		s.observeLatency(start)
 		return
 	}
 	_, key, err := query.Normalize(s.obj, q)
 	if err != nil {
 		s.noteFailure(w, qtext, err, start)
-		s.observeLatency(start)
 		return
 	}
 
@@ -375,7 +380,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, binary bool
 	})
 	if err != nil {
 		s.noteFailure(w, qtext, err, start)
-		s.observeLatency(start)
 		return
 	}
 
@@ -393,7 +397,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, binary bool
 		h.Set("Content-Type", "application/json")
 		_, _ = w.Write(pay.json)
 	}
-	s.observeLatency(start)
 }
 
 func (s *Server) observeLatency(start time.Time) {
@@ -455,56 +458,34 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if obs.On() {
-		reqCounter.Inc()
-	}
-	if !s.lim.allow(clientKey(r.RemoteAddr), start) {
-		writeError(w, fmt.Errorf("%w: client %s over %s", ErrRateLimited, clientKey(r.RemoteAddr), "per-client rate"))
-		s.observeLatency(start)
+	ctx, done, ok := s.begin(w, r, start)
+	defer done()
+	if !ok {
 		return
 	}
-	ctx := r.Context()
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
-	ctx = budget.WithGovernor(ctx, s.gov)
-	release, err := s.adm.admit(ctx)
-	if err != nil {
-		writeError(w, err)
-		s.observeLatency(start)
-		return
-	}
-	defer release()
 
 	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
 	if err != nil {
 		writeError(w, fmt.Errorf("serve: reading append body: %w", err))
-		s.observeLatency(start)
 		return
 	}
 	var req appendRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, fmt.Errorf("serve: append body is not JSON {\"rows\": [[...]], \"vals\": [...]}: %w", err))
-		s.observeLatency(start)
 		return
 	}
 	if err := s.wr.Append(ctx, req.Rows, req.Vals); err != nil {
 		writeError(w, err)
-		s.observeLatency(start)
 		return
 	}
 	if !req.Buffer {
 		if _, err := s.wr.Flush(ctx); err != nil {
 			writeError(w, err)
-			s.observeLatency(start)
 			return
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(s.wr.Status())
-	s.observeLatency(start)
 }
 
 // handleInvalidate is the admin hook: POST drops every cached result.

@@ -97,6 +97,26 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return s[lo]*(1-frac) + s[lo+1]*frac, nil
 }
 
+// NearestRank returns the p-th percentile (0 <= p <= 100) of an
+// ascending-sorted sample by the nearest-rank definition: the value at
+// rank ⌈p/100 · n⌉, clamped to [1, n] — always a member of the sample,
+// never an interpolation, which is what latency and cost reports want.
+// An empty sample yields the zero value.
+func NearestRank[T any](sorted []T, p float64) T {
+	var zero T
+	if len(sorted) == 0 {
+		return zero
+	}
+	rank := int(math.Ceil(p * float64(len(sorted)) / 100))
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > len(sorted) {
+		rank = len(sorted)
+	}
+	return sorted[rank-1]
+}
+
 // Median returns the 50th percentile.
 func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
 

@@ -39,6 +39,27 @@ func TestVarianceStdDev(t *testing.T) {
 	}
 }
 
+// TestNearestRank pins the one nearest-rank definition statprof and
+// statload share: rank ⌈p/100·n⌉, so the p50 of ten values is the 5th.
+func TestNearestRank(t *testing.T) {
+	ten := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	cases := []struct {
+		sorted []int
+		p      float64
+		want   int
+	}{
+		{ten, 50, 5}, {ten, 95, 10}, {ten, 99, 10}, {ten, 90, 9}, {ten, 91, 10},
+		{ten, 0, 1}, {ten, 100, 10}, {ten, -5, 1}, {ten, 250, 10},
+		{[]int{7}, 50, 7}, {[]int{15, 20, 35, 40, 50}, 30, 20}, {[]int{15, 20, 35, 40, 50}, 40, 20},
+		{nil, 50, 0},
+	}
+	for _, c := range cases {
+		if got := NearestRank(c.sorted, c.p); got != c.want {
+			t.Errorf("NearestRank(%v, %v) = %d, want %d", c.sorted, c.p, got, c.want)
+		}
+	}
+}
+
 func TestPercentile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	cases := []struct{ p, want float64 }{

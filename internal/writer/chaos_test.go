@@ -53,43 +53,76 @@ var writerPoints = []string{
 	fault.PointSnapshotRename,
 }
 
-// chaosBatches cuts the deterministic load sequence every chaos run
-// replays: 8 loads of 40 rows over a 4×3×2 cube.
-func chaosBatches(seed int64) (base *cube.Input, rows [][][]int, vals [][]float64) {
-	rng := rand.New(rand.NewSource(seed))
-	base = &cube.Input{Card: []int{4, 3, 2}}
-	for i := 0; i < 300; i++ {
-		base.Rows = append(base.Rows, []int{rng.Intn(4), rng.Intn(3), rng.Intn(2)})
-		base.Vals = append(base.Vals, float64(rng.Intn(1000)))
-	}
+// batchGen generates one chaos input from a seed: the base facts and the
+// load sequence every run replays.
+type batchGen func(seed int64) (base *cube.Input, rows [][][]int, vals [][]float64)
+
+// cutLoads draws 8 loads of 40 random rows over card; val draws each
+// row's measure after its coordinates.
+func cutLoads(rng *rand.Rand, card []int, val func() float64) (rows [][][]int, vals [][]float64) {
 	for l := 0; l < 8; l++ {
 		var r [][]int
 		var v []float64
 		for i := 0; i < 40; i++ {
-			r = append(r, []int{rng.Intn(4), rng.Intn(3), rng.Intn(2)})
-			v = append(v, float64(rng.Intn(1000)))
+			row := make([]int, len(card))
+			for d, c := range card {
+				row[d] = rng.Intn(c)
+			}
+			r = append(r, row)
+			v = append(v, val())
 		}
 		rows = append(rows, r)
 		vals = append(vals, v)
 	}
+	return rows, vals
+}
+
+// chaosBatches cuts the deterministic load sequence every chaos run
+// replays: 8 loads of 40 rows over a 4×3×2 cube, integer-valued so sums
+// are exact in any order.
+func chaosBatches(seed int64) (base *cube.Input, rows [][][]int, vals [][]float64) {
+	rng := rand.New(rand.NewSource(seed))
+	val := func() float64 { return float64(rng.Intn(1000)) }
+	base = &cube.Input{Card: []int{4, 3, 2}}
+	for i := 0; i < 300; i++ {
+		base.Rows = append(base.Rows, []int{rng.Intn(4), rng.Intn(3), rng.Intn(2)})
+		base.Vals = append(base.Vals, val())
+	}
+	rows, vals = cutLoads(rng, base.Card, val)
 	return base, rows, vals
 }
 
-// faultFreeOutcome runs the whole load sequence with no injector and
-// returns the final set — the state every chaos run must converge to.
-func faultFreeOutcome(t *testing.T, masks []int) *cube.MaterializedSet {
-	t.Helper()
-	base, rows, vals := chaosBatches(99)
-	all := &cube.Input{Card: base.Card}
-	all.Rows = append(all.Rows, base.Rows...)
-	all.Vals = append(all.Vals, base.Vals...)
-	for i := range rows {
-		all.Rows = append(all.Rows, rows[i]...)
-		all.Vals = append(all.Vals, vals[i]...)
+// tiedBatches is chaosBatches on the tied-ancestor shape: a dense 3×3×3
+// base whose two-dimensional views all hold 9 entries, and fractional
+// values whose sums depend on addition order — so which of two tied
+// ancestors a coarser view was derived from shows in the low-order bits of
+// every generation after it.
+func tiedBatches(seed int64) (base *cube.Input, rows [][][]int, vals [][]float64) {
+	rng := rand.New(rand.NewSource(seed))
+	val := func() float64 { return 1 / float64(1+rng.Intn(1000)) }
+	base = &cube.Input{Card: []int{3, 3, 3}}
+	for i := 0; i < 27; i++ {
+		base.Rows = append(base.Rows, []int{i / 9, i / 3 % 3, i % 3})
+		base.Vals = append(base.Vals, val())
 	}
-	want, err := cube.Materialize(all, masks)
+	rows, vals = cutLoads(rng, base.Card, val)
+	return base, rows, vals
+}
+
+// faultFreeOutcome runs the whole load sequence with no injector — the
+// base materialized, each batch folded in as a delta — and returns the
+// final set: the state every chaos run must converge to.
+func faultFreeOutcome(t *testing.T, batches batchGen, masks []int) *cube.MaterializedSet {
+	t.Helper()
+	base, rows, vals := batches(99)
+	want, err := cube.Materialize(base, masks)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := range rows {
+		if _, err := want.AppendRows(rows[i], vals[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return want
 }
@@ -99,50 +132,60 @@ func faultFreeOutcome(t *testing.T, masks []int) *cube.MaterializedSet {
 // batch eventually publishes, and the final set (in memory AND
 // reloaded from disk) is bit-identical to the fault-free outcome.
 func TestChaosWriterConverges(t *testing.T) {
-	masks := []int{0b011, 0b101}
-	want := faultFreeOutcome(t, masks)
-	for _, seed := range chaosSeeds(t) {
-		for _, rate := range []float64{0.05, 0.3} {
-			t.Run(fmt.Sprintf("seed=%d/rate=%v", seed, rate), func(t *testing.T) {
-				inj := fault.New(fault.Schedule{Seed: seed, Points: writerPoints, Rate: rate, Mode: fault.Error, MaxInjections: 40})
-				ctx := fault.WithInjector(context.Background(), inj)
-				st, err := snapshot.OpenStore(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				base, rows, vals := chaosBatches(99)
-				// Open seeds the store fault-free (Open has no retry loop —
-				// a failed open is the operator's error); the load sequence
-				// then runs entirely under injection.
-				w, err := writer.Open(context.Background(), writer.Config{
-					Store: st, Name: "facts", Base: base, Masks: masks,
-					MaxRetries: 100, Backoff: time.Nanosecond, Sleep: func(time.Duration) {},
+	inputs := []struct {
+		name    string
+		batches batchGen
+		masks   []int
+	}{
+		{"random", chaosBatches, []int{0b011, 0b101}},
+		{"tied", tiedBatches, []int{0b011, 0b101, 0b001}},
+	}
+	for _, in := range inputs {
+		masks, batches := in.masks, in.batches
+		want := faultFreeOutcome(t, batches, masks)
+		for _, seed := range chaosSeeds(t) {
+			for _, rate := range []float64{0.05, 0.3} {
+				t.Run(fmt.Sprintf("%s/seed=%d/rate=%v", in.name, seed, rate), func(t *testing.T) {
+					inj := fault.New(fault.Schedule{Seed: seed, Points: writerPoints, Rate: rate, Mode: fault.Error, MaxInjections: 40})
+					ctx := fault.WithInjector(context.Background(), inj)
+					st, err := snapshot.OpenStore(t.TempDir())
+					if err != nil {
+						t.Fatal(err)
+					}
+					base, rows, vals := batches(99)
+					// Open seeds the store fault-free (Open has no retry loop —
+					// a failed open is the operator's error); the load sequence
+					// then runs entirely under injection.
+					w, err := writer.Open(context.Background(), writer.Config{
+						Store: st, Name: "facts", Base: base, Masks: masks,
+						MaxRetries: 100, Backoff: time.Nanosecond, Sleep: func(time.Duration) {},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range rows {
+						if err := w.Append(ctx, rows[i], vals[i]); err != nil {
+							t.Fatalf("seed %d load %d: append: %v", seed, i, err)
+						}
+						if _, err := w.Flush(ctx); err != nil {
+							t.Fatalf("seed %d load %d: flush did not converge: %v", seed, i, err)
+						}
+					}
+					h := w.Acquire()
+					defer h.Release()
+					if !h.Set().Identical(want) {
+						t.Fatalf("seed %d rate %v: converged set differs from fault-free outcome (%d injections)", seed, rate, inj.Injected())
+					}
+					// The durable state agrees: a restart loads the same bytes.
+					loaded, _, err := cube.LoadMaterialized(context.Background(), st, "facts")
+					if err != nil {
+						t.Fatalf("seed %d: reload after chaos: %v", seed, err)
+					}
+					if !loaded.Identical(want) {
+						t.Fatalf("seed %d rate %v: reloaded set differs from fault-free outcome", seed, rate)
+					}
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range rows {
-					if err := w.Append(ctx, rows[i], vals[i]); err != nil {
-						t.Fatalf("seed %d load %d: append: %v", seed, i, err)
-					}
-					if _, err := w.Flush(ctx); err != nil {
-						t.Fatalf("seed %d load %d: flush did not converge: %v", seed, i, err)
-					}
-				}
-				h := w.Acquire()
-				defer h.Release()
-				if !h.Set().Identical(want) {
-					t.Fatalf("seed %d rate %v: converged set differs from fault-free outcome (%d injections)", seed, rate, inj.Injected())
-				}
-				// The durable state agrees: a restart loads the same bytes.
-				loaded, _, err := cube.LoadMaterialized(context.Background(), st, "facts")
-				if err != nil {
-					t.Fatalf("seed %d: reload after chaos: %v", seed, err)
-				}
-				if !loaded.Identical(want) {
-					t.Fatalf("seed %d rate %v: reloaded set differs from fault-free outcome", seed, rate)
-				}
-			})
+			}
 		}
 	}
 }
@@ -232,7 +275,7 @@ func TestChaosFailedLoadInvisible(t *testing.T) {
 // to the fault-free outcome.
 func TestChaosTornWrite(t *testing.T) {
 	masks := []int{0b001}
-	want := faultFreeOutcome(t, masks)
+	want := faultFreeOutcome(t, chaosBatches, masks)
 	for _, seed := range chaosSeeds(t) {
 		for _, mode := range []fault.Mode{fault.ShortWrite, fault.BitFlip} {
 			t.Run(fmt.Sprintf("seed=%d/%v", seed, mode), func(t *testing.T) {
