@@ -74,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/query
 	$(GO) test -run='^$$' -fuzz='^FuzzGovernorReserve$$' -fuzztime=$(FUZZTIME) ./internal/budget
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=$(FUZZTIME) ./internal/snapshot
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeViews$$' -fuzztime=$(FUZZTIME) ./internal/cube
 
 # Chaos: the fault-injection suites (injected errors, panics, torn
 # writes, bit-flips) under each fixed seed, race-checked. The suites

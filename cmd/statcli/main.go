@@ -322,13 +322,7 @@ func snapshotCube(ctx context.Context, dir, name string, obj *statcube.StatObjec
 	}
 	v, gen, err := cube.LoadViews(ctx, st, name)
 	if err == nil {
-		views := 0
-		for _, m := range v.ByMask {
-			if m != nil {
-				views++
-			}
-		}
-		fmt.Fprintf(w, "statcli: snapshot: loaded %q generation %d (%d views)\n", name, gen, views)
+		fmt.Fprintf(w, "statcli: snapshot: loaded %q generation %d (%d views)\n", name, gen, len(v.Masks()))
 		return nil
 	}
 	if !errors.Is(err, snapshot.ErrNotFound) {

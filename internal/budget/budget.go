@@ -12,7 +12,7 @@
 //
 //   - Governor: an atomic reservation ledger with byte and cell quotas.
 //     Builders Reserve an estimate before allocating (cells × cell width
-//     for MOLAP arrays, map-entry accounting for ROLAP partials) and
+//     for MOLAP arrays, per-entry accounting for ROLAP views) and
 //     Release when the result is handed off. A reservation that would
 //     exceed the quota fails with ErrBudgetExceeded, letting the caller
 //     degrade (a MOLAP build falls back to smallest-parent ROLAP) or

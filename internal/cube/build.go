@@ -3,9 +3,7 @@ package cube
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 
 	"statcube/internal/budget"
@@ -58,11 +56,11 @@ func (in *Input) Validate() error {
 	return nil
 }
 
-// Views holds every computed view: per mask, a map from the view's
-// linearized group key to the aggregated sum.
+// Views holds every computed view: per mask, the view's linearized group
+// keys and their aggregated sums, stored as one sorted run (see run).
 type Views struct {
-	Card   []int
-	ByMask []map[uint64]float64
+	Card []int
+	runs []*run // indexed by mask; nil where the view is not stored
 }
 
 // maskDims lists the dimensions participating in a mask.
@@ -85,44 +83,33 @@ func groupKey(row []int, dims []int, card []int) uint64 {
 	return k
 }
 
-// View returns one view's map (nil if out of range).
+// View returns one stored view as a fresh map from group key to sum (nil
+// if the mask is out of range or not stored).
 func (v *Views) View(mask int) map[uint64]float64 {
-	if mask < 0 || mask >= len(v.ByMask) {
+	if mask < 0 || mask >= len(v.runs) || v.runs[mask] == nil {
 		return nil
 	}
-	return v.ByMask[mask]
+	r := v.runs[mask]
+	m := make(map[uint64]float64, len(r.keys))
+	for i, k := range r.keys {
+		m[k] = r.sums[i]
+	}
+	return m
 }
 
-// Equal compares two full cubes within a small tolerance.
-func (v *Views) Equal(o *Views) bool {
-	if len(v.ByMask) != len(o.ByMask) {
+// Equal compares two cubes within a small tolerance.
+func (v *Views) Equal(o *Views) bool { return v.equal(o, within) }
+
+// equal reports whether both cubes store the same masks with the same keys
+// and sums that same accepts.
+func (v *Views) equal(o *Views, same func(a, b float64) bool) bool {
+	if len(v.runs) != len(o.runs) {
 		return false
 	}
-	for mask := range v.ByMask {
-		a, b := v.ByMask[mask], o.ByMask[mask]
-		if len(a) != len(b) {
+	for mask, a := range v.runs {
+		b := o.runs[mask]
+		if (a == nil) != (b == nil) || a != nil && !a.equal(b, same) {
 			return false
-		}
-		for k, av := range a {
-			bv, ok := b[k]
-			if !ok {
-				return false
-			}
-			diff := av - bv
-			if diff < 0 {
-				diff = -diff
-			}
-			limit := 1e-9
-			if av > 1 || av < -1 {
-				l := av
-				if l < 0 {
-					l = -l
-				}
-				limit *= l
-			}
-			if diff > limit {
-				return false
-			}
 		}
 	}
 	return true
@@ -157,10 +144,9 @@ func (o Options) stage(ctx context.Context, name string, rows int) parallel.Stag
 	return st
 }
 
-// rolapEntryBytes is the budget charge per ROLAP view-map entry: an 8-byte
-// key, an 8-byte float sum, and the amortized Go map overhead (buckets,
-// top-hash bytes, load factor headroom).
-const rolapEntryBytes = 48
+// runEntryBytes is the budget charge per stored view entry, built or
+// decoded: what a run holds for it, an 8-byte key and an 8-byte float sum.
+const runEntryBytes = 16
 
 // accountant tracks one build's reservations against the context's
 // governor so they can be charged view by view (concurrently — the
@@ -176,16 +162,16 @@ func newAccountant(ctx context.Context) *accountant {
 	return &accountant{gov: budget.From(ctx)}
 }
 
-// chargeView reserves the working memory of one finished view and charges
-// its entries against the cell quota.
-func (a *accountant) chargeView(entries int, entryBytes int64) error {
+// chargeView reserves the memory of one view's run and charges its entries
+// against the cell quota.
+func (a *accountant) chargeView(entries int) error {
 	if a.gov == nil {
 		return nil
 	}
 	if err := a.gov.AddCells(int64(entries)); err != nil {
 		return err
 	}
-	b := int64(entries) * entryBytes
+	b := int64(entries) * runEntryBytes
 	if err := a.gov.Reserve(b); err != nil {
 		return err
 	}
@@ -218,44 +204,32 @@ func (a *accountant) close() {
 // stored, the same keys, bit-identical float values. The parallel builders
 // guarantee this against their sequential counterparts, and the write
 // path's chaos suite asserts it of recovered generations.
-func (v *Views) Identical(o *Views) bool {
-	if len(v.ByMask) != len(o.ByMask) {
-		return false
-	}
-	for mask, a := range v.ByMask {
-		b := o.ByMask[mask]
-		if (a == nil) != (b == nil) || len(a) != len(b) {
-			return false
-		}
-		for k, av := range a {
-			bv, ok := b[k]
-			if !ok || math.Float64bits(av) != math.Float64bits(bv) {
-				return false
-			}
-		}
-	}
-	return true
-}
+func (v *Views) Identical(o *Views) bool { return v.equal(o, sameBits) }
 
-// masks lists the stored view masks, ascending.
-func (v *Views) masks() []int {
+// Masks lists the stored view masks, ascending.
+func (v *Views) Masks() []int {
 	var out []int
-	for mask, m := range v.ByMask {
-		if m != nil {
+	for mask, r := range v.runs {
+		if r != nil {
 			out = append(out, mask)
 		}
 	}
 	return out
 }
 
-// size is the entry count of a stored view — the linear scan cost of
-// answering from it.
-func (v *Views) size(mask int) int64 { return int64(len(v.ByMask[mask])) }
+// size is the entry count of a stored view (0 if not stored) — the linear
+// scan cost of answering from it.
+func (v *Views) size(mask int) int64 {
+	if r := v.runs[mask]; r != nil {
+		return int64(len(r.keys))
+	}
+	return 0
+}
 
 // newViews allocates the container for a cube of the given cardinalities
 // with no view stored yet.
 func newViews(card []int) *Views {
-	return &Views{Card: append([]int(nil), card...), ByMask: make([]map[uint64]float64, 1<<uint(len(card)))}
+	return &Views{Card: append([]int(nil), card...), runs: make([]*run, 1<<uint(len(card)))}
 }
 
 // everyMask is the wanted-predicate of a full cube build.
@@ -269,12 +243,13 @@ func BuildROLAPNaive(in *Input) (*Views, error) {
 
 // BuildROLAPNaiveCtx is BuildROLAPNaive with a context and build options:
 // the 2^n group-bys are independent, so views fan out one task per mask;
-// each task scans the rows in order into its own map, making the parallel
-// result trivially byte-identical to the sequential one. Cancellation is
-// checked between views and between row segments inside each scan, and a
-// governor on ctx is charged per finished view map; on any failure the
-// build returns the typed error and no Views. An enabled flight recorder
-// logs the build's wall time, ledger peaks and typed outcome.
+// each task scans the rows in order into its own accumulator and sorts it
+// into the view's run, making the parallel result trivially byte-identical
+// to the sequential one. Cancellation is checked between views and between
+// row segments inside each scan, and a governor on ctx is charged per
+// finished view; on any failure the build returns the typed error and no
+// Views. An enabled flight recorder logs the build's wall time, ledger
+// peaks and typed outcome.
 func BuildROLAPNaiveCtx(ctx context.Context, in *Input, opt Options) (_ *Views, err error) {
 	defer recordBuildFlight(ctx, "rolap_naive", qlog.Start(), in, opt, nil, &err)
 	if err := in.Validate(); err != nil {
@@ -286,7 +261,7 @@ func BuildROLAPNaiveCtx(ctx context.Context, in *Input, opt Options) (_ *Views, 
 	acct := newAccountant(ctx)
 	defer acct.close()
 	inj := fault.From(ctx)
-	err = st.ForEach(len(out.ByMask), func(mask int) error {
+	err = st.ForEach(len(out.runs), func(mask int) error {
 		// Each view scan is a cube.view fault hook: chaos tests fail or
 		// panic a single view's computation and assert the whole build
 		// unwinds cleanly.
@@ -294,18 +269,18 @@ func BuildROLAPNaiveCtx(ctx context.Context, in *Input, opt Options) (_ *Views, 
 			return err
 		}
 		dims := maskDims(mask, n)
-		m := map[uint64]float64{}
+		a := accum{}
 		tick := budget.NewTicker(ctx, 0)
 		for ri, row := range in.Rows {
 			if err := tick.Tick(); err != nil {
 				return err
 			}
-			m[groupKey(row, dims, in.Card)] += in.Vals[ri]
+			a[groupKey(row, dims, in.Card)] += in.Vals[ri]
 		}
-		if err := acct.chargeView(len(m), rolapEntryBytes); err != nil {
+		if err := acct.chargeView(len(a)); err != nil {
 			return err
 		}
-		out.ByMask[mask] = m
+		out.runs[mask] = a.run()
 		return nil
 	})
 	if err != nil {
@@ -324,42 +299,42 @@ func BuildROLAPSmallestParent(in *Input) (*Views, error) {
 }
 
 // BuildROLAPSmallestParentCtx is BuildROLAPSmallestParent with a context
-// and build options: the lattice walk (see walk) over every mask, with map
-// views. Cancellation is checked between levels and between row segments,
-// bounding latency; a governor on ctx is charged one map-entry reservation
-// per finished view. An enabled flight recorder logs the build's wall
+// and build options: the lattice walk (see walk) over every mask.
+// Cancellation is checked between levels and between row segments,
+// bounding latency; a governor on ctx is charged runEntryBytes per entry
+// of each finished view. An enabled flight recorder logs the build's wall
 // time, ledger peaks and typed outcome.
 func BuildROLAPSmallestParentCtx(ctx context.Context, in *Input, opt Options) (_ *Views, err error) {
 	defer recordBuildFlight(ctx, "rolap_sp", qlog.Start(), in, opt, nil, &err)
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	return walkMaps(ctx, in, opt.stage(ctx, "cube.rolap_sp", len(in.Rows)), everyMask)
+	return walkRuns(ctx, in, opt.stage(ctx, "cube.rolap_sp", len(in.Rows)), everyMask)
 }
 
-// walkMaps computes the wanted map views of in (the base cuboid always):
-// the base by a deterministic grouped reduction over the rows, every other
-// view rolled up from its smallest computed ancestor. It is the whole of
-// the smallest-parent ROLAP build and of MaterializeCtx, which differ only
-// in the masks they want.
-func walkMaps(ctx context.Context, in *Input, st parallel.Stage, wanted func(mask int) bool) (*Views, error) {
+// walkRuns computes the wanted views of in (the base cuboid always): the
+// base by a deterministic grouped reduction over the rows, every other
+// view rolled up from its smallest computed ancestor, each sorted into its
+// run once. It is the whole of the smallest-parent ROLAP build and of
+// MaterializeCtx, which differ only in the masks they want.
+func walkRuns(ctx context.Context, in *Input, st parallel.Stage, wanted func(mask int) bool) (*Views, error) {
 	n := len(in.Card)
 	out := newViews(in.Card)
 	acct := newAccountant(ctx)
 	defer acct.close()
 	err := walk(ctx, st, n, wanted, out.size, func(mask, parent int) (err error) {
-		var m map[uint64]float64
+		var a accum
 		if parent < 0 {
-			if m, err = baseGroupBy(ctx, in, maskDims(mask, n), st); err != nil {
+			if a, err = baseGroupBy(ctx, in, maskDims(mask, n), st); err != nil {
 				return err
 			}
 		} else {
-			m = aggregateFromParent(out, parent, mask, n)
+			a = aggregateFromParent(out, parent, mask)
 		}
-		if err := acct.chargeView(len(m), rolapEntryBytes); err != nil {
+		if err := acct.chargeView(len(a)); err != nil {
 			return err
 		}
-		out.ByMask[mask] = m
+		out.runs[mask] = a.run()
 		return nil
 	})
 	if err != nil {
@@ -419,17 +394,17 @@ func walk(ctx context.Context, st parallel.Stage, n int, wanted func(mask int) b
 }
 
 // baseGroupBy aggregates the base view from the raw rows. The parallel
-// path routes rows to per-worker partial maps by key ownership; each key
-// is summed by exactly one worker in row order, so unioning the disjoint
-// partials reproduces the sequential map byte for byte. A canceled context
-// aborts the grouped reduction between row segments and surfaces here as
-// budget.ErrCanceled — partial maps are discarded, never merged.
-func baseGroupBy(ctx context.Context, in *Input, dims []int, st parallel.Stage) (map[uint64]float64, error) {
+// path routes rows to per-worker partial accumulators by key ownership;
+// each key is summed by exactly one worker in row order, so unioning the
+// disjoint partials reproduces the sequential sums bit for bit. A canceled
+// context aborts the grouped reduction between row segments and surfaces
+// here as budget.ErrCanceled — partials are discarded, never merged.
+func baseGroupBy(ctx context.Context, in *Input, dims []int, st parallel.Stage) (accum, error) {
 	w := parallel.Workers(st.Workers, len(in.Rows))
 	if w > 1 {
-		parts := make([]map[uint64]float64, w)
+		parts := make([]accum, w)
 		for o := range parts {
-			parts[o] = map[uint64]float64{}
+			parts[o] = accum{}
 		}
 		ran, err := st.GroupReduce(len(in.Rows), parallel.HashOwner(w),
 			func(_, i int, out func(uint64)) { out(groupKey(in.Rows[i], dims, in.Card)) },
@@ -445,7 +420,7 @@ func baseGroupBy(ctx context.Context, in *Input, dims []int, st parallel.Stage) 
 			for _, p := range parts {
 				total += len(p)
 			}
-			m := make(map[uint64]float64, total)
+			m := make(accum, total)
 			for _, p := range parts {
 				for k, v := range p {
 					m[k] = v
@@ -457,7 +432,7 @@ func baseGroupBy(ctx context.Context, in *Input, dims []int, st parallel.Stage) 
 		// canceled context; the ticker below returns the typed error in
 		// the latter case before any sequential work happens.
 	}
-	m := map[uint64]float64{}
+	m := accum{}
 	tick := budget.NewTicker(ctx, 0)
 	for ri, row := range in.Rows {
 		if err := tick.Tick(); err != nil {
@@ -484,13 +459,13 @@ func smallestAncestor(mask int, candidates []int, size func(mask int) int64) (be
 	return best, bestSize, ok
 }
 
-// aggregateFromParent rolls a parent view's entries up into the child
-// view, decoding the parent keys and re-keying onto the child's dims.
-// Parent entries are visited in ascending key order so each child key
-// accumulates its float sum in one fixed order — the determinism the
-// byte-identical parallel/sequential guarantee rests on (map iteration
-// order would reshuffle the additions run to run).
-func aggregateFromParent(v *Views, parent, child, n int) map[uint64]float64 {
+// aggregateFromParent rolls a stored parent view up into the child's
+// group-by, decoding the parent keys and re-keying onto the child's dims.
+// The parent run is walked as stored, in ascending key order, so each
+// child key accumulates its float sum in one fixed order — the determinism
+// the byte-identical parallel/sequential guarantee rests on.
+func aggregateFromParent(v *Views, parent, child int) accum {
+	n := len(v.Card)
 	pd := maskDims(parent, n)
 	cd := maskDims(child, n)
 	// Child dims positions within the parent's dim list.
@@ -507,27 +482,29 @@ func aggregateFromParent(v *Views, parent, child, n int) map[uint64]float64 {
 			panic("cube: child dim missing from parent")
 		}
 	}
-	out := make(map[uint64]float64, len(v.ByMask[parent])/2+1)
-	coords := make([]int, len(pd))
-	keys := make([]uint64, 0, len(v.ByMask[parent]))
-	for k := range v.ByMask[parent] {
-		keys = append(keys, k)
+	p := v.runs[parent]
+	// The child holds at most the parent's entries and at most its own
+	// key space; size the accumulator by the smaller.
+	hint, space := len(p.keys), 1
+	for _, d := range cd {
+		if space *= v.Card[d]; space >= hint {
+			break
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		val := v.ByMask[parent][k]
+	out := make(accum, min(hint, space))
+	coords := make([]int, len(pd))
+	for i, k := range p.keys {
 		// Decode the parent key (row-major over pd).
-		kk := k
-		for i := len(pd) - 1; i >= 0; i-- {
-			c := uint64(v.Card[pd[i]])
-			coords[i] = int(kk % c)
-			kk /= c
+		for j := len(pd) - 1; j >= 0; j-- {
+			c := uint64(v.Card[pd[j]])
+			coords[j] = int(k % c)
+			k /= c
 		}
 		var ck uint64
-		for i, d := range cd {
-			ck = ck*uint64(v.Card[d]) + uint64(coords[pos[i]])
+		for j, d := range cd {
+			ck = ck*uint64(v.Card[d]) + uint64(coords[pos[j]])
 		}
-		out[ck] += val
+		out[ck] += p.sums[i]
 	}
 	return out
 }

@@ -1,10 +1,27 @@
 package cube
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// viewsOf builds a Views by hand: one map per mask, nil for a view that
+// is not stored.
+func viewsOf(card []int, byMask ...map[uint64]float64) *Views {
+	v := &Views{Card: card, runs: make([]*run, len(byMask))}
+	for mask, m := range byMask {
+		if m != nil {
+			v.runs[mask] = accum(m).run()
+		}
+	}
+	return v
+}
+
+// identicalAnswers reports whether two answers hold the same keys with
+// bit-identical sums.
+func identicalAnswers(a, b map[uint64]float64) bool { return maps.EqualFunc(a, b, sameBits) }
 
 // randomInput generates a coded fact table.
 func randomInput(card []int, rows int, seed int64) *Input {
@@ -109,16 +126,16 @@ func TestMolapFeasible(t *testing.T) {
 }
 
 func TestViewsEqualTolerance(t *testing.T) {
-	a := &Views{Card: []int{2}, ByMask: []map[uint64]float64{{0: 1}, {0: 1, 1: 2}}}
-	b := &Views{Card: []int{2}, ByMask: []map[uint64]float64{{0: 1 + 1e-12}, {0: 1, 1: 2}}}
+	a := viewsOf([]int{2}, map[uint64]float64{0: 1}, map[uint64]float64{0: 1, 1: 2})
+	b := viewsOf([]int{2}, map[uint64]float64{0: 1 + 1e-12}, map[uint64]float64{0: 1, 1: 2})
 	if !a.Equal(b) {
 		t.Error("tolerance equality failed")
 	}
-	c := &Views{Card: []int{2}, ByMask: []map[uint64]float64{{0: 5}, {0: 1, 1: 2}}}
+	c := viewsOf([]int{2}, map[uint64]float64{0: 5}, map[uint64]float64{0: 1, 1: 2})
 	if a.Equal(c) {
 		t.Error("different cubes reported equal")
 	}
-	d := &Views{Card: []int{2}, ByMask: []map[uint64]float64{{0: 1}}}
+	d := viewsOf([]int{2}, map[uint64]float64{0: 1})
 	if a.Equal(d) {
 		t.Error("different view counts reported equal")
 	}

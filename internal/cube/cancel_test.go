@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -74,7 +75,7 @@ func (w viewsLen) Len() int {
 	if w.v == nil {
 		return 0
 	}
-	return len(w.v.ByMask)
+	return len(w.v.runs)
 }
 
 type matLen struct{ m *MaterializedSet }
@@ -192,7 +193,9 @@ func TestMOLAPDegradeToROLAP(t *testing.T) {
 	if est <= 0 {
 		t.Fatalf("estimate should be positive, got %d", est)
 	}
-	// Enough budget for the ROLAP maps, not for the dense arrays.
+	// Enough budget for the ROLAP views (at most 2000 rows × 16 views ×
+	// runEntryBytes = 512 KB against a dense estimate of ~12 MB), not for
+	// the dense arrays.
 	gov := budget.NewGovernor(budget.Limits{MaxBytes: est - 1})
 	ctx := budget.WithGovernor(context.Background(), gov)
 	before := obs.Default().Snapshot().Counters["cube.molap_degraded"]
@@ -226,11 +229,11 @@ func TestMOLAPDegradeToROLAP(t *testing.T) {
 // partial cube.
 func TestMOLAPBudgetTooSmallForAnything(t *testing.T) {
 	in := cancelInput()
-	gov := budget.NewGovernor(budget.Limits{MaxBytes: 16})
+	gov := budget.NewGovernor(budget.Limits{MaxBytes: runEntryBytes - 1}) // not one view entry
 	ctx := budget.WithGovernor(context.Background(), gov)
 	v, err := BuildMOLAPCtx(ctx, in, Options{})
 	if err == nil {
-		t.Fatal("no error from a 16-byte budget")
+		t.Fatal("no error from a budget below one view entry")
 	}
 	if !errors.Is(err, budget.ErrBudgetExceeded) {
 		t.Errorf("error %v is not ErrBudgetExceeded", err)
@@ -240,6 +243,48 @@ func TestMOLAPBudgetTooSmallForAnything(t *testing.T) {
 	}
 	if v != nil {
 		t.Error("partial views escaped a denied build")
+	}
+}
+
+// TestByteChargeIsTheRunsBytes: a build and a load reserve exactly
+// runEntryBytes per stored entry, all views held until hand-off — the
+// cube's total is admitted, one byte less is refused.
+func TestByteChargeIsTheRunsBytes(t *testing.T) {
+	in := cancelInput()
+	v, err := BuildROLAPSmallestParent(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries int64
+	for _, mask := range v.Masks() {
+		entries += v.size(mask)
+	}
+	var blob bytes.Buffer
+	if err := EncodeViews(context.Background(), &blob, v); err != nil {
+		t.Fatal(err)
+	}
+	paths := map[string]func(context.Context) error{
+		"build": func(ctx context.Context) error {
+			_, err := BuildROLAPSmallestParentCtx(ctx, in, Options{})
+			return err
+		},
+		"decode": func(ctx context.Context) error {
+			_, err := DecodeViews(ctx, bytes.NewReader(blob.Bytes()))
+			return err
+		},
+	}
+	for name, run := range paths {
+		exact := budget.NewGovernor(budget.Limits{MaxBytes: entries * runEntryBytes})
+		if err := run(budget.WithGovernor(context.Background(), exact)); err != nil {
+			t.Errorf("%s: %d entries refused at %d bytes: %v", name, entries, entries*runEntryBytes, err)
+		}
+		if peak := exact.PeakBytes(); peak != entries*runEntryBytes {
+			t.Errorf("%s: peak reservation %d, want %d", name, peak, entries*runEntryBytes)
+		}
+		short := budget.NewGovernor(budget.Limits{MaxBytes: entries*runEntryBytes - 1})
+		if err := run(budget.WithGovernor(context.Background(), short)); !errors.Is(err, budget.ErrBudgetExceeded) {
+			t.Errorf("%s: one byte short of the charge: err = %v, want ErrBudgetExceeded", name, err)
+		}
 	}
 }
 

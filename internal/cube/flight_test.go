@@ -53,8 +53,9 @@ func TestMOLAPDegradeRecordedAsDegraded(t *testing.T) {
 	r := withRecorder(t)
 	in := randomInput([]int{10, 10, 10}, 50, 1)
 	est := EstimateMOLAPBytes(in.Card)
-	// A budget below the dense estimate but ample for the hash-map fallback
-	// forces exactly the degradation ladder.
+	// A budget below the dense estimate (11³ cells × 9 B ≈ 12 KB) but ample
+	// for the ROLAP fallback (at most 50 rows × 8 views × runEntryBytes =
+	// 6.4 KB) forces exactly the degradation ladder.
 	gov := budget.NewGovernor(budget.Limits{MaxBytes: est - 1})
 	ctx := budget.WithGovernor(context.Background(), gov)
 	if _, err := BuildMOLAPCtx(ctx, in, Options{}); err != nil {
@@ -80,9 +81,10 @@ func TestMOLAPDegradeRecordedAsDegraded(t *testing.T) {
 func TestBudgetRefusalRecordedAsBudget(t *testing.T) {
 	r := withRecorder(t)
 	in := randomInput([]int{6, 6, 6}, 100, 2)
-	// Too small for even the ROLAP fallback: the whole build fails with
-	// the typed budget error and the flight says so.
-	gov := budget.NewGovernor(budget.Limits{MaxBytes: 64})
+	// Too small for even the ROLAP fallback — four entries' worth, and 100
+	// rows over 216 cells leave dozens in the base cuboid alone: the whole
+	// build fails with the typed budget error and the flight says so.
+	gov := budget.NewGovernor(budget.Limits{MaxBytes: 4 * runEntryBytes})
 	ctx := budget.WithGovernor(context.Background(), gov)
 	if _, err := BuildROLAPSmallestParentCtx(ctx, in, Options{}); err == nil {
 		t.Fatal("expected budget refusal")

@@ -29,12 +29,15 @@ func NewReadHandle(set *MaterializedSet, gen uint64, release func()) *ReadHandle
 // Generation returns the pinned snapshot generation number.
 func (h *ReadHandle) Generation() uint64 { return h.gen }
 
-// Set returns the pinned, immutable materialized set. Callers must not
-// mutate it — every handle on the generation shares these maps.
+// Set returns the pinned materialized set, shared by every handle on the
+// generation. Its stored views are not reachable through it — Answer hands
+// out a fresh map per call — so the only way to change it is AppendRowsCtx,
+// which is for a Clone, never for a published set.
 func (h *ReadHandle) Set() *MaterializedSet { return h.set }
 
 // Answer answers a group-by against the pinned generation (see
-// MaterializedSet.Answer). Safe for concurrent use across handles.
+// MaterializedSet.Answer); the map is the caller's own. Safe for
+// concurrent use across handles.
 func (h *ReadHandle) Answer(mask int) (map[uint64]float64, int64, error) {
 	return h.set.Answer(mask)
 }

@@ -3,6 +3,7 @@ package cube
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"statcube/internal/budget"
@@ -50,7 +51,7 @@ func MaterializeCtx(ctx context.Context, in *Input, masks []int) (_ *Materialize
 		}
 		want[mask] = true
 	}
-	v, err := walkMaps(ctx, in, Options{}.stage(ctx, "cube.materialize", len(in.Rows)), func(mask int) bool { return want[mask] })
+	v, err := walkRuns(ctx, in, Options{}.stage(ctx, "cube.materialize", len(in.Rows)), func(mask int) bool { return want[mask] })
 	if err != nil {
 		return nil, err
 	}
@@ -58,34 +59,35 @@ func MaterializeCtx(ctx context.Context, in *Input, masks []int) (_ *Materialize
 }
 
 // Answer computes the group-by for mask, materialized or not, from the
-// smallest materialized ancestor. It returns the result and the rows
-// scanned (the ancestor's entry count; zero when the view itself is
-// materialized — a stored view answers by lookup).
+// smallest materialized ancestor. It returns the result — a fresh map the
+// caller owns — and the rows scanned (the ancestor's entry count; zero
+// when the view itself is materialized — a stored view answers without
+// aggregating).
 func (m *MaterializedSet) Answer(mask int) (map[uint64]float64, int64, error) {
-	if mask < 0 || mask >= len(m.views.ByMask) {
+	if mask < 0 || mask >= len(m.views.runs) {
 		return nil, 0, fmt.Errorf("cube: view mask %d out of range", mask)
 	}
-	if view := m.views.ByMask[mask]; view != nil {
+	if view := m.views.View(mask); view != nil {
 		recordAnswer(true, 0)
 		return view, 0, nil
 	}
 	// The base cuboid is always stored, so an ancestor always exists.
-	parent, cost, _ := smallestAncestor(mask, m.views.masks(), m.views.size)
+	parent, cost, _ := smallestAncestor(mask, m.views.Masks(), m.views.size)
 	m.scanCost.Add(cost)
 	recordAnswer(false, cost)
-	return aggregateFromParent(m.views, parent, mask, len(m.views.Card)), cost, nil
+	return aggregateFromParent(m.views, parent, mask), cost, nil
 }
 
 // ScanCost returns the cumulative rows scanned by Answer calls.
 func (m *MaterializedSet) ScanCost() int64 { return m.scanCost.Load() }
 
 // MaterializedMasks returns the stored view masks, sorted.
-func (m *MaterializedSet) MaterializedMasks() []int { return m.views.masks() }
+func (m *MaterializedSet) MaterializedMasks() []int { return m.views.Masks() }
 
 // StorageEntries returns the total stored entries beyond the base cuboid —
 // the "space" of the space/time trade-off.
 func (m *MaterializedSet) StorageEntries() int64 {
-	return m.Entries() - m.views.size(len(m.views.ByMask)-1)
+	return m.Entries() - m.views.size(len(m.views.runs)-1)
 }
 
 // AppendRows folds a batch of new facts into the base cuboid AND every
@@ -102,11 +104,15 @@ func (m *MaterializedSet) AppendRows(rows [][]int, vals []float64) (int64, error
 // are checked between views, and the context's fault injector fires at
 // the writer.delta hook before each view's fold. Views are folded in
 // ascending mask order, so a fault schedule replays the same per-view
-// decision sequence on every run. On any failure the set is left
-// PARTIALLY updated — some views folded, some not — so the caller must
-// discard it whole; internal/writer stages the fold on a private clone
-// and publishes only complete ones, which is how a partial delta is
-// never reader-visible.
+// decision sequence on every run. Within a view a row whose key is stored
+// is added to its sum in place, in row order; keys the view does not hold
+// yet accumulate from zero in row order and are merged into the run in one
+// pass — bit for bit the sums `view[key] += val` over the rows gives, at a
+// cost set by the batch and one copy of the view, never a sort of it. On
+// any failure the set is left PARTIALLY updated — some views folded, some
+// not — so the caller must discard it whole; internal/writer stages the
+// fold on a private clone and publishes only complete ones, which is how
+// a partial delta is never reader-visible.
 func (m *MaterializedSet) AppendRowsCtx(ctx context.Context, rows [][]int, vals []float64) (int64, error) {
 	card := m.views.Card
 	if err := (&Input{Card: card, Rows: rows, Vals: vals}).Validate(); err != nil {
@@ -128,33 +134,35 @@ func (m *MaterializedSet) AppendRowsCtx(ctx context.Context, rows [][]int, vals 
 		if err := inj.Hit(fault.PointWriterDelta); err != nil {
 			return touched, err
 		}
-		view := m.views.ByMask[mask]
+		view := m.views.runs[mask]
 		dims := maskDims(mask, len(card))
+		fresh := accum{}
 		for ri, row := range rows {
-			view[groupKey(row, dims, card)] += vals[ri]
-			touched++
+			k := groupKey(row, dims, card)
+			if i, ok := slices.BinarySearch(view.keys, k); ok {
+				view.sums[i] += vals[ri]
+			} else {
+				fresh[k] += vals[ri]
+			}
 		}
+		view.merge(fresh.run())
+		touched += int64(len(rows))
 	}
 	return touched, nil
 }
 
-// Clone returns a deep copy of the set: fresh view maps, zero scan-cost
+// Clone returns a deep copy of the set: fresh view runs, zero scan-cost
 // accounting. The write path stages each load on a clone of the
 // published generation, so readers of the original never observe a
 // half-applied delta — copy-on-load MVCC without persistent structures.
-// The copy moves O(entries) bytes but recomputes nothing: no fact-table
-// scan, no aggregation.
+// The copy is two slice copies per view and recomputes nothing: no
+// fact-table scan, no aggregation, no hashing.
 func (m *MaterializedSet) Clone() *MaterializedSet {
 	c := newViews(m.views.Card)
-	for mask, view := range m.views.ByMask {
-		if view == nil {
-			continue
+	for mask, view := range m.views.runs {
+		if view != nil {
+			c.runs[mask] = view.clone()
 		}
-		nv := make(map[uint64]float64, len(view))
-		for k, v := range view {
-			nv[k] = v
-		}
-		c.ByMask[mask] = nv
 	}
 	return &MaterializedSet{views: c}
 }
@@ -163,7 +171,7 @@ func (m *MaterializedSet) Clone() *MaterializedSet {
 // view — the footprint a clone copies and a budget governor charges.
 func (m *MaterializedSet) Entries() int64 {
 	var t int64
-	for mask := range m.views.ByMask {
+	for mask := range m.views.runs {
 		t += m.views.size(mask)
 	}
 	return t

@@ -12,8 +12,9 @@ import (
 // ([ZDN97]'s array-based algorithm, simplified to in-memory arrays): the
 // base data is loaded into one dense linearized array; every other view is
 // a dense array aggregated from its smallest computed parent using pure
-// index arithmetic — no hashing, no key decoding. The result is converted
-// to the same Views form as the ROLAP builders for comparison.
+// index arithmetic — no hashing, no key decoding. Each array is then read
+// out by a linear scan of its present cells into the same Views form the
+// ROLAP builders produce.
 //
 // The dense base array requires ∏ card cells, so this path — like real
 // MOLAP systems — is the right choice when the cube is reasonably dense;
@@ -54,8 +55,8 @@ func EstimateMOLAPBytes(card []int) int64 {
 // budget-governed entry point. Before allocating anything it reserves the
 // dense-array estimate (cells × cell width summed over every view) against
 // the context's governor; if the reservation is refused, the build
-// degrades to BuildROLAPSmallestParentCtx — hash maps sized by the data,
-// not the cross product — and records why: the cube.molap_degraded counter
+// degrades to BuildROLAPSmallestParentCtx — views sized by the data, not
+// the cross product — and records why: the cube.molap_degraded counter
 // and, when a Span is attached, a "degrade:molap→rolap_sp" child carrying
 // the refusal. Cancellation is checked between lattice levels and row
 // segments; on cancellation the typed budget.ErrCanceled is returned and
@@ -76,7 +77,7 @@ func BuildMOLAPCtx(ctx context.Context, in *Input, opt Options) (_ *Views, err e
 	}
 	if err := acct.reserve(est); err != nil {
 		// Degradation ladder: dense arrays refused → smallest-parent
-		// ROLAP, whose maps grow with the data instead of the cross
+		// ROLAP, whose views grow with the data instead of the cross
 		// product. The reason is recorded on the span so EXPLAIN
 		// ANALYZE shows the downgrade, and in the metrics registry.
 		recordDegrade()
@@ -104,15 +105,15 @@ func BuildMOLAPCtx(ctx context.Context, in *Input, opt Options) (_ *Views, err e
 	if err != nil {
 		return nil, err
 	}
-	// Convert to Views for comparison; the map form is charged per view
-	// against the cell quota (the dense bytes are already reserved).
+	// Read each array out as its view's run, charged per view against the
+	// cell quota (the dense bytes are already reserved).
 	out := newViews(in.Card)
 	err = st.ForEach(len(arrays), func(mask int) error {
-		m := arrays[mask].toMap()
-		if err := acct.gov.AddCells(int64(len(m))); err != nil {
+		r := arrays[mask].run()
+		if err := acct.gov.AddCells(int64(len(r.keys))); err != nil {
 			return err
 		}
-		out.ByMask[mask] = m
+		out.runs[mask] = r
 		return nil
 	})
 	if err != nil {
@@ -234,16 +235,18 @@ func (a *dense) rollup(childMask int) *dense {
 	return child
 }
 
-// toMap converts the dense view to the common map form keyed like the
-// ROLAP builders (row-major over the view's dims).
-func (a *dense) toMap() map[uint64]float64 {
-	out := make(map[uint64]float64)
+// run reads the present cells out in position order, which is ascending
+// key order: a dense position is the ROLAP builders' group key (row-major
+// over the view's dims).
+func (a *dense) run() *run {
+	r := &run{}
 	for p, present := range a.present {
 		if present {
-			out[uint64(p)] = a.vals[p]
+			r.keys = append(r.keys, uint64(p))
+			r.sums = append(r.sums, a.vals[p])
 		}
 	}
-	return out
+	return r
 }
 
 // MolapFeasible reports whether a dense base array of the given

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"statcube/internal/fault"
 	"statcube/internal/snapshot"
@@ -20,10 +20,11 @@ import (
 //	meta (1)  u8 ndims | ndims × u32 cardinality
 //	view (2)  u32 mask | u64 entries | entries × (u64 key | f64 sum)
 //
-// View entries are written in ascending key order, so encoding the same
-// cube twice yields byte-identical files — snapshots diff and dedupe
-// like any other deterministic artifact, and the chaos suite can assert
-// save/load round-trips by comparing bytes. Decoders trust nothing:
+// View entries are written in ascending key order — the order a view's
+// run holds them in memory — so encoding the same cube twice yields
+// byte-identical files: snapshots diff and dedupe like any other
+// deterministic artifact, and the chaos suite can assert save/load
+// round-trips by comparing bytes. Decoders trust nothing:
 // every structural surprise inside a CRC-valid section is still a typed
 // snapshot.ErrCorrupt, and each decoded view is charged against the
 // context's budget governor exactly like a freshly built one, so
@@ -31,6 +32,8 @@ import (
 const (
 	sectionMeta = 1
 	sectionView = 2
+
+	viewHeaderBytes = 4 + 8 // a view section's mask and entry count
 )
 
 // EncodeViews writes a cube — full or partial — to w in the snapshot
@@ -56,22 +59,15 @@ func EncodeViews(ctx context.Context, w io.Writer, v *Views) error {
 	if err := enc.Section(sectionMeta, meta); err != nil {
 		return err
 	}
-	keys := make([]uint64, 0, 1024)
-	for _, mask := range v.masks() {
-		m := v.ByMask[mask]
-		keys = keys[:0]
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		payload := make([]byte, 4+8+16*len(keys))
-		binary.LittleEndian.PutUint32(payload, uint32(mask))
-		binary.LittleEndian.PutUint64(payload[4:], uint64(len(keys)))
-		off := 12
-		for _, k := range keys {
-			binary.LittleEndian.PutUint64(payload[off:], k)
-			binary.LittleEndian.PutUint64(payload[off+8:], math.Float64bits(m[k]))
-			off += 16
+	var payload []byte // reused across views; Section writes it out before returning
+	for _, mask := range v.Masks() {
+		r := v.runs[mask]
+		payload = slices.Grow(payload[:0], viewHeaderBytes+runEntryBytes*len(r.keys))
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(mask))
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(len(r.keys)))
+		for i, k := range r.keys {
+			payload = binary.LittleEndian.AppendUint64(payload, k)
+			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(r.sums[i]))
 		}
 		if err := inj.Hit(fault.PointSnapshotSection); err != nil {
 			return err
@@ -89,11 +85,12 @@ func corruptf(format string, args ...any) error {
 }
 
 // DecodeViews reads a cube payload back: dimension cardinalities plus the
-// stored views; masks absent from the snapshot stay nil, exactly as an
-// unbuilt view would be. Each finished view is charged to the context's
-// governor (cells and bytes) before the next is decoded, so an
-// over-budget load fails with the typed budget error partway in instead
-// of materializing the whole cube first.
+// stored views, each section's entries filled straight into the view's
+// run while their order is checked; masks absent from the snapshot stay
+// unstored, exactly as an unbuilt view would be. Each view is charged to
+// the context's governor (cells and bytes) before its run is allocated,
+// so an over-budget load fails with the typed budget error partway in
+// instead of materializing the whole cube first.
 func DecodeViews(ctx context.Context, r io.Reader) (*Views, error) {
 	dec, err := snapshot.NewDecoder(r)
 	if err != nil {
@@ -135,35 +132,37 @@ func DecodeViews(ctx context.Context, r io.Reader) (*Views, error) {
 			if v == nil {
 				return nil, corruptf("view section before meta")
 			}
-			if len(payload) < 12 {
+			if len(payload) < viewHeaderBytes {
 				return nil, corruptf("view section of %d bytes", len(payload))
 			}
 			mask := int(binary.LittleEndian.Uint32(payload))
-			if mask >= len(v.ByMask) {
+			if mask >= len(v.runs) {
 				return nil, corruptf("view mask %d beyond %d dims", mask, len(v.Card))
 			}
-			if v.ByMask[mask] != nil {
+			if v.runs[mask] != nil {
 				return nil, corruptf("duplicate view mask %d", mask)
 			}
-			n := binary.LittleEndian.Uint64(payload[4:])
-			if uint64(len(payload)) != 12+16*n {
-				return nil, corruptf("view mask %d claims %d entries in %d bytes", mask, n, len(payload))
+			// The claimed count is compared with what the bytes can hold
+			// before it sizes or multiplies anything: a count near 2^60
+			// would wrap 16*n back into range.
+			body := payload[viewHeaderBytes:]
+			n := len(body) / runEntryBytes
+			if claimed := binary.LittleEndian.Uint64(payload[4:]); len(body)%runEntryBytes != 0 || claimed != uint64(n) {
+				return nil, corruptf("view mask %d claims %d entries in %d bytes", mask, claimed, len(payload))
 			}
-			m := make(map[uint64]float64, n)
-			prev, off := uint64(0), 12
-			for i := uint64(0); i < n; i++ {
-				k := binary.LittleEndian.Uint64(payload[off:])
-				if i > 0 && k <= prev {
-					return nil, corruptf("view mask %d keys out of order", mask)
-				}
-				prev = k
-				m[k] = math.Float64frombits(binary.LittleEndian.Uint64(payload[off+8:]))
-				off += 16
-			}
-			if err := acct.chargeView(len(m), rolapEntryBytes); err != nil {
+			if err := acct.chargeView(n); err != nil {
 				return nil, err
 			}
-			v.ByMask[mask] = m
+			r := &run{keys: make([]uint64, n), sums: make([]float64, n)}
+			for i := range r.keys {
+				k := binary.LittleEndian.Uint64(body[runEntryBytes*i:])
+				if i > 0 && k <= r.keys[i-1] {
+					return nil, corruptf("view mask %d keys out of order", mask)
+				}
+				r.keys[i] = k
+				r.sums[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[runEntryBytes*i+8:]))
+			}
+			v.runs[mask] = r
 		default:
 			return nil, corruptf("unknown section kind %d", kind)
 		}
@@ -216,7 +215,7 @@ func DecodeMaterialized(ctx context.Context, r io.Reader) (*MaterializedSet, err
 	if err != nil {
 		return nil, err
 	}
-	if v.ByMask[len(v.ByMask)-1] == nil {
+	if v.runs[len(v.runs)-1] == nil {
 		return nil, corruptf("materialized set without its base cuboid")
 	}
 	return &MaterializedSet{views: v}, nil

@@ -100,10 +100,7 @@ func TestMaterializedSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		va := &Views{Card: in.Card, ByMask: make([]map[uint64]float64, 1<<3)}
-		vb := &Views{Card: in.Card, ByMask: make([]map[uint64]float64, 1<<3)}
-		va.ByMask[mask], vb.ByMask[mask] = a, b
-		if !va.Identical(vb) {
+		if !identicalAnswers(a, b) {
 			t.Fatalf("mask %b answers differ after reload", mask)
 		}
 	}
@@ -171,6 +168,45 @@ func TestDecodeViewsRejectsGarbagePayloads(t *testing.T) {
 	}
 }
 
+// container wraps a meta payload and view payloads in a valid snapshot
+// container, so its CRCs admit them and the payload parser is what gets
+// tested.
+func container(t testing.TB, meta []byte, views ...[]byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc, err := snapshot.NewEncoder(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Section(sectionMeta, meta); err != nil {
+		t.Fatal(err)
+	}
+	for _, view := range views {
+		if err := enc.Section(sectionView, view); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// wrappedCountView is a 12-byte view section of mask 0 claiming 1<<60
+// entries: 16*n wraps to 0, so a length check done in uint64 arithmetic
+// passes it.
+var wrappedCountView = []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x10}
+
+// TestDecodeViewsEntryCountOverflow: the claimed entry count is bounded
+// by the section's length before any arithmetic on it — the wrapped count
+// is typed corruption, not an index-out-of-range panic.
+func TestDecodeViewsEntryCountOverflow(t *testing.T) {
+	blob := container(t, []byte{1, 2, 0, 0, 0}, wrappedCountView)
+	if _, err := DecodeViews(context.Background(), bytes.NewReader(blob)); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}
+
 // TestSaveViewsFaultAtSectionBoundary: an error injected at the
 // snapshot.section hook fails the save cleanly — typed error, no new
 // generation, previous generation untouched.
@@ -207,19 +243,8 @@ func TestSaveViewsFaultAtSectionBoundary(t *testing.T) {
 // TestMaterializedSnapshotNeedsBase: a snapshot missing the base cuboid
 // must not reconstruct into a half-functional set.
 func TestMaterializedSnapshotNeedsBase(t *testing.T) {
-	ctx := context.Background()
-	var buf bytes.Buffer
-	enc, err := snapshot.NewEncoder(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Section(sectionMeta, []byte{1, 2, 0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeMaterialized(ctx, bytes.NewReader(buf.Bytes())); !errors.Is(err, snapshot.ErrCorrupt) {
+	blob := container(t, []byte{1, 2, 0, 0, 0})
+	if _, err := DecodeMaterialized(context.Background(), bytes.NewReader(blob)); !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }

@@ -126,18 +126,22 @@ func (s Stage) GroupReduce(
 			tick := budget.NewTicker(s.Ctx, 0)
 			task := lo
 			defer func() { keepPanic(contain(task, recover())) }()
+			// One routing closure per chunk, not per item: it reads the
+			// current item from task and counts its emissions in sub.
+			var sub int32
+			out := func(key uint64) {
+				o := ownerOf(key)
+				route[o] = append(route[o], pair{key, int32(task), sub})
+				sub++
+			}
 			for i := lo; i < hi; i++ {
 				task = i
 				if tick.Tick() != nil || aborted.Load() {
 					aborted.Store(true)
 					return
 				}
-				sub := int32(0)
-				emit(c, i, func(key uint64) {
-					o := ownerOf(key)
-					route[o] = append(route[o], pair{key, int32(i), sub})
-					sub++
-				})
+				sub = 0
+				emit(c, i, out)
 			}
 		}(c)
 	}
