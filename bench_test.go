@@ -268,7 +268,7 @@ func BenchmarkE9CubeROLAPNaive(b *testing.B) {
 	in := benchRetailInput(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cube.BuildROLAPNaive(in); err != nil {
+		if _, err := cube.BuildROLAPNaiveCtx(context.Background(), in, cube.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -278,7 +278,7 @@ func BenchmarkE9CubeROLAPSmallestParent(b *testing.B) {
 	in := benchRetailInput(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cube.BuildROLAPSmallestParent(in); err != nil {
+		if _, err := cube.BuildROLAPSmallestParentCtx(context.Background(), in, cube.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -288,7 +288,7 @@ func BenchmarkE9CubeMOLAP(b *testing.B) {
 	in := benchRetailInput(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cube.BuildMOLAP(in); err != nil {
+		if _, err := cube.BuildMOLAPCtx(context.Background(), in, cube.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -548,11 +548,11 @@ func BenchmarkE3MeasureSum(b *testing.B) {
 // cuboid vs from a materialized intermediate view.
 func BenchmarkE6Answer(b *testing.B) {
 	in := benchRetailInput(b)
-	bare, err := cube.Materialize(in, nil)
+	bare, err := cube.MaterializeCtx(context.Background(), in, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rich, err := cube.Materialize(in, []int{0b011})
+	rich, err := cube.MaterializeCtx(context.Background(), in, []int{0b011})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -576,7 +576,7 @@ func BenchmarkE6Answer(b *testing.B) {
 
 func BenchmarkE16SnapshotSave(b *testing.B) {
 	in := benchRetailInput(b)
-	v, err := cube.BuildROLAPSmallestParent(in)
+	v, err := cube.BuildROLAPSmallestParentCtx(context.Background(), in, cube.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -594,7 +594,7 @@ func BenchmarkE16SnapshotSave(b *testing.B) {
 
 func BenchmarkE16SnapshotLoad(b *testing.B) {
 	in := benchRetailInput(b)
-	v, err := cube.BuildROLAPSmallestParent(in)
+	v, err := cube.BuildROLAPSmallestParentCtx(context.Background(), in, cube.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

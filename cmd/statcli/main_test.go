@@ -230,7 +230,7 @@ func TestCubeInputMatchesObject(t *testing.T) {
 	if len(in.Rows) != obj.Cells() {
 		t.Fatalf("rows = %d, cells = %d", len(in.Rows), obj.Cells())
 	}
-	v, err := cube.BuildROLAPSmallestParent(in)
+	v, err := cube.BuildROLAPSmallestParentCtx(context.Background(), in, cube.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package statcube_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,15 +15,16 @@ import (
 
 // TestCrossRepresentationConsistency is the repo's end-to-end invariant:
 // the same retail dataset stored and aggregated through every layer —
-// conceptual StatObject (sparse and dense stores), relational engine with
-// GROUP BY CUBE, and the coded MOLAP/ROLAP cube builders — must produce
-// identical numbers everywhere. This is the "SDB example in the data cube
-// form, OLAP example in the 2-D form" interchangeability of Section 2.
+// conceptual StatObject, relational engine with GROUP BY CUBE, and the
+// coded MOLAP cube builder — must produce identical numbers everywhere.
+// This is the "SDB example in the data cube form, OLAP example in the 2-D
+// form" interchangeability of Section 2.
 func TestCrossRepresentationConsistency(t *testing.T) {
 	retail, err := workload.NewRetail(8, 6, 10, 3000, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sales := salesRelation(retail)
 
 	// 1) Conceptual: CUBE over the StatObject.
 	objCube, err := retail.Object.Cube()
@@ -35,7 +37,7 @@ func TestCrossRepresentationConsistency(t *testing.T) {
 	}
 
 	// 2) Relational: GROUP BY CUBE over the sales relation.
-	relCube, err := retail.Relation.Cube([]string{"product", "store", "day"},
+	relCube, err := sales.Cube([]string{"product", "store", "day"},
 		[]relstore.Agg{{Op: relstore.AggSum, Col: "amount", As: "sum"}})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +58,7 @@ func TestCrossRepresentationConsistency(t *testing.T) {
 	})
 
 	// 3) Coded builders: MOLAP vs the conceptual grand total.
-	molap, err := cube.BuildMOLAP(retail.Input)
+	molap, err := cube.BuildMOLAPCtx(context.Background(), retail.Input, cube.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,35 +68,7 @@ func TestCrossRepresentationConsistency(t *testing.T) {
 		t.Fatalf("MOLAP grand total %v vs object total %v", grand, objTotal)
 	}
 
-	// 4) Dense-store object: replay the transactions into a DenseStore-
-	// backed object and compare every rollup.
-	denseObj := core.MustNew(retail.Object.Schema(), retail.Object.Measures(),
-		core.WithStore(core.NewDenseStore(retail.Object.Schema().Shape(), 1)))
-	for ri, row := range retail.Input.Rows {
-		if err := denseObj.ObserveAt(row, map[string]float64{"quantity sold": retail.Input.Vals[ri]}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, dims := range [][]string{{"product"}, {"store", "day"}, {"product", "store", "day"}} {
-		a, err := retail.Object.GroupBy(dims...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := denseObj.GroupBy(dims...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Cells() != b.Cells() {
-			t.Fatalf("GroupBy(%v): %d vs %d cells", dims, a.Cells(), b.Cells())
-		}
-		ta, _ := a.Total("quantity sold")
-		tb, _ := b.Total("quantity sold")
-		if math.Abs(ta-tb) > 1e-9 {
-			t.Fatalf("GroupBy(%v) totals: %v vs %v", dims, ta, tb)
-		}
-	}
-
-	// 5) Rollup through the classification equals the relational plan
+	// 4) Rollup through the classification equals the relational plan
 	// through a dimension-table join.
 	cityObj, err := retail.Object.SAggregate("store", "city")
 	if err != nil {
@@ -109,10 +83,10 @@ func TestCrossRepresentationConsistency(t *testing.T) {
 		}
 		cityOf[s] = ps[0]
 	}
-	si, _ := retail.Relation.ColIndex("store")
-	ai, _ := retail.Relation.ColIndex("amount")
+	si, _ := sales.ColIndex("store")
+	ai, _ := sales.ColIndex("amount")
 	relCity := map[string]float64{}
-	retail.Relation.Scan(func(row relstore.Row) bool {
+	sales.Scan(func(row relstore.Row) bool {
 		relCity[cityOf[row[si].Str()]] += row[ai].Float()
 		return true
 	})
@@ -126,6 +100,23 @@ func TestCrossRepresentationConsistency(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// salesRelation is the retail transactions as an uncoded relation: one
+// row per coded input row, each code replaced by its dimension value.
+func salesRelation(r *workload.Retail) *relstore.Relation {
+	rel := relstore.MustNewRelation("sales",
+		relstore.Column{Name: "product", Kind: relstore.KString},
+		relstore.Column{Name: "store", Kind: relstore.KString},
+		relstore.Column{Name: "day", Kind: relstore.KString},
+		relstore.Column{Name: "amount", Kind: relstore.KFloat},
+	)
+	for i, row := range r.Input.Rows {
+		rel.MustAppend(relstore.Row{
+			relstore.S(r.Products[row[0]]), relstore.S(r.Stores[row[1]]), relstore.S(r.Days[row[2]]), relstore.F(r.Input.Vals[i]),
+		})
+	}
+	return rel
 }
 
 func cubeKey(v relstore.Value) string {

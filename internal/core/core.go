@@ -49,7 +49,7 @@ type StatObject struct {
 	byName   map[string]int
 	offsets  []int // slot offset per measure
 	nslots   int
-	store    CellStore
+	store    *MapStore
 
 	// provenance: the finer-grained object this one was derived from, and
 	// how — consulted by DrillDown (S-disaggregation, Section 5.3).
@@ -57,23 +57,20 @@ type StatObject struct {
 	originOp string
 }
 
-// Option configures a StatObject at construction.
-type Option func(*StatObject)
-
-// WithStore backs the object with a specific CellStore implementation.
-// The store's shape and slot count must match the schema and measures.
-func WithStore(cs CellStore) Option {
-	return func(o *StatObject) { o.store = cs }
-}
-
 // New creates an empty statistical object over the given schema and
-// measures, backed by a MapStore unless WithStore overrides it.
-func New(sch *schema.Graph, measures []Measure, opts ...Option) (*StatObject, error) {
+// measures, its cells held in a MapStore. It refuses a schema whose cross
+// product of leaf values exceeds 2^64 cells, where linearized cell keys
+// would wrap and merge distinct cells.
+func New(sch *schema.Graph, measures []Measure) (*StatObject, error) {
 	if sch == nil {
 		return nil, errors.New("core: nil schema")
 	}
 	if len(measures) == 0 {
 		return nil, ErrNoMeasures
+	}
+	shape := sch.Shape()
+	if !keysFit(shape) {
+		return nil, fmt.Errorf("core: cross product of shape %v exceeds 2^64 cells", shape)
 	}
 	o := &StatObject{
 		sch:      sch,
@@ -91,30 +88,13 @@ func New(sch *schema.Graph, measures []Measure, opts ...Option) (*StatObject, er
 		o.offsets = append(o.offsets, o.nslots)
 		o.nslots += m.slots()
 	}
-	for _, opt := range opts {
-		opt(o)
-	}
-	if o.store == nil {
-		o.store = NewMapStore(sch.Shape(), o.nslots)
-	}
-	if got := o.store.NumSlots(); got != o.nslots {
-		return nil, fmt.Errorf("core: store has %d slots, measures need %d", got, o.nslots)
-	}
-	if got, want := o.store.Shape(), sch.Shape(); len(got) != len(want) {
-		return nil, fmt.Errorf("core: store shape %v does not match schema shape %v", got, want)
-	} else {
-		for i := range got {
-			if got[i] != want[i] {
-				return nil, fmt.Errorf("core: store shape %v does not match schema shape %v", got, want)
-			}
-		}
-	}
+	o.store = NewMapStore(shape, o.nslots)
 	return o, nil
 }
 
 // MustNew is New for statically known objects; it panics on error.
-func MustNew(sch *schema.Graph, measures []Measure, opts ...Option) *StatObject {
-	o, err := New(sch, measures, opts...)
+func MustNew(sch *schema.Graph, measures []Measure) *StatObject {
+	o, err := New(sch, measures)
 	if err != nil {
 		panic(err)
 	}
@@ -135,10 +115,6 @@ func (o *StatObject) Measure(name string) (Measure, error) {
 	}
 	return o.measures[i], nil
 }
-
-// Store exposes the backing cell store (read-mostly; used by the physical
-// layer and benches).
-func (o *StatObject) Store() CellStore { return o.store }
 
 // Cells returns the number of non-empty cells.
 func (o *StatObject) Cells() int { return o.store.Cells() }

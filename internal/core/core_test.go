@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -129,14 +130,25 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(sch, []Measure{{Name: "m"}, {Name: "m"}}); !errors.Is(err, ErrDuplicateMeasure) {
 		t.Errorf("duplicate measure err = %v", err)
 	}
-	// Store shape mismatch.
-	bad := NewMapStore([]int{2}, 1)
-	if _, err := New(sch, []Measure{{Name: "m"}}, WithStore(bad)); err == nil {
-		t.Error("shape mismatch should fail")
+}
+
+// A cross product wider than 2^64 cells would wrap the linearized cell keys
+// and merge distinct cells, so New refuses it; exactly 2^64 still fits.
+func TestNewRefusesKeySpaceBeyond64Bits(t *testing.T) {
+	flat := func(name string, n int) schema.Dimension {
+		vals := make([]Value, n)
+		for i := range vals {
+			vals[i] = strconv.Itoa(i)
+		}
+		return schema.Dimension{Name: name, Class: hierarchy.FlatClassification(name, vals...)}
 	}
-	badSlots := NewMapStore([]int{1}, 3)
-	if _, err := New(sch, []Measure{{Name: "m"}}, WithStore(badSlots)); err == nil {
-		t.Error("slot mismatch should fail")
+	wide := schema.MustNew("wide", flat("a", 8193), flat("b", 8193), flat("c", 8193), flat("d", 8193), flat("e", 8193))
+	if _, err := New(wide, []Measure{{Name: "m"}}); err == nil {
+		t.Error("8193^5 cells (> 2^64) accepted")
+	}
+	exact := schema.MustNew("exact", flat("a", 1<<16), flat("b", 1<<16), flat("c", 1<<16), flat("d", 1<<16))
+	if _, err := New(exact, []Measure{{Name: "m"}}); err != nil {
+		t.Errorf("2^64 cells refused: %v", err)
 	}
 }
 

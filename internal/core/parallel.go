@@ -37,8 +37,8 @@ func (o *StatObject) groupFold(ctx context.Context, sp *obs.Span, name string, o
 	n := o.store.Cells()
 	st := parallel.Stage{Name: name, Workers: parWorkers, Span: sp, Ctx: ctx}
 	w := parallel.Workers(parWorkers, n)
-	if ms, ok := out.store.(*MapStore); ok && n >= parMinCells && w > 1 {
-		done, err := o.groupFoldPar(ctx, st, ms, out, n, w, newFanout)
+	if n >= parMinCells && w > 1 {
+		done, err := o.groupFoldPar(ctx, st, out, n, w, newFanout)
 		if err != nil {
 			return err
 		}
@@ -80,7 +80,7 @@ func chargeCells(ctx context.Context, out *StatObject) error {
 // it bit for bit. It reports whether the parallel path completed; (false,
 // nil) means the caller should run the sequential loop, and a non-nil
 // error aborts the fold with nothing written to the output store.
-func (o *StatObject) groupFoldPar(ctx context.Context, st parallel.Stage, ms *MapStore, out *StatObject, n, w int, newFanout func() func(coords []int, emit func(dst []int))) (bool, error) {
+func (o *StatObject) groupFoldPar(ctx context.Context, st parallel.Stage, out *StatObject, n, w int, newFanout func() func(coords []int, emit func(dst []int))) (bool, error) {
 	nd := len(o.sch.Dimensions())
 	coords := make([]int32, 0, n*nd)
 	slots := make([]float64, 0, n*o.nslots)
@@ -117,7 +117,7 @@ func (o *StatObject) groupFoldPar(ctx context.Context, st parallel.Stage, ms *Ma
 			for d := 0; d < nd; d++ {
 				cb[d] = int(coords[i*nd+d])
 			}
-			fanouts[chunk](cb, func(dst []int) { emit(ms.key(dst)) })
+			fanouts[chunk](cb, func(dst []int) { emit(out.store.key(dst)) })
 		},
 		func(owner int, key uint64, i, _ int) {
 			part := parts[owner]
@@ -150,7 +150,7 @@ func (o *StatObject) groupFoldPar(ctx context.Context, st parallel.Stage, ms *Ma
 	}
 	for _, part := range parts {
 		for k, acc := range part {
-			ms.cells[k] = acc
+			out.store.cells[k] = acc
 		}
 	}
 	return true, nil

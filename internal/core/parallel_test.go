@@ -59,7 +59,7 @@ func cellsIdentical(t *testing.T, a, b *StatObject) {
 	if a.Cells() != b.Cells() {
 		t.Fatalf("cell counts differ: %d vs %d", a.Cells(), b.Cells())
 	}
-	got := make([]float64, b.store.NumSlots())
+	got := make([]float64, b.nslots)
 	a.store.ForEach(func(coords []int, slots []float64) bool {
 		if !b.store.Get(coords, got) {
 			t.Fatalf("cell %v missing from second object", coords)

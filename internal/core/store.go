@@ -2,39 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
-// CellStore is the physical-organization abstraction of Section 6: a
-// statistical object's cells live behind this interface so the same
-// conceptual operators run over a row store, a transposed file, or a
-// linearized/compressed array. Coordinates are leaf-level value ordinals,
-// one per dimension, in schema order. Slots are the flattened measure
-// accumulators (see Measure.slots).
-type CellStore interface {
-	// Shape returns the per-dimension cardinality the store was built for.
-	Shape() []int
-	// NumSlots returns the accumulator slots per cell.
-	NumSlots() int
-	// Get copies the cell's slots into dst and reports whether the cell is
-	// non-empty. dst must have NumSlots capacity.
-	Get(coords []int, dst []float64) bool
-	// Put replaces the cell's slots.
-	Put(coords []int, slots []float64)
-	// Merge folds slots into the cell with the supplied merge function,
-	// initializing an empty cell with identity first.
-	Merge(coords []int, slots []float64, identity func([]float64), merge func(dst, src []float64))
-	// ForEach visits every non-empty cell in a deterministic order; the
-	// callback must not retain coords or slots. Iteration stops if the
-	// callback returns false.
-	ForEach(fn func(coords []int, slots []float64) bool)
-	// Cells returns the number of non-empty cells.
-	Cells() int
-}
-
-// MapStore is the reference CellStore: a hash map from linearized
-// coordinates to accumulator slots. It is the default backing for derived
-// objects produced by the conceptual operators.
+// MapStore holds a statistical object's cells, the one physical
+// organization the conceptual operators run over: a hash map from
+// linearized coordinates to accumulator slots. Coordinates are leaf-level
+// value ordinals, one per dimension, in schema order. Slots are the
+// flattened measure accumulators (see Measure.slots).
 type MapStore struct {
 	shape   []int
 	strides []uint64
@@ -42,7 +18,27 @@ type MapStore struct {
 	cells   map[uint64][]float64
 }
 
+// keysFit reports whether every linearized key over shape fits in 64 bits:
+// the largest, every coordinate at its maximum, does exactly when the cross
+// product is at most 2^64 cells.
+func keysFit(shape []int) bool {
+	var k uint64
+	for _, n := range shape {
+		if n <= 0 {
+			return true // an empty dimension holds no cell
+		}
+		hi, lo := bits.Mul64(k, uint64(n))
+		lo, carry := bits.Add64(lo, uint64(n-1), 0)
+		if hi != 0 || carry != 0 {
+			return false
+		}
+		k = lo
+	}
+	return true
+}
+
 // NewMapStore creates an empty MapStore for the given shape and slot count.
+// The shape's cross product must pass keysFit, which New checks.
 func NewMapStore(shape []int, slots int) *MapStore {
 	s := &MapStore{
 		shape:   append([]int(nil), shape...),
@@ -59,12 +55,6 @@ func NewMapStore(shape []int, slots int) *MapStore {
 	}
 	return s
 }
-
-// Shape implements CellStore.
-func (s *MapStore) Shape() []int { return s.shape }
-
-// NumSlots implements CellStore.
-func (s *MapStore) NumSlots() int { return s.slots }
 
 func (s *MapStore) key(coords []int) uint64 {
 	if len(coords) != len(s.shape) {
@@ -86,7 +76,8 @@ func (s *MapStore) unkey(k uint64, coords []int) {
 	}
 }
 
-// Get implements CellStore.
+// Get copies the cell's slots into dst and reports whether the cell is
+// non-empty. dst must hold the store's slot count.
 func (s *MapStore) Get(coords []int, dst []float64) bool {
 	acc, ok := s.cells[s.key(coords)]
 	if !ok {
@@ -96,7 +87,7 @@ func (s *MapStore) Get(coords []int, dst []float64) bool {
 	return true
 }
 
-// Put implements CellStore.
+// Put replaces the cell's slots with a copy of slots.
 func (s *MapStore) Put(coords []int, slots []float64) {
 	if len(slots) != s.slots {
 		panic(fmt.Sprintf("core: %d slots, store has %d", len(slots), s.slots))
@@ -104,7 +95,8 @@ func (s *MapStore) Put(coords []int, slots []float64) {
 	s.cells[s.key(coords)] = append([]float64(nil), slots...)
 }
 
-// Merge implements CellStore.
+// Merge folds slots into the cell with the supplied merge function,
+// initializing an empty cell with identity first.
 func (s *MapStore) Merge(coords []int, slots []float64, identity func([]float64), merge func(dst, src []float64)) {
 	k := s.key(coords)
 	acc, ok := s.cells[k]
@@ -116,8 +108,9 @@ func (s *MapStore) Merge(coords []int, slots []float64, identity func([]float64)
 	merge(acc, slots)
 }
 
-// ForEach implements CellStore; cells are visited in ascending linearized
-// order for determinism.
+// ForEach visits every non-empty cell in ascending linearized order, for
+// determinism; the callback must not retain coords or slots. Iteration
+// stops if the callback returns false.
 func (s *MapStore) ForEach(fn func(coords []int, slots []float64) bool) {
 	keys := make([]uint64, 0, len(s.cells))
 	for k := range s.cells {
@@ -133,5 +126,5 @@ func (s *MapStore) ForEach(fn func(coords []int, slots []float64) bool) {
 	}
 }
 
-// Cells implements CellStore.
+// Cells returns the number of non-empty cells.
 func (s *MapStore) Cells() int { return len(s.cells) }

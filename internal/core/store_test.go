@@ -86,6 +86,73 @@ func TestMapStoreForEachOrder(t *testing.T) {
 	})
 }
 
+func TestMapStoreOverwriteAndZeroCell(t *testing.T) {
+	s := NewMapStore([]int{2, 3}, 2)
+	dst := make([]float64, 2)
+	s.Put([]int{1, 2}, []float64{5, 7})
+	// Overwrite does not double count.
+	s.Put([]int{1, 2}, []float64{1, 1})
+	if s.Cells() != 1 {
+		t.Errorf("Cells after overwrite = %d", s.Cells())
+	}
+	if !s.Get([]int{1, 2}, dst) || dst[0] != 1 || dst[1] != 1 {
+		t.Errorf("Get after overwrite = %v", dst)
+	}
+	// A zero-valued cell is distinct from an absent one.
+	s.Put([]int{0, 0}, []float64{0, 0})
+	if !s.Get([]int{0, 0}, dst) {
+		t.Error("zero cell should be present")
+	}
+	if s.Cells() != 2 {
+		t.Errorf("Cells with zero cell = %d", s.Cells())
+	}
+}
+
+func TestMapStoreOneDimPanics(t *testing.T) {
+	s := NewMapStore([]int{2}, 1)
+	for _, coords := range [][]int{{-1}, {2}, {0, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("coords %v did not panic", coords)
+				}
+			}()
+			s.Put(coords, []float64{1})
+		}()
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("slot mismatch did not panic")
+			}
+		}()
+		s.Put([]int{0}, []float64{1, 2})
+	}()
+}
+
+func TestMapStoreMergeAndForEach(t *testing.T) {
+	s := NewMapStore([]int{2, 2}, 1)
+	id := func(dst []float64) { dst[0] = 0 }
+	add := func(dst, src []float64) { dst[0] += src[0] }
+	s.Merge([]int{0, 1}, []float64{3}, id, add)
+	s.Merge([]int{0, 1}, []float64{4}, id, add)
+	s.Merge([]int{1, 0}, []float64{9}, id, add)
+	got := map[int]float64{}
+	s.ForEach(func(coords []int, slots []float64) bool {
+		got[coords[0]*2+coords[1]] = slots[0]
+		return true
+	})
+	if got[1] != 7 || got[2] != 9 || len(got) != 2 {
+		t.Errorf("ForEach results = %v", got)
+	}
+	// Early stop.
+	n := 0
+	s.ForEach(func([]int, []float64) bool { n++; return false })
+	if n != 1 {
+		t.Errorf("early stop visited %d", n)
+	}
+}
+
 // Property: round-tripping any coordinate through key/unkey is identity.
 func TestQuickMapStoreKeyRoundTrip(t *testing.T) {
 	f := func(rawShape [3]uint8, rawCoords [3]uint16) bool {

@@ -35,10 +35,14 @@ type Input struct {
 }
 
 // Validate checks coding invariants. Builders compute all 2^n views, so
-// the dimensionality is capped well before that blows up.
+// the dimensionality is capped well before that blows up, and every view
+// key must fit in 64 bits.
 func (in *Input) Validate() error {
 	if len(in.Card) > 16 {
 		return fmt.Errorf("cube: %d dimensions means 2^%d views; refusing", len(in.Card), len(in.Card))
+	}
+	if !keysFit(in.Card) {
+		return fmt.Errorf("cube: cardinalities %v span more than 2^64 keys", in.Card)
 	}
 	if len(in.Rows) != len(in.Vals) {
 		return fmt.Errorf("cube: %d rows, %d values", len(in.Rows), len(in.Vals))
@@ -81,6 +85,35 @@ func groupKey(row []int, dims []int, card []int) uint64 {
 		k = k*uint64(card[d]) + uint64(row[d])
 	}
 	return k
+}
+
+// unkey decodes a row-major key over shape into coords, the inverse of
+// groupKey over the same extents.
+func unkey(k uint64, shape, coords []int) {
+	for j := len(shape) - 1; j >= 0; j-- {
+		c := uint64(shape[j])
+		coords[j] = int(k % c)
+		k /= c
+	}
+}
+
+// keysFit reports whether groupKey's largest key over card, every code at
+// its maximum, fits in 64 bits — exactly when ∏ card ≤ 2^64. A wider key
+// space would wrap and give distinct rows the same key.
+func keysFit(card []int) bool {
+	var k uint64
+	for _, c := range card {
+		if c <= 0 {
+			return true // an empty dimension admits no row
+		}
+		hi, lo := bits.Mul64(k, uint64(c))
+		lo, carry := bits.Add64(lo, uint64(c-1), 0)
+		if hi != 0 || carry != 0 {
+			return false
+		}
+		k = lo
+	}
+	return true
 }
 
 // View returns one stored view as a fresh map from group key to sum (nil
@@ -235,14 +268,9 @@ func newViews(card []int) *Views {
 // everyMask is the wanted-predicate of a full cube build.
 func everyMask(int) bool { return true }
 
-// BuildROLAPNaive computes every view with an independent hash group-by
-// over the base rows: 2^n full scans.
-func BuildROLAPNaive(in *Input) (*Views, error) {
-	return BuildROLAPNaiveCtx(context.Background(), in, Options{})
-}
-
-// BuildROLAPNaiveCtx is BuildROLAPNaive with a context and build options:
-// the 2^n group-bys are independent, so views fan out one task per mask;
+// BuildROLAPNaiveCtx computes every view with an independent hash
+// group-by over the base rows: 2^n full scans. The group-bys are
+// independent, so views fan out one task per mask;
 // each task scans the rows in order into its own accumulator and sorts it
 // into the view's run, making the parallel result trivially byte-identical
 // to the sequential one. Cancellation is checked between views and between
@@ -290,16 +318,10 @@ func BuildROLAPNaiveCtx(ctx context.Context, in *Input, opt Options) (_ *Views, 
 	return out, nil
 }
 
-// BuildROLAPSmallestParent computes the base view from the rows, then each
-// remaining view from its smallest already-computed parent, walking the
-// lattice base-first. Aggregating from a (usually much smaller) parent is
-// the standard relational cube optimization.
-func BuildROLAPSmallestParent(in *Input) (*Views, error) {
-	return BuildROLAPSmallestParentCtx(context.Background(), in, Options{})
-}
-
-// BuildROLAPSmallestParentCtx is BuildROLAPSmallestParent with a context
-// and build options: the lattice walk (see walk) over every mask.
+// BuildROLAPSmallestParentCtx computes the base view from the rows, then
+// each remaining view from its smallest already-computed parent, walking
+// the lattice base-first (see walk). Aggregating from a (usually much
+// smaller) parent is the standard relational cube optimization.
 // Cancellation is checked between levels and between row segments,
 // bounding latency; a governor on ctx is charged runEntryBytes per entry
 // of each finished view. An enabled flight recorder logs the build's wall
@@ -492,14 +514,13 @@ func aggregateFromParent(v *Views, parent, child int) accum {
 		}
 	}
 	out := make(accum, min(hint, space))
+	pshape := make([]int, len(pd))
+	for j, d := range pd {
+		pshape[j] = v.Card[d]
+	}
 	coords := make([]int, len(pd))
 	for i, k := range p.keys {
-		// Decode the parent key (row-major over pd).
-		for j := len(pd) - 1; j >= 0; j-- {
-			c := uint64(v.Card[pd[j]])
-			coords[j] = int(k % c)
-			k /= c
-		}
+		unkey(k, pshape, coords)
 		var ck uint64
 		for j, d := range cd {
 			ck = ck*uint64(v.Card[d]) + uint64(coords[pos[j]])

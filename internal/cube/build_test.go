@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"context"
 	"maps"
 	"math/rand"
 	"testing"
@@ -55,15 +56,15 @@ func TestInputValidate(t *testing.T) {
 
 func TestAllBuildersAgree(t *testing.T) {
 	in := randomInput([]int{4, 3, 5}, 500, 1)
-	naive, err := BuildROLAPNaive(in)
+	naive, err := BuildROLAPNaiveCtx(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := BuildROLAPSmallestParent(in)
+	sp, err := BuildROLAPSmallestParentCtx(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	molap, err := BuildMOLAP(in)
+	molap, err := BuildMOLAPCtx(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestAllBuildersAgree(t *testing.T) {
 
 func TestCubeGrandTotal(t *testing.T) {
 	in := randomInput([]int{3, 3}, 200, 2)
-	v, err := BuildROLAPNaive(in)
+	v, err := BuildROLAPNaiveCtx(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestCubeGrandTotal(t *testing.T) {
 
 func TestCubeBaseViewMatchesInput(t *testing.T) {
 	in := randomInput([]int{2, 2}, 50, 3)
-	v, _ := BuildMOLAP(in)
+	v, _ := BuildMOLAPCtx(context.Background(), in, Options{})
 	base := v.View(3)
 	// Recompute base by hand.
 	want := map[uint64]float64{}
@@ -145,9 +146,9 @@ func TestViewsEqualTolerance(t *testing.T) {
 func TestQuickBuildersAgree(t *testing.T) {
 	f := func(seed int64, rows uint8) bool {
 		in := randomInput([]int{3, 2, 4}, int(rows)%100+1, seed)
-		naive, e1 := BuildROLAPNaive(in)
-		sp, e2 := BuildROLAPSmallestParent(in)
-		molap, e3 := BuildMOLAP(in)
+		naive, e1 := BuildROLAPNaiveCtx(context.Background(), in, Options{})
+		sp, e2 := BuildROLAPSmallestParentCtx(context.Background(), in, Options{})
+		molap, e3 := BuildMOLAPCtx(context.Background(), in, Options{})
 		if e1 != nil || e2 != nil || e3 != nil {
 			return false
 		}
@@ -162,7 +163,7 @@ func BenchmarkBuildROLAPNaive(b *testing.B) {
 	in := randomInput([]int{20, 20, 20}, 20000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildROLAPNaive(in); err != nil {
+		if _, err := BuildROLAPNaiveCtx(context.Background(), in, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -172,7 +173,7 @@ func BenchmarkBuildROLAPSmallestParent(b *testing.B) {
 	in := randomInput([]int{20, 20, 20}, 20000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildROLAPSmallestParent(in); err != nil {
+		if _, err := BuildROLAPSmallestParentCtx(context.Background(), in, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -182,7 +183,7 @@ func BenchmarkBuildMOLAP(b *testing.B) {
 	in := randomInput([]int{20, 20, 20}, 20000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildMOLAP(in); err != nil {
+		if _, err := BuildMOLAPCtx(context.Background(), in, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -195,5 +196,27 @@ func TestValidateDimensionCap(t *testing.T) {
 	}
 	if err := in.Validate(); err == nil {
 		t.Error("17-dimension input should refuse")
+	}
+}
+
+// wideCard spans 8193^5 > 2^64 keys, so groupKey wraps: the rows below get
+// the same base key and would be summed into one cell.
+var (
+	wideCard = []int{8193, 8193, 8193, 8193, 8193}
+	wideRows = [][]int{{4096, 0, 0, 0, 0}, {1, 8188, 4, 8190, 4097}}
+)
+
+func TestValidateRefusesKeySpaceBeyond64Bits(t *testing.T) {
+	dims := []int{0, 1, 2, 3, 4}
+	if a, b := groupKey(wideRows[0], dims, wideCard), groupKey(wideRows[1], dims, wideCard); a != b {
+		t.Fatalf("rows no longer collide (%d vs %d); pick a new pair", a, b)
+	}
+	in := &Input{Card: wideCard, Rows: wideRows, Vals: []float64{1, 2}}
+	if err := in.Validate(); err == nil {
+		t.Error("8193^5 keys (> 2^64) accepted")
+	}
+	in = &Input{Card: []int{1 << 16, 1 << 16, 1 << 16, 1 << 16}}
+	if err := in.Validate(); err != nil {
+		t.Errorf("2^64 keys refused: %v", err)
 	}
 }

@@ -185,7 +185,7 @@ func sparseInput() *Input {
 // why on the span and in the metrics, and still produce the correct cube.
 func TestMOLAPDegradeToROLAP(t *testing.T) {
 	in := sparseInput()
-	want, err := BuildROLAPSmallestParent(in)
+	want, err := BuildROLAPSmallestParentCtx(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestMOLAPBudgetTooSmallForAnything(t *testing.T) {
 // cube's total is admitted, one byte less is refused.
 func TestByteChargeIsTheRunsBytes(t *testing.T) {
 	in := cancelInput()
-	v, err := BuildROLAPSmallestParent(in)
+	v, err := BuildROLAPSmallestParentCtx(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestMaterializeCancelNoPartialRegistration(t *testing.T) {
 // the same cube as the Ctx entry points.
 func TestCtxWrappersEquivalent(t *testing.T) {
 	in := cancelInput()
-	a, err := BuildMOLAP(in)
+	a, err := BuildMOLAPCtx(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

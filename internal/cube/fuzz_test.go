@@ -40,6 +40,7 @@ func FuzzDecodeViews(f *testing.F) {
 	f.Add(meta, wrappedCountView, []byte{})         // 1<<60 entries claimed in 12 bytes
 	f.Add([]byte{17}, view(0), []byte{})            // too many dims
 	f.Add([]byte{1, 0, 0, 0, 0}, view(0), []byte{}) // zero cardinality
+	f.Add(wideMeta, view(0), []byte{})              // key space beyond 2^64
 	f.Add([]byte{0}, view(0, 0, one), []byte{})     // zero dims: the apex alone
 	f.Add([]byte{}, []byte{}, []byte{})
 	f.Fuzz(func(t *testing.T, meta, a, b []byte) {

@@ -25,15 +25,10 @@ type MaterializedSet struct {
 	scanCost atomic.Int64
 }
 
-// Materialize computes the base cuboid plus the requested view masks from
-// the input.
-func Materialize(in *Input, masks []int) (*MaterializedSet, error) {
-	return MaterializeCtx(context.Background(), in, masks)
-}
-
-// MaterializeCtx is Materialize with a context: the same lattice walk as
-// the smallest-parent ROLAP build, over the requested masks only, so
-// coarser requested views are served by finer ones. Cancellation is
+// MaterializeCtx computes the base cuboid plus the requested view masks
+// from the input: the same lattice walk as the smallest-parent ROLAP
+// build, over the requested masks only, so coarser requested views are
+// served by finer ones. Cancellation is
 // checked between the base scan's row segments and between levels, and a
 // governor on ctx is charged per materialized view. On any failure the set
 // under construction is discarded whole — callers never see (or register)
@@ -90,18 +85,14 @@ func (m *MaterializedSet) StorageEntries() int64 {
 	return m.Entries() - m.views.size(len(m.views.runs)-1)
 }
 
-// AppendRows folds a batch of new facts into the base cuboid AND every
+// AppendRowsCtx folds a batch of new facts into the base cuboid AND every
 // materialized view incrementally — the bulk-update discipline of
 // Roussopoulos et al.'s Cubetree [RKR97] (Section 6.5): summaries are
 // additive, so a delta per view replaces recomputing the views from
 // scratch. It returns the number of view entries touched (the update
 // cost a full rematerialization is compared against).
-func (m *MaterializedSet) AppendRows(rows [][]int, vals []float64) (int64, error) {
-	return m.AppendRowsCtx(context.Background(), rows, vals)
-}
-
-// AppendRowsCtx is AppendRows with a context: cancellation and budget
-// are checked between views, and the context's fault injector fires at
+//
+// Cancellation and budget are checked between views, and the context's fault injector fires at
 // the writer.delta hook before each view's fold. Views are folded in
 // ascending mask order, so a fault schedule replays the same per-view
 // decision sequence on every run. Within a view a row whose key is stored

@@ -8,11 +8,11 @@ import (
 
 func TestMaterializeAnswersMatchDirectComputation(t *testing.T) {
 	in := randomInput([]int{5, 4, 3}, 400, 21)
-	truth, err := BuildROLAPNaive(in)
+	truth, err := BuildROLAPNaiveCtx(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := Materialize(in, []int{0b011, 0b101})
+	ms, err := MaterializeCtx(context.Background(), in, []int{0b011, 0b101})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestMaterializeAnswersMatchDirectComputation(t *testing.T) {
 func TestMaterializedCostModel(t *testing.T) {
 	in := randomInput([]int{10, 10, 10}, 2000, 22)
 	// Without extra views every non-base query scans the base cuboid.
-	bare, err := Materialize(in, nil)
+	bare, err := MaterializeCtx(context.Background(), in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestMaterializedCostModel(t *testing.T) {
 		t.Errorf("bare cost = %d, want base size %d", costBare, baseEntries)
 	}
 	// Materializing (a,b) makes the (a) query cheaper.
-	rich, err := Materialize(in, []int{0b011})
+	rich, err := MaterializeCtx(context.Background(), in, []int{0b011})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +80,14 @@ func TestMaterializedCostModel(t *testing.T) {
 
 func TestMaterializeValidation(t *testing.T) {
 	in := randomInput([]int{2, 2}, 10, 23)
-	if _, err := Materialize(in, []int{99}); err == nil {
+	if _, err := MaterializeCtx(context.Background(), in, []int{99}); err == nil {
 		t.Error("out-of-range mask should fail")
 	}
 	bad := &Input{Card: []int{2}, Rows: [][]int{{0}}, Vals: []float64{1, 2}}
-	if _, err := Materialize(bad, nil); err == nil {
+	if _, err := MaterializeCtx(context.Background(), bad, nil); err == nil {
 		t.Error("invalid input should fail")
 	}
-	ms, err := Materialize(in, nil)
+	ms, err := MaterializeCtx(context.Background(), in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +105,8 @@ func TestMaterializeGreedyIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	chosen, _ := lat.GreedySelect(2)
-	bare, _ := Materialize(in, nil)
-	rich, _ := Materialize(in, chosen)
+	bare, _ := MaterializeCtx(context.Background(), in, nil)
+	rich, _ := MaterializeCtx(context.Background(), in, chosen)
 	var costBare, costRich int64
 	for mask := 0; mask < 8; mask++ {
 		_, c1, err := bare.Answer(mask)
@@ -127,13 +127,13 @@ func TestMaterializeGreedyIntegration(t *testing.T) {
 
 func TestAppendRowsIncrementalUpdate(t *testing.T) {
 	in := randomInput([]int{4, 3, 2}, 200, 25)
-	ms, err := Materialize(in, []int{0b011, 0b100})
+	ms, err := MaterializeCtx(context.Background(), in, []int{0b011, 0b100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// New day's facts.
 	delta := randomInput([]int{4, 3, 2}, 50, 26)
-	touched, err := ms.AppendRows(delta.Rows, delta.Vals)
+	touched, err := ms.AppendRowsCtx(context.Background(), delta.Rows, delta.Vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestAppendRowsIncrementalUpdate(t *testing.T) {
 	combined := &Input{Card: in.Card}
 	combined.Rows = append(append([][]int{}, in.Rows...), delta.Rows...)
 	combined.Vals = append(append([]float64{}, in.Vals...), delta.Vals...)
-	truth, err := BuildROLAPNaive(combined)
+	truth, err := BuildROLAPNaiveCtx(context.Background(), combined, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +168,14 @@ func TestAppendRowsIncrementalUpdate(t *testing.T) {
 
 func TestAppendRowsValidation(t *testing.T) {
 	in := randomInput([]int{2, 2}, 10, 27)
-	ms, _ := Materialize(in, nil)
-	if _, err := ms.AppendRows([][]int{{0, 0}}, nil); err == nil {
+	ms, _ := MaterializeCtx(context.Background(), in, nil)
+	if _, err := ms.AppendRowsCtx(context.Background(), [][]int{{0, 0}}, nil); err == nil {
 		t.Error("row/val mismatch should fail")
 	}
-	if _, err := ms.AppendRows([][]int{{0}}, []float64{1}); err == nil {
+	if _, err := ms.AppendRowsCtx(context.Background(), [][]int{{0}}, []float64{1}); err == nil {
 		t.Error("arity mismatch should fail")
 	}
-	if _, err := ms.AppendRows([][]int{{0, 9}}, []float64{1}); err == nil {
+	if _, err := ms.AppendRowsCtx(context.Background(), [][]int{{0, 9}}, []float64{1}); err == nil {
 		t.Error("out-of-range code should fail")
 	}
 }
@@ -204,7 +204,7 @@ func TestTiedAncestorsDeterministic(t *testing.T) {
 	in := tiedInput()
 	var first map[uint64]float64
 	for run := 0; run < 200; run++ {
-		ms, err := Materialize(in, []int{0b011, 0b101, 0b110})
+		ms, err := MaterializeCtx(context.Background(), in, []int{0b011, 0b101, 0b110})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestTiedAncestorsDeterministic(t *testing.T) {
 	}
 	var golden []byte
 	for run := 0; run < 50; run++ {
-		ms, err := Materialize(in, []int{0b011, 0b101, 0b001})
+		ms, err := MaterializeCtx(context.Background(), in, []int{0b011, 0b101, 0b001})
 		if err != nil {
 			t.Fatal(err)
 		}

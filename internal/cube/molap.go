@@ -2,30 +2,11 @@ package cube
 
 import (
 	"context"
+
 	"statcube/internal/budget"
-	"statcube/internal/marray"
 	"statcube/internal/parallel"
 	"statcube/internal/qlog"
 )
-
-// BuildMOLAP computes the full cube the multidimensional-array way
-// ([ZDN97]'s array-based algorithm, simplified to in-memory arrays): the
-// base data is loaded into one dense linearized array; every other view is
-// a dense array aggregated from its smallest computed parent using pure
-// index arithmetic — no hashing, no key decoding. Each array is then read
-// out by a linear scan of its present cells into the same Views form the
-// ROLAP builders produce.
-//
-// The dense base array requires ∏ card cells, so this path — like real
-// MOLAP systems — is the right choice when the cube is reasonably dense;
-// its advantage over ROLAP hashing is exactly what the Section 6.6 debate
-// (and the E9 bench) is about. That same density makes it memory-bound:
-// BuildMOLAPCtx reserves the full dense-array estimate up front and
-// downgrades to the smallest-parent ROLAP build when a governor refuses
-// it.
-func BuildMOLAP(in *Input) (*Views, error) {
-	return BuildMOLAPCtx(context.Background(), in, Options{})
-}
 
 // denseCellBytes is the per-cell footprint of a dense view array: an
 // 8-byte float64 value plus its presence bit (stored as a bool).
@@ -51,14 +32,26 @@ func EstimateMOLAPBytes(card []int) int64 {
 	return total * denseCellBytes
 }
 
-// BuildMOLAPCtx is BuildMOLAP with a context and build options — the
-// budget-governed entry point. Before allocating anything it reserves the
-// dense-array estimate (cells × cell width summed over every view) against
-// the context's governor; if the reservation is refused, the build
-// degrades to BuildROLAPSmallestParentCtx — views sized by the data, not
-// the cross product — and records why: the cube.molap_degraded counter
-// and, when a Span is attached, a "degrade:molap→rolap_sp" child carrying
-// the refusal. Cancellation is checked between lattice levels and row
+// BuildMOLAPCtx computes the full cube the multidimensional-array way
+// ([ZDN97]'s array-based algorithm, simplified to in-memory arrays): the
+// base data is loaded into one dense linearized array; every other view is
+// a dense array aggregated from its smallest computed parent using pure
+// index arithmetic — no hashing, no key decoding. Each array is then read
+// out by a linear scan of its present cells into the same Views form the
+// ROLAP builders produce.
+//
+// The dense base array requires ∏ card cells, so this path — like real
+// MOLAP systems — is the right choice when the cube is reasonably dense;
+// its advantage over ROLAP hashing is exactly what the Section 6.6 debate
+// (and the E9 bench) is about. That same density makes it memory-bound.
+//
+// Before allocating anything the build reserves the dense-array estimate
+// (cells × cell width summed over every view) against the context's
+// governor; if the reservation is refused, the build degrades to
+// BuildROLAPSmallestParentCtx — views sized by the data, not the cross
+// product — and records why: the cube.molap_degraded counter and, when a
+// Span is attached, a "degrade:molap→rolap_sp" child carrying the
+// refusal. Cancellation is checked between lattice levels and row
 // segments; on cancellation the typed budget.ErrCanceled is returned and
 // no Views. An enabled flight recorder logs the build — outcome
 // "degraded" when the ROLAP downgrade was taken (the inner ROLAP build
@@ -224,7 +217,7 @@ func (a *dense) rollup(childMask int) *dense {
 		if !present {
 			continue
 		}
-		marray.Delinearize(p, a.shape, coords)
+		unkey(uint64(p), a.shape, coords)
 		cp := 0
 		for i := range child.dims {
 			cp = cp*child.shape[i] + coords[pos[i]]

@@ -101,14 +101,14 @@ func TestParallelBuildersAgreeAcrossAlgorithms(t *testing.T) {
 // results (parent views must be folded in sorted key order, not map order).
 func TestSequentialBuildIsStable(t *testing.T) {
 	in := fuzzyInput([]int{7, 6, 5}, 4000, 3)
-	for _, build := range []func(*Input) (*Views, error){
-		BuildROLAPNaive, BuildROLAPSmallestParent, BuildMOLAP,
+	for _, build := range []func(context.Context, *Input, Options) (*Views, error){
+		BuildROLAPNaiveCtx, BuildROLAPSmallestParentCtx, BuildMOLAPCtx,
 	} {
-		a, err := build(in)
+		a, err := build(context.Background(), in, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := build(in)
+		b, err := build(context.Background(), in, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -127,6 +127,9 @@ func DecodeViews(ctx context.Context, r io.Reader) (*Views, error) {
 				}
 				card[d] = int(c)
 			}
+			if !keysFit(card) {
+				return nil, corruptf("cardinalities %v span more than 2^64 keys", card)
+			}
 			v = newViews(card)
 		case sectionView:
 			if v == nil {

@@ -207,6 +207,20 @@ func TestDecodeViewsEntryCountOverflow(t *testing.T) {
 	}
 }
 
+// wideMeta is a meta section of five dimensions of 8193 values each: every
+// cardinality is in range, but together they span more than 2^64 keys.
+var wideMeta = []byte{5, 1, 32, 0, 0, 1, 32, 0, 0, 1, 32, 0, 0, 1, 32, 0, 0, 1, 32, 0, 0}
+
+// TestDecodeViewsKeySpaceOverflow: a meta section whose cardinalities
+// would wrap the view keys is typed corruption, not a cube whose distinct
+// cells share keys.
+func TestDecodeViewsKeySpaceOverflow(t *testing.T) {
+	blob := container(t, wideMeta)
+	if _, err := DecodeViews(context.Background(), bytes.NewReader(blob)); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}
+
 // TestSaveViewsFaultAtSectionBoundary: an error injected at the
 // snapshot.section hook fails the save cleanly — typed error, no new
 // generation, previous generation untouched.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -12,6 +13,7 @@ import (
 // E6GreedyViews — Figure 22, Section 6.3 [HUR96]: the greedy algorithm
 // picks near-optimal views to materialize under a budget.
 func E6GreedyViews() *Report {
+	ctx := context.Background()
 	r := &Report{
 		ID:         "E6",
 		Title:      "greedy view materialization on the lattice (Fig 22, [HUR96])",
@@ -65,11 +67,11 @@ func E6GreedyViews() *Report {
 		return r.fail(err)
 	}
 	picks, _ := smallLat.GreedySelect(2)
-	bare, err := cube.Materialize(retail.Input, nil)
+	bare, err := cube.MaterializeCtx(ctx, retail.Input, nil)
 	if err != nil {
 		return r.fail(err)
 	}
-	rich, err := cube.Materialize(retail.Input, picks)
+	rich, err := cube.MaterializeCtx(ctx, retail.Input, picks)
 	if err != nil {
 		return r.fail(err)
 	}
@@ -166,6 +168,7 @@ func same(a, b []int) bool {
 // E8ExtendibleArrays — Figure 24, Section 6.5 [RZ86]: incremental appends
 // avoid restructuring the cube on every load.
 func E8ExtendibleArrays() *Report {
+	ctx := context.Background()
 	r := &Report{
 		ID:         "E8",
 		Title:      "extendible arrays: incremental appends (Fig 24, [RZ86])",
@@ -223,7 +226,7 @@ func E8ExtendibleArrays() *Report {
 	if err != nil {
 		return r.fail(err)
 	}
-	ms, err := cube.Materialize(retail.Input, []int{0b011, 0b101, 0b110})
+	ms, err := cube.MaterializeCtx(ctx, retail.Input, []int{0b011, 0b101, 0b110})
 	if err != nil {
 		return r.fail(err)
 	}
@@ -233,7 +236,7 @@ func E8ExtendibleArrays() *Report {
 	}
 	var touched int64
 	incr := timeIt(func() {
-		touched, err = ms.AppendRows(delta.Input.Rows, delta.Input.Vals)
+		touched, err = ms.AppendRowsCtx(ctx, delta.Input.Rows, delta.Input.Vals)
 	})
 	if err != nil {
 		return r.fail(err)
@@ -242,7 +245,7 @@ func E8ExtendibleArrays() *Report {
 	combined.Rows = append(append([][]int{}, retail.Input.Rows...), delta.Input.Rows...)
 	combined.Vals = append(append([]float64{}, retail.Input.Vals...), delta.Input.Vals...)
 	full := timeIt(func() {
-		_, err = cube.Materialize(combined, []int{0b011, 0b101, 0b110})
+		_, err = cube.MaterializeCtx(ctx, combined, []int{0b011, 0b101, 0b110})
 	})
 	if err != nil {
 		return r.fail(err)
@@ -258,6 +261,7 @@ func E8ExtendibleArrays() *Report {
 // computation beats relational (ROLAP) plans; smallest-parent helps ROLAP
 // but does not close the gap on dense cubes.
 func E9MolapVsRolap() *Report {
+	ctx := context.Background()
 	r := &Report{
 		ID:         "E9",
 		Title:      "MOLAP vs ROLAP full-cube computation (Section 6.6, [ZDN97])",
@@ -278,15 +282,15 @@ func E9MolapVsRolap() *Report {
 		}
 		in := retail.Input
 		var naive, sp, molap *cube.Views
-		tNaive := timeIt(func() { naive, err = cube.BuildROLAPNaive(in) })
+		tNaive := timeIt(func() { naive, err = cube.BuildROLAPNaiveCtx(ctx, in, cube.Options{}) })
 		if err != nil {
 			return r.fail(err)
 		}
-		tSP := timeIt(func() { sp, err = cube.BuildROLAPSmallestParent(in) })
+		tSP := timeIt(func() { sp, err = cube.BuildROLAPSmallestParentCtx(ctx, in, cube.Options{}) })
 		if err != nil {
 			return r.fail(err)
 		}
-		tMolap := timeIt(func() { molap, err = cube.BuildMOLAP(in) })
+		tMolap := timeIt(func() { molap, err = cube.BuildMOLAPCtx(ctx, in, cube.Options{}) })
 		if err != nil {
 			return r.fail(err)
 		}

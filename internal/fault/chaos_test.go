@@ -145,7 +145,7 @@ func TestChaosBuilders(t *testing.T) {
 func TestChaosMaterialize(t *testing.T) {
 	in := chaosInput(t)
 	masks := []int{0b0011, 0b0101, 0b1000}
-	clean, err := cube.Materialize(in, masks)
+	clean, err := cube.MaterializeCtx(context.Background(), in, masks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestChaosMaterialize(t *testing.T) {
 // or fails with a typed error — corrupt bytes are detected, not served.
 func TestChaosSnapshots(t *testing.T) {
 	in := chaosInput(t)
-	baseline, err := cube.BuildROLAPNaive(in)
+	baseline, err := cube.BuildROLAPNaiveCtx(context.Background(), in, cube.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestChaosSnapshots(t *testing.T) {
 // corruption, the byte ledger returns to zero.
 func TestChaosLoadChargesLedger(t *testing.T) {
 	in := chaosInput(t)
-	baseline, err := cube.BuildROLAPNaive(in)
+	baseline, err := cube.BuildROLAPNaiveCtx(context.Background(), in, cube.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestChaosLoadChargesLedger(t *testing.T) {
 // — injection must never perturb engine state it didn't touch.
 func TestChaosEncodeDeterminism(t *testing.T) {
 	in := chaosInput(t)
-	v, err := cube.BuildROLAPNaive(in)
+	v, err := cube.BuildROLAPNaiveCtx(context.Background(), in, cube.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

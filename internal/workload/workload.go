@@ -115,11 +115,10 @@ func NewCensus(nPeople, nStates, countiesPerState int, seed int64) (*Census, err
 }
 
 // Retail bundles a retail-transactions dataset: the coded fact input for
-// cube construction, the uncoded relation, the assembled statistical
-// object, and the classifications.
+// cube construction, the assembled statistical object, and the
+// classifications.
 type Retail struct {
 	Input        *cube.Input
-	Relation     *relstore.Relation
 	Object       *core.StatObject
 	ProductClass *hierarchy.Classification // product --> category (primary)
 	PriceClass   *hierarchy.Classification // product --> price band (alternative, §3.2(i))
@@ -230,12 +229,6 @@ func NewRetail(nProducts, nStores, nDays, nTx int, seed int64) (*Retail, error) 
 	if err != nil {
 		return nil, err
 	}
-	r.Relation = relstore.MustNewRelation("sales",
-		relstore.Column{Name: "product", Kind: relstore.KString},
-		relstore.Column{Name: "store", Kind: relstore.KString},
-		relstore.Column{Name: "day", Kind: relstore.KString},
-		relstore.Column{Name: "amount", Kind: relstore.KFloat},
-	)
 	r.Input = &cube.Input{Card: []int{nProducts, nStores, nDays}}
 	var zipf *rand.Zipf
 	if nProducts > 1 {
@@ -251,9 +244,6 @@ func NewRetail(nProducts, nStores, nDays, nTx int, seed int64) (*Retail, error) 
 		amount := float64(1 + rng.Intn(200))
 		r.Input.Rows = append(r.Input.Rows, []int{p, s, d})
 		r.Input.Vals = append(r.Input.Vals, amount)
-		r.Relation.MustAppend(relstore.Row{
-			relstore.S(r.Products[p]), relstore.S(r.Stores[s]), relstore.S(r.Days[d]), relstore.F(amount),
-		})
 		if err := r.Object.ObserveAt([]int{p, s, d}, map[string]float64{"quantity sold": amount}); err != nil {
 			return nil, err
 		}

@@ -33,8 +33,8 @@ func TestNewRetail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Input.Rows) != 2000 || r.Relation.NumRows() != 2000 {
-		t.Errorf("tx = %d/%d", len(r.Input.Rows), r.Relation.NumRows())
+	if len(r.Input.Rows) != 2000 || len(r.Input.Vals) != 2000 {
+		t.Errorf("tx = %d/%d", len(r.Input.Rows), len(r.Input.Vals))
 	}
 	if err := r.Input.Validate(); err != nil {
 		t.Errorf("coded input invalid: %v", err)

@@ -115,12 +115,12 @@ func tiedBatches(seed int64) (base *cube.Input, rows [][][]int, vals [][]float64
 func faultFreeOutcome(t *testing.T, batches batchGen, masks []int) *cube.MaterializedSet {
 	t.Helper()
 	base, rows, vals := batches(99)
-	want, err := cube.Materialize(base, masks)
+	want, err := cube.MaterializeCtx(context.Background(), base, masks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range rows {
-		if _, err := want.AppendRows(rows[i], vals[i]); err != nil {
+		if _, err := want.AppendRowsCtx(context.Background(), rows[i], vals[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +253,7 @@ func TestChaosFailedLoadInvisible(t *testing.T) {
 				}
 				if point == fault.PointWriterPublish {
 					staged := before.Set().Clone()
-					if _, err := staged.AppendRows(rows[0], vals[0]); err != nil {
+					if _, err := staged.AppendRowsCtx(context.Background(), rows[0], vals[0]); err != nil {
 						t.Fatal(err)
 					}
 					if !loaded.Identical(before.Set()) && !loaded.Identical(staged) {
@@ -373,7 +373,7 @@ func TestChaosPanicPublishWindow(t *testing.T) {
 			h := w2.Acquire()
 			defer h.Release()
 			staged := prev.Set().Clone()
-			if _, err := staged.AppendRows(rows[0], vals[0]); err != nil {
+			if _, err := staged.AppendRowsCtx(context.Background(), rows[0], vals[0]); err != nil {
 				t.Fatal(err)
 			}
 			recoveredStaged := h.Set().Identical(staged)
@@ -391,7 +391,7 @@ func TestChaosPanicPublishWindow(t *testing.T) {
 				all.Rows = append(all.Rows, rows[i]...)
 				all.Vals = append(all.Vals, vals[i]...)
 			}
-			want, err := cube.Materialize(all, masks)
+			want, err := cube.MaterializeCtx(context.Background(), all, masks)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -76,7 +76,7 @@ func TestOpenSeedsEmptyStore(t *testing.T) {
 	if got := w.Generation(); got != 1 {
 		t.Fatalf("generation = %d, want 1", got)
 	}
-	want, err := cube.Materialize(in, []int{0b011, 0b100})
+	want, err := cube.MaterializeCtx(context.Background(), in, []int{0b011, 0b100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestAppendFlushMatchesRematerialization(t *testing.T) {
 		all.Rows = append(all.Rows, rows...)
 		all.Vals = append(all.Vals, vals...)
 	}
-	want, err := cube.Materialize(all, masks)
+	want, err := cube.MaterializeCtx(context.Background(), all, masks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,8 +62,6 @@ type (
 	Pick = core.Pick
 	// CubeCell is one row of CUBE output.
 	CubeCell = core.CubeCell
-	// Option configures StatObject construction.
-	Option = core.Option
 )
 
 // Summary functions.
@@ -131,8 +129,8 @@ func NewGroupedSchema(name string, root *DimensionGroup) (*Schema, error) {
 }
 
 // New creates an empty statistical object.
-func New(sch *Schema, measures []Measure, opts ...Option) (*StatObject, error) {
-	return core.New(sch, measures, opts...)
+func New(sch *Schema, measures []Measure) (*StatObject, error) {
+	return core.New(sch, measures)
 }
 
 // NewHierarchy starts a classification builder with its leaf level.
