@@ -17,11 +17,10 @@ CHAOS_SEEDS ?= 1 7 42
 # Tier-1 gate: vet, build, race-checked order-shuffled tests.
 verify: vet build test
 
-# The explicit statlint dirs are asserted on top of the repo-wide sweep
-# so the linter's own code can never drift out of the gate.
+# gofmt -l . walks the whole module, the linter's own packages included.
 fmt:
-	@out="$$(gofmt -l . && gofmt -l cmd/statlint internal/lint)"; if [ -n "$$out" ]; then \
-		echo "gofmt needed on:"; echo "$$out" | sort -u; exit 1; fi
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -58,7 +57,9 @@ lint-selfcheck:
 # qlog flight record (2 nodeterm in internal/writer), and POST /append
 # stamps the request's arrival like the query handlers do (1 nodeterm in
 # internal/serve) — all wall-clock-by-declaration measurement sites.
-SUPPRESSION_BUDGET ?= 17
+# 17 -> 15: the query entry points share one start stamp (internal/query
+# had three).
+SUPPRESSION_BUDGET ?= 15
 lint-suppressions:
 	@total=$$($(GO) run ./cmd/statlint -suppressions ./... | awk '$$1=="total"{print $$2}'); \
 	echo "//lint:ignore directives: $$total (budget $(SUPPRESSION_BUDGET))"; \

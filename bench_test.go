@@ -372,7 +372,7 @@ func BenchmarkE11AutoAggregate(b *testing.B) {
 	macro := benchMacro(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := query.RunScalar(macro,
+		if _, err := query.RunScalarCtx(context.Background(), macro,
 			"SHOW population WHERE state = state-03 AND sex = female"); err != nil {
 			b.Fatal(err)
 		}

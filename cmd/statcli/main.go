@@ -469,11 +469,11 @@ func loadObject(demo, csvPath, dims, measure string) (*statcube.StatObject, erro
 	case demo != "" && csvPath != "":
 		return nil, fmt.Errorf("use either -demo or -csv, not both")
 	case demo != "":
-		return loadDemo(demo)
+		return workload.Demo(demo)
 	case csvPath != "":
 		return loadCSV(csvPath, dims, measure)
 	default:
-		return loadDemo("employment")
+		return workload.Demo("employment")
 	}
 }
 
@@ -490,7 +490,7 @@ var demoSubjects = map[string]struct{ subject, desc string }{
 func listDemos(w io.Writer) error {
 	cat := statcube.NewCatalog()
 	for name, meta := range demoSubjects {
-		obj, err := loadDemo(name)
+		obj, err := workload.Demo(name)
 		if err != nil {
 			return err
 		}
@@ -513,38 +513,6 @@ func listDemos(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func loadDemo(name string) (*statcube.StatObject, error) {
-	switch name {
-	case "employment":
-		return workload.NewEmployment()
-	case "retail":
-		r, err := workload.NewRetail(40, 12, 60, 20000, 1)
-		if err != nil {
-			return nil, err
-		}
-		return r.Object, nil
-	case "census":
-		c, err := workload.NewCensus(20000, 5, 4, 1)
-		if err != nil {
-			return nil, err
-		}
-		return statcube.MacroFromMicro(c.Micro, c.Schema,
-			[]statcube.Measure{
-				{Name: "population", Func: statcube.Count, Type: statcube.Stock},
-				{Name: "avg income", Unit: "dollars", Func: statcube.Avg, Type: statcube.ValuePerUnit},
-			},
-			map[string]string{"population": "", "avg income": "income"})
-	case "hmo":
-		h, err := workload.NewHMO(100, 10000, 0.25, 1)
-		if err != nil {
-			return nil, err
-		}
-		return h.Object, nil
-	default:
-		return nil, fmt.Errorf("unknown demo %q (have employment, retail, census, hmo)", name)
-	}
 }
 
 // loadCSV builds a statistical object from a CSV file: the named dims

@@ -14,6 +14,7 @@ import (
 	"statcube/internal/cube"
 	"statcube/internal/parallel"
 	"statcube/internal/snapshot"
+	"statcube/internal/workload"
 )
 
 func TestParseMeasure(t *testing.T) {
@@ -44,15 +45,15 @@ func TestParseLayout(t *testing.T) {
 
 func TestLoadDemos(t *testing.T) {
 	for _, name := range []string{"employment", "retail", "census", "hmo"} {
-		obj, err := loadDemo(name)
+		obj, err := workload.Demo(name)
 		if err != nil {
-			t.Fatalf("loadDemo(%s): %v", name, err)
+			t.Fatalf("workload.Demo(%s): %v", name, err)
 		}
 		if obj.Cells() == 0 {
 			t.Errorf("demo %s is empty", name)
 		}
 	}
-	if _, err := loadDemo("nope"); err == nil {
+	if _, err := workload.Demo("nope"); err == nil {
 		t.Error("unknown demo should fail")
 	}
 }
@@ -155,7 +156,7 @@ func TestSnapshotName(t *testing.T) {
 // a corrupted newest generation is recovered past; an over-tight budget
 // surfaces the typed error (exit code 2's cause).
 func TestSnapshotCubeLifecycle(t *testing.T) {
-	obj, err := loadDemo("employment")
+	obj, err := workload.Demo("employment")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestSnapshotCubeLifecycle(t *testing.T) {
 // TestCubeInputMatchesObject: the coded fact table reproduces the
 // object's grand total through a cube build.
 func TestCubeInputMatchesObject(t *testing.T) {
-	obj, err := loadDemo("employment")
+	obj, err := workload.Demo("employment")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestListDemos(t *testing.T) {
 // and publishes the next generation; the reloaded total is the old
 // total plus the appended values. A bad CSV leaves the store untouched.
 func TestAppendLoad(t *testing.T) {
-	obj, err := loadDemo("employment")
+	obj, err := workload.Demo("employment")
 	if err != nil {
 		t.Fatal(err)
 	}

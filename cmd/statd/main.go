@@ -36,8 +36,6 @@ import (
 	"time"
 
 	"statcube/internal/budget"
-	"statcube/internal/core"
-	"statcube/internal/metadata"
 	"statcube/internal/parallel"
 	"statcube/internal/qlog"
 	"statcube/internal/serve"
@@ -83,14 +81,10 @@ func main() {
 	admitBytes := flag.Int64("admit-bytes", 0, "up-front ledger reservation per admitted request (default 1 MiB)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently admitted requests (default 64)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "result cache budget in bytes (default 64 MiB; negative disables the bound)")
-	cacheShards := flag.Int("cache-shards", 0, "result cache shard count (default 16)")
 	snapshotDir := flag.String("snapshot-dir", "", "snapshot store to watch for generation changes (with -watch) and to publish write-path generations into (with -write)")
 	watch := flag.Duration("watch", 0, "poll -snapshot-dir at this interval and invalidate the cache on a new generation; 0 disables")
 	writePath := flag.Bool("write", false, "mount the write path: POST /append folds batched facts into the dataset's cube and publishes MVCC snapshot generations (durable with -snapshot-dir, in-memory otherwise)")
 	flushRows := flag.Int("flush-rows", 0, "with -write: auto-publish a load once this many appended rows are buffered; 0 publishes on every non-buffered append")
-	rate := flag.Float64("rate", 0, "per-client (remote address) rate limit in requests/second, refused ahead of admission; 0 disables")
-	burst := flag.Int("burst", 0, "per-client burst capacity (default: one second's worth of -rate)")
-	negTTL := flag.Duration("neg-ttl", 0, "negative-result cache TTL for repeated parse/bind failures (default 30s; negative disables)")
 	qlogPath := flag.String("qlog", "", "append one NDJSON flight record per query to this file")
 	slowMS := flag.Int64("slow-ms", 0, "report queries slower than this many milliseconds on stderr")
 	usage := flag.Usage
@@ -136,7 +130,7 @@ Exit codes:
 		}
 	}
 
-	obj, err := loadDemo(*demo)
+	obj, err := workload.Demo(*demo)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "statd:", err)
 		os.Exit(exitUsage)
@@ -189,11 +183,7 @@ Exit codes:
 		MaxBytes:    *maxBytes,
 		AdmitBytes:  *admitBytes,
 		CacheBytes:  *cacheBytes,
-		CacheShards: *cacheShards,
 		Timeout:     *timeout,
-		RatePerSec:  *rate,
-		RateBurst:   *burst,
-		NegTTL:      *negTTL,
 		Writer:      wr,
 	})
 	if err != nil {
@@ -281,37 +271,4 @@ func newestGeneration(st *snapshot.Store, name string) (uint64, error) {
 		}
 	}
 	return max, nil
-}
-
-// loadDemo builds one of the built-in datasets (statcli's set).
-func loadDemo(name string) (*core.StatObject, error) {
-	switch name {
-	case "employment":
-		return workload.NewEmployment()
-	case "retail":
-		r, err := workload.NewRetail(40, 12, 60, 20000, 1)
-		if err != nil {
-			return nil, err
-		}
-		return r.Object, nil
-	case "census":
-		c, err := workload.NewCensus(20000, 5, 4, 1)
-		if err != nil {
-			return nil, err
-		}
-		return metadata.MacroFromMicro(c.Micro, c.Schema,
-			[]core.Measure{
-				{Name: "population", Func: core.Count, Type: core.Stock},
-				{Name: "avg income", Unit: "dollars", Func: core.Avg, Type: core.ValuePerUnit},
-			},
-			map[string]string{"population": "", "avg income": "income"})
-	case "hmo":
-		h, err := workload.NewHMO(100, 10000, 0.25, 1)
-		if err != nil {
-			return nil, err
-		}
-		return h.Object, nil
-	default:
-		return nil, fmt.Errorf("unknown demo %q (have employment, retail, census, hmo)", name)
-	}
 }

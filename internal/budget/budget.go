@@ -66,8 +66,9 @@ var (
 )
 
 // RecordCanceled charges one abandoned query/build to
-// engine.queries_canceled. Entry points (query.Run*, the cube builders)
-// call it once per canceled operation — Check deliberately does not, since
+// engine.queries_canceled. Entry points (query's one evaluation entry
+// behind EvalCtx and the Run*Ctx forms, the cube builders) call it once
+// per canceled operation — Check deliberately does not, since
 // a single cancellation is observed by many polls on the way out.
 func RecordCanceled() {
 	if obs.On() {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -105,7 +106,7 @@ func E11AutomaticAggregation() *Report {
 	concise := "SHOW population WHERE state = state-03 AND sex = female"
 	var auto float64
 	autoTime := timeIt(func() {
-		auto, err = query.RunScalar(macro, concise)
+		auto, err = query.RunScalarCtx(context.Background(), macro, concise)
 	})
 	if err != nil {
 		return r.fail(err)

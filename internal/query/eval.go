@@ -72,54 +72,97 @@ func resolveName(o *core.StatObject, name string) (resolved, error) {
 	}
 }
 
-// EvalCtx runs a parsed query against a statistical object, returning the
-// result as a derived statistical object (its dimensions are the BY and
-// WHERE names). Cancellation and deadlines are honored between operators
-// and between cell segments inside them, surfacing as the typed
-// budget.ErrCanceled; a budget.Governor attached to ctx caps the memory
-// and cells the evaluation may consume.
+// EvalCtx evaluates a parsed query against a statistical object,
+// returning the result as a derived statistical object (its dimensions
+// are the BY and WHERE names). Cancellation and deadlines are honored
+// between operators and between cell segments inside them, surfacing as
+// the typed budget.ErrCanceled; a budget.Governor attached to ctx caps
+// the memory and cells the evaluation may consume. The query is charged
+// to the query metrics and, when the flight recorder is on, logged as one
+// qlog record of kind "query".
 func EvalCtx(ctx context.Context, o *core.StatObject, q *Query) (*core.StatObject, error) {
-	return EvalWithSpan(ctx, o, q, nil)
+	return run(ctx, o, call{kind: "query", text: q.text, q: q})
 }
 
-// EvalWithSpan is EvalCtx with tracing: resolution, automatic aggregation
-// and WHERE-collapse each open a child span on sp (nil disables tracing).
-func EvalWithSpan(ctx context.Context, o *core.StatObject, q *Query, sp *obs.Span) (*core.StatObject, error) {
-	if _, err := o.Measure(q.Measure); err != nil {
+// RunCtx parses input and evaluates it like EvalCtx.
+func RunCtx(ctx context.Context, o *core.StatObject, input string) (*core.StatObject, error) {
+	return run(ctx, o, call{kind: "query", text: input})
+}
+
+// RunScalarCtx parses, evaluates, and reduces to one number, for queries
+// whose conditions select single values (the Figure 13 case).
+func RunScalarCtx(ctx context.Context, o *core.StatObject, input string) (float64, error) {
+	var v float64
+	_, err := run(ctx, o, call{kind: "query.scalar", text: input, scalar: &v})
+	return v, err
+}
+
+// call is one evaluation as an exported entry point hands it to run.
+type call struct {
+	kind   string    // the qlog record kind
+	text   string    // the query as written
+	q      *Query    // the parsed query; nil means run parses text
+	root   *obs.Span // the EXPLAIN ANALYZE trace (RunExplainCtx), else nil
+	scalar *float64  // receives the one-number reduction (RunScalarCtx), else nil
+}
+
+// run is the one evaluation entry behind EvalCtx and the Run*Ctx forms:
+// it takes the query's one start stamp, parses when handed text, resolves,
+// evaluates, and — deferred, so every outcome is covered — finishes the
+// trace and writes the query's one record.
+func run(ctx context.Context, o *core.StatObject, c call) (res *core.StatObject, err error) {
+	//lint:ignore nodeterm feeds only the query.latency_ns histogram and the record's wall time, which no baseline diffs
+	start := time.Now()
+	q := c.q
+	var p *plan
+	defer func() {
+		finishTrace(ctx, c.root, err)
+		record(ctx, c, q, p, start, err)
+	}()
+	if q == nil {
+		ps := c.root.Child("parse")
+		q, err = Parse(c.text)
+		ps.SetErr(err)
+		ps.End()
+		if err != nil {
+			return nil, err
+		}
+	}
+	rs := c.root.Child("resolve")
+	pl, err := resolve(o, q)
+	var auto core.AutoQuery
+	if err == nil {
+		p = &pl
+		auto, err = autoQuery(o, q, p)
+	}
+	rs.SetErr(err)
+	rs.End()
+	if err != nil {
 		return nil, err
 	}
-	rs := sp.Child("resolve")
-	auto := core.AutoQuery{Measure: q.Measure, Where: map[string]core.Pick{}}
-	whereOnly := map[string][]core.Value{}
-	resolveErr := func(err error) (*core.StatObject, error) {
-		rs.SetErr(err)
-		rs.End()
-		return nil, err
+	if c.scalar != nil && len(q.By) > 0 {
+		return nil, fmt.Errorf("query: BY queries return tables; use RunCtx")
 	}
-	for _, c := range q.Where {
-		r, err := resolveName(o, c.Name)
-		if err != nil {
-			return resolveErr(err)
-		}
-		if prev, dup := auto.Where[r.dim]; dup {
-			return resolveErr(fmt.Errorf("query: dimension %q constrained twice (%v and %v)", r.dim, prev.Values, c.Values))
-		}
-		auto.Where[r.dim] = core.Pick{Level: r.level, Values: c.Values}
-		whereOnly[r.dim] = c.Values
+	res, err = evaluate(ctx, o, auto, p.where, c.root)
+	if err == nil && c.scalar != nil {
+		*c.scalar, err = res.Total(q.Measure)
 	}
-	for _, name := range q.By {
-		r, err := resolveName(o, name)
-		if err != nil {
-			return resolveErr(err)
-		}
-		if _, dup := auto.Where[r.dim]; dup {
-			return resolveErr(fmt.Errorf("query: dimension %q appears in both BY and WHERE", r.dim))
-		}
-		delete(whereOnly, r.dim)
-		// BY keeps the dimension with every value of the named level.
+	return res, err
+}
+
+// autoQuery turns a resolved plan into the automatic-aggregation request:
+// WHERE keeps each condition's picked values at its named level, BY keeps
+// the dimension with every value of the named level (the leaf when the
+// name was a bare dimension).
+func autoQuery(o *core.StatObject, q *Query, p *plan) (core.AutoQuery, error) {
+	auto := core.AutoQuery{Measure: q.Measure, Where: make(map[string]core.Pick, len(p.by)+len(p.where))}
+	for i, r := range p.where {
+		auto.Where[r.dim] = core.Pick{Level: r.level, Values: q.Where[i].Values}
+	}
+	for _, r := range p.by {
 		d, err := o.Schema().Dimension(r.dim)
 		if err != nil {
-			return resolveErr(err)
+			return core.AutoQuery{}, err
 		}
 		level := r.level
 		if level == "" {
@@ -127,11 +170,23 @@ func EvalWithSpan(ctx context.Context, o *core.StatObject, q *Query, sp *obs.Spa
 		}
 		li, err := d.Class.LevelIndex(level)
 		if err != nil {
-			return resolveErr(err)
+			return core.AutoQuery{}, err
 		}
 		auto.Where[r.dim] = core.Pick{Level: level, Values: d.Class.Level(li).Values}
 	}
-	rs.End()
+	return auto, nil
+}
+
+// evaluate runs automatic aggregation, then collapses the WHERE
+// dimensions: they constrained the data but were not asked for in BY, so
+// the result should not be grouped by them. A single picked value is
+// sliced away (no summarizability question); a multi-value restriction is
+// summarized over, subject to the usual additivity checks. When only one
+// dimension remains it must stay — the scalar reduction happens in
+// RunScalarCtx. Dimensions are collapsed in sorted order so the kept
+// dimension is deterministic. Each stage opens a child span on sp (nil
+// disables tracing).
+func evaluate(ctx context.Context, o *core.StatObject, auto core.AutoQuery, where []resolved, sp *obs.Span) (*core.StatObject, error) {
 	aa := sp.Child("auto-aggregate")
 	res, err := o.AutoAggregateCtx(ctx, auto, aa)
 	aa.SetErr(err)
@@ -139,16 +194,9 @@ func EvalWithSpan(ctx context.Context, o *core.StatObject, q *Query, sp *obs.Spa
 	if err != nil {
 		return nil, err
 	}
-	// Collapse WHERE-only dimensions: they constrained the data but were
-	// not asked for in BY, so the result should not be grouped by them.
-	// A single picked value is sliced away (no summarizability question);
-	// a multi-value restriction is summarized over, subject to the usual
-	// additivity checks. When only one dimension remains it must stay —
-	// the scalar reduction happens in RunScalar. Dimensions are collapsed
-	// in sorted order so the kept dimension is deterministic.
-	dims := make([]string, 0, len(whereOnly))
-	for dim := range whereOnly {
-		dims = append(dims, dim)
+	dims := make([]string, 0, len(where))
+	for _, r := range where {
+		dims = append(dims, r.dim)
 	}
 	sort.Strings(dims)
 	for _, dim := range dims {
@@ -158,7 +206,7 @@ func EvalWithSpan(ctx context.Context, o *core.StatObject, q *Query, sp *obs.Spa
 		if err := budget.Check(ctx); err != nil {
 			return nil, err
 		}
-		vals := whereOnly[dim]
+		vals := auto.Where[dim].Values
 		cs := sp.Child("collapse:" + dim)
 		cs.AddInt("cells_scanned", int64(res.Cells()))
 		if len(vals) == 1 {
@@ -175,49 +223,4 @@ func EvalWithSpan(ctx context.Context, o *core.StatObject, q *Query, sp *obs.Spa
 		cs.End()
 	}
 	return res, nil
-}
-
-// Run parses and evaluates in one step.
-func Run(o *core.StatObject, input string) (*core.StatObject, error) {
-	return RunCtx(context.Background(), o, input)
-}
-
-// RunCtx is Run with a context: parse, then evaluate under ctx's
-// cancellation, deadline and resource budget. When the flight recorder
-// is on, the completed query — fingerprint, lattice node, wall time,
-// ledger peaks, typed outcome — is logged as one qlog record.
-func RunCtx(ctx context.Context, o *core.StatObject, input string) (res *core.StatObject, err error) {
-	//lint:ignore nodeterm feeds only the query.latency_ns histogram, which no baseline diffs
-	start := time.Now()
-	var q *Query
-	defer func() { record(ctx, "query", input, o, q, start, nil, err) }()
-	if q, err = Parse(input); err != nil {
-		return nil, err
-	}
-	return EvalCtx(ctx, o, q)
-}
-
-// RunScalar parses, evaluates, and reduces to one number, for queries
-// whose conditions select single values (the Figure 13 case).
-func RunScalar(o *core.StatObject, input string) (float64, error) {
-	return RunScalarCtx(context.Background(), o, input)
-}
-
-// RunScalarCtx is RunScalar with a context (see RunCtx).
-func RunScalarCtx(ctx context.Context, o *core.StatObject, input string) (v float64, err error) {
-	//lint:ignore nodeterm feeds only the query.latency_ns histogram, which no baseline diffs
-	start := time.Now()
-	var q *Query
-	defer func() { record(ctx, "query.scalar", input, o, q, start, nil, err) }()
-	if q, err = Parse(input); err != nil {
-		return 0, err
-	}
-	if len(q.By) > 0 {
-		return 0, fmt.Errorf("query: BY queries return tables; use Run")
-	}
-	res, err := EvalCtx(ctx, o, q)
-	if err != nil {
-		return 0, err
-	}
-	return res.Total(q.Measure)
 }

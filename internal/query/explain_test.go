@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"os"
@@ -19,7 +20,7 @@ func TestRunExplainEmploymentDemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, span, err := RunExplain(obj, "SHOW total income WHERE year = 1980")
+	res, span, err := RunExplainCtx(context.Background(), obj, "SHOW total income WHERE year = 1980")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestRunExplainEmploymentDemo(t *testing.T) {
 
 func TestRunExplainError(t *testing.T) {
 	obj := incomeObject(t)
-	_, span, err := RunExplain(obj, "SHOW average income WHERE nope = 1")
+	_, span, err := RunExplainCtx(context.Background(), obj, "SHOW average income WHERE nope = 1")
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -90,10 +91,10 @@ func TestRunExplainError(t *testing.T) {
 func TestRunRecordsMetrics(t *testing.T) {
 	obj := incomeObject(t)
 	before := obs.Default().Snapshot()
-	if _, err := Run(obj, "SHOW average income WHERE year = 1980 AND professional class = engineer"); err != nil {
+	if _, err := RunCtx(context.Background(), obj, "SHOW average income WHERE year = 1980 AND professional class = engineer"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(obj, "SHOW average income WHERE bogus = 1"); err == nil {
+	if _, err := RunCtx(context.Background(), obj, "SHOW average income WHERE bogus = 1"); err == nil {
 		t.Fatal("expected error")
 	}
 	delta := obs.Default().Snapshot().Sub(before)

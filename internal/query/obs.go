@@ -7,7 +7,8 @@ import (
 	"statcube/internal/obs"
 )
 
-// Query-layer instrumentation, charged once per Run/RunScalar/RunExplain:
+// Query-layer instrumentation, charged once per evaluation (EvalCtx or a
+// Run*Ctx form):
 //
 //	query.queries      queries started
 //	query.errors       queries that returned an error (parse, resolve, eval)

@@ -45,6 +45,7 @@ type Query struct {
 	Measure string
 	By      []string
 	Where   []Cond
+	text    string // the input Parse read, for the flight record
 }
 
 // Cond is one condition: a dimension-or-level name and its values.
@@ -60,7 +61,7 @@ func Parse(input string) (*Query, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	q := &Query{}
+	q := &Query{text: input}
 	if !p.eatKeyword("show") {
 		return nil, fmt.Errorf("%w: query must start with SHOW", ErrSyntax)
 	}

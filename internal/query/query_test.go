@@ -1,9 +1,11 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"statcube/internal/core"
@@ -110,7 +112,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestRunScalarFigure13(t *testing.T) {
 	o := incomeObject(t)
-	got, err := RunScalar(o, "SHOW average income WHERE year = 1980 AND professional class = engineer")
+	got, err := RunScalarCtx(context.Background(), o, "SHOW average income WHERE year = 1980 AND professional class = engineer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +124,7 @@ func TestRunScalarFigure13(t *testing.T) {
 
 func TestRunByQuery(t *testing.T) {
 	o := incomeObject(t)
-	res, err := Run(o, "SHOW average income BY sex WHERE year = 1980")
+	res, err := RunCtx(context.Background(), o, "SHOW average income BY sex WHERE year = 1980")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +143,7 @@ func TestRunByQuery(t *testing.T) {
 
 func TestRunByLevel(t *testing.T) {
 	o := incomeObject(t)
-	res, err := Run(o, "SHOW average income BY professional class")
+	res, err := RunCtx(context.Background(), o, "SHOW average income BY professional class")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,27 +164,47 @@ func TestRunByLevel(t *testing.T) {
 func TestResolveQualifiedAndErrors(t *testing.T) {
 	o := incomeObject(t)
 	// Qualified form works.
-	if _, err := Run(o, "SHOW average income WHERE profession.professional class = engineer"); err != nil {
+	if _, err := RunCtx(context.Background(), o, "SHOW average income WHERE profession.professional class = engineer"); err != nil {
 		t.Errorf("qualified: %v", err)
 	}
 	// Unknown names.
-	if _, err := Run(o, "SHOW average income WHERE galaxy = m31"); !errors.Is(err, ErrUnknown) {
+	if _, err := RunCtx(context.Background(), o, "SHOW average income WHERE galaxy = m31"); !errors.Is(err, ErrUnknown) {
 		t.Errorf("unknown err = %v", err)
 	}
-	if _, err := Run(o, "SHOW nope WHERE year = 1980"); !errors.Is(err, core.ErrUnknownMeasure) {
+	if _, err := RunCtx(context.Background(), o, "SHOW nope WHERE year = 1980"); !errors.Is(err, core.ErrUnknownMeasure) {
 		t.Errorf("unknown measure err = %v", err)
 	}
 	// Dimension constrained twice.
-	if _, err := Run(o, "SHOW average income WHERE year = 1980 AND year = 1981"); err == nil {
+	if _, err := RunCtx(context.Background(), o, "SHOW average income WHERE year = 1980 AND year = 1981"); err == nil {
 		t.Error("double constraint should fail")
 	}
 	// BY and WHERE on the same dimension.
-	if _, err := Run(o, "SHOW average income BY year WHERE year = 1980"); err == nil {
+	if _, err := RunCtx(context.Background(), o, "SHOW average income BY year WHERE year = 1980"); err == nil {
 		t.Error("BY+WHERE clash should fail")
 	}
 	// Scalar form rejects BY.
-	if _, err := RunScalar(o, "SHOW average income BY sex"); err == nil {
+	if _, err := RunScalarCtx(context.Background(), o, "SHOW average income BY sex"); err == nil {
 		t.Error("RunScalar with BY should fail")
+	}
+}
+
+// TestResolveRefusesDimensionNamedTwice: the resolver refuses a dimension
+// named twice before any key exists, and says in which clauses.
+func TestResolveRefusesDimensionNamedTwice(t *testing.T) {
+	o := incomeObject(t)
+	for text, want := range map[string]string{
+		"SHOW average income BY sex, sex WHERE year = 1980":     "named twice in BY",
+		"SHOW average income BY sex, sex.sex WHERE year = 1980": "named twice in BY",
+		"SHOW average income BY year WHERE year = 1980":         "appears in both BY and WHERE",
+		"SHOW average income WHERE year = 1980 AND year = 1981": "named twice in WHERE",
+	} {
+		q, err := Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, key, err := Normalize(o, q); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: key %q err %v, want an error saying %q", text, key, err, want)
+		}
 	}
 }
 
@@ -197,11 +219,11 @@ func TestResolveAmbiguousLevel(t *testing.T) {
 	}
 	sch := schema.MustNew("amb", mk("origin"), mk("destination"))
 	o := core.MustNew(sch, []core.Measure{{Name: "flights", Func: core.Sum, Type: core.Flow}})
-	if _, err := Run(o, "SHOW flights WHERE region = r-origin"); !errors.Is(err, ErrAmbiguous) {
+	if _, err := RunCtx(context.Background(), o, "SHOW flights WHERE region = r-origin"); !errors.Is(err, ErrAmbiguous) {
 		t.Errorf("ambiguous err = %v", err)
 	}
 	// Qualification disambiguates.
-	if _, err := Run(o, "SHOW flights WHERE origin.region = r-origin"); err != nil {
+	if _, err := RunCtx(context.Background(), o, "SHOW flights WHERE origin.region = r-origin"); err != nil {
 		t.Errorf("qualified: %v", err)
 	}
 }
@@ -224,18 +246,18 @@ func TestResolveDimensionLevelCollision(t *testing.T) {
 		map[string]float64{"pop": 10}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(o, "SHOW pop WHERE state = CA"); !errors.Is(err, ErrAmbiguous) {
+	if _, err := RunCtx(context.Background(), o, "SHOW pop WHERE state = CA"); !errors.Is(err, ErrAmbiguous) {
 		t.Errorf("bare colliding name: err = %v, want ErrAmbiguous", err)
 	}
 	// Qualification selects each reading explicitly.
-	if _, err := Run(o, "SHOW pop WHERE city.state = CA"); err != nil {
+	if _, err := RunCtx(context.Background(), o, "SHOW pop WHERE city.state = CA"); err != nil {
 		t.Errorf("city.state: %v", err)
 	}
-	if _, err := Run(o, "SHOW pop WHERE state.state = CA"); err != nil {
+	if _, err := RunCtx(context.Background(), o, "SHOW pop WHERE state.state = CA"); err != nil {
 		t.Errorf("state.state (the dimension's own leaf level): %v", err)
 	}
 	// A non-colliding dimension name still resolves bare.
-	if _, err := Run(o, "SHOW pop WHERE city = oakland"); err != nil {
+	if _, err := RunCtx(context.Background(), o, "SHOW pop WHERE city = oakland"); err != nil {
 		t.Errorf("bare non-colliding dimension: %v", err)
 	}
 }

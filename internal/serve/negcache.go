@@ -20,8 +20,8 @@ var (
 // failure, an unknown name — so a client retrying the same broken text
 // in a loop is answered from memory instead of re-parsing and
 // re-binding on every attempt. Entries are the typed error envelope
-// (status, code, message), TTL'd so a fix that changes what's valid
-// (a new column after a reload) isn't shadowed for long.
+// (status, code, message), kept for negTTL so a fix that changes what's
+// valid (a new column after a reload) isn't shadowed for long.
 //
 // Only 400-class errors are ever stored. Refusals that depend on the
 // moment — budget pressure, cancellation, overload, internal faults —
@@ -29,10 +29,9 @@ var (
 // condition into a sticky lie. The caller enforces this (see
 // negCacheable); the cache itself just stores what it's given.
 //
-// Like the limiter, the cache never reads a clock: lookups and inserts
-// take the request's arrival timestamp.
+// The cache never reads a clock: lookups and inserts take the request's
+// arrival timestamp.
 type negCache struct {
-	ttl time.Duration
 	max int
 
 	mu sync.Mutex
@@ -48,21 +47,17 @@ type negEntry struct {
 	expires time.Time
 }
 
-// newNegCache builds a cache with the given TTL; ttl <= 0 disables it
-// (nil cache, nil-safe methods).
-func newNegCache(ttl time.Duration) *negCache {
-	if ttl <= 0 {
-		return nil
-	}
-	return &negCache{ttl: ttl, max: 1024, m: map[string]negEntry{}}
+// negTTL is how long a remembered failure is served from memory.
+const negTTL = 30 * time.Second
+
+// newNegCache builds an empty negative cache.
+func newNegCache() *negCache {
+	return &negCache{max: 1024, m: map[string]negEntry{}}
 }
 
 // get returns the remembered failure for query text q, if present and
 // fresh as of now. An expired entry is dropped on the way.
 func (n *negCache) get(q string, now time.Time) (negEntry, bool) {
-	if n == nil {
-		return negEntry{}, false
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	e, ok := n.m[q]
@@ -83,9 +78,6 @@ func (n *negCache) get(q string, now time.Time) (negEntry, bool) {
 // are swept first; if every entry is still fresh the insert is skipped —
 // bounding memory beats remembering one more broken query.
 func (n *negCache) put(q string, status int, code, msg string, now time.Time) {
-	if n == nil {
-		return
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, ok := n.m[q]; !ok && len(n.m) >= n.max {
@@ -98,7 +90,7 @@ func (n *negCache) put(q string, status int, code, msg string, now time.Time) {
 			return
 		}
 	}
-	n.m[q] = negEntry{status: status, code: code, msg: msg, expires: now.Add(n.ttl)}
+	n.m[q] = negEntry{status: status, code: code, msg: msg, expires: now.Add(negTTL)}
 	if obs.On() {
 		negEntryGauge.Set(float64(len(n.m)))
 	}
@@ -108,9 +100,6 @@ func (n *negCache) put(q string, status int, code, msg string, now time.Time) {
 // invalidation on a generation publish, since a load can make a
 // previously unknown name valid.
 func (n *negCache) invalidate() {
-	if n == nil {
-		return
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.m = map[string]negEntry{}
@@ -121,9 +110,6 @@ func (n *negCache) invalidate() {
 
 // entries returns the live entry count (for healthz).
 func (n *negCache) entries() int {
-	if n == nil {
-		return 0
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return len(n.m)

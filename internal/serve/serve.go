@@ -59,22 +59,9 @@ type Config struct {
 	// CacheBytes bounds the result cache's stored payloads (default
 	// 64 MiB); 0 keeps the default, negative disables the bound.
 	CacheBytes int64
-	// CacheShards is the cache's shard count (default 16).
-	CacheShards int
 	// Timeout is the per-request deadline (default 0: none beyond the
 	// client's own).
 	Timeout time.Duration
-	// RatePerSec enables per-client (remote address) token-bucket rate
-	// limiting ahead of admission at this many requests/second; 0
-	// disables it.
-	RatePerSec float64
-	// RateBurst is the per-client bucket capacity (default: one second's
-	// worth of RatePerSec).
-	RateBurst int
-	// NegTTL is the negative-result cache's entry lifetime: repeated
-	// parse/bind failures are answered from memory for this long.
-	// Default 30s; negative disables the cache.
-	NegTTL time.Duration
 	// Writer, when set, mounts the write path: POST /append feeds it,
 	// /healthz reports its Status, and the daemon should hook the
 	// writer's OnPublish to SetGeneration for live cache invalidation.
@@ -96,15 +83,10 @@ func (c *Config) applyDefaults() {
 	} else if c.CacheBytes < 0 {
 		c.CacheBytes = 0 // unbounded
 	}
-	if c.CacheShards == 0 {
-		c.CacheShards = 16
-	}
-	if c.NegTTL == 0 {
-		c.NegTTL = 30 * time.Second
-	} else if c.NegTTL < 0 {
-		c.NegTTL = 0 // disabled
-	}
 }
+
+// cacheShards is the result cache's shard count.
+const cacheShards = 16
 
 // Serving metrics, one registration site each (serve.inflight lives in
 // admission.go with the slot accounting):
@@ -126,7 +108,6 @@ type Server struct {
 	gov     *budget.Governor
 	adm     *admission
 	cache   *Cache
-	lim     *limiter
 	neg     *negCache
 	wr      *writer.Writer
 	timeout time.Duration
@@ -144,9 +125,8 @@ func New(cfg Config) (*Server, error) {
 		obj:     cfg.Object,
 		gov:     gov,
 		adm:     newAdmission(cfg.MaxInflight, gov, cfg.AdmitBytes),
-		cache:   NewCache(cfg.CacheShards, cfg.CacheBytes),
-		lim:     newLimiter(cfg.RatePerSec, cfg.RateBurst),
-		neg:     newNegCache(cfg.NegTTL),
+		cache:   NewCache(cacheShards, cfg.CacheBytes),
+		neg:     newNegCache(),
 		wr:      cfg.Writer,
 		timeout: cfg.Timeout,
 	}, nil
@@ -211,9 +191,6 @@ type errorBody struct {
 // engine-internal failures 500, and everything else — parse errors,
 // unknown names — a plain 400.
 func classify(err error) (status int, code string) {
-	if errors.Is(err, ErrRateLimited) {
-		return http.StatusTooManyRequests, "ratelimited"
-	}
 	if errors.Is(err, ErrOverloaded) {
 		return http.StatusTooManyRequests, "overloaded"
 	}
@@ -230,18 +207,13 @@ func classify(err error) (status int, code string) {
 }
 
 // writeError emits the JSON error envelope and bumps the taxonomy
-// counters: rate-limit refusals get their own counter (the operator's
-// response to a hot client differs from a capacity problem), other 429s
-// are sheds, the rest errors.
+// counters: 429s are sheds, the rest errors.
 func writeError(w http.ResponseWriter, err error) {
 	status, code := classify(err)
 	if obs.On() {
-		switch {
-		case code == "ratelimited":
-			ratelimitedCounter.Inc()
-		case status == http.StatusTooManyRequests:
+		if status == http.StatusTooManyRequests {
 			shedCounter.Inc()
-		default:
+		} else {
 			errCounter.Inc()
 		}
 	}
@@ -264,10 +236,8 @@ func negCacheable(status int) bool { return status == http.StatusBadRequest }
 // noteFailure records a query-shaped failure in the negative cache when
 // it qualifies, then writes the normal error response.
 func (s *Server) noteFailure(w http.ResponseWriter, qtext string, err error, now time.Time) {
-	if s.neg != nil {
-		if status, code := classify(err); negCacheable(status) {
-			s.neg.put(qtext, status, code, err.Error(), now)
-		}
+	if status, code := classify(err); negCacheable(status) {
+		s.neg.put(qtext, status, code, err.Error(), now)
 	}
 	writeError(w, err)
 }
@@ -299,22 +269,15 @@ func queryText(r *http.Request) (string, error) {
 }
 
 // begin is the preamble every engine-touching request shares: count it,
-// rate-limit the client, derive the deadline- and governor-carrying
-// context, take an admission slot. The per-client limiter runs ahead of
-// admission — a hot client is refused before it can take slots or ledger
-// reservations from everyone else — and the arrival timestamp doubles as
-// the bucket clock. When ok is false the typed refusal has been written.
-// The handler defers done either way: it observes the request's latency
-// and gives back whatever begin took.
+// derive the deadline- and governor-carrying context, take an admission
+// slot. When ok is false the typed refusal has been written. The handler
+// defers done either way: it observes the request's latency and gives
+// back whatever begin took.
 func (s *Server) begin(w http.ResponseWriter, r *http.Request, start time.Time) (ctx context.Context, done func(), ok bool) {
 	if obs.On() {
 		reqCounter.Inc()
 	}
 	done = func() { s.observeLatency(start) }
-	if !s.lim.allow(clientKey(r.RemoteAddr), start) {
-		writeError(w, fmt.Errorf("%w: client %s over %s", ErrRateLimited, clientKey(r.RemoteAddr), "per-client rate"))
-		return nil, done, false
-	}
 	ctx, cancel := r.Context(), context.CancelFunc(func() {})
 	if s.timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
@@ -329,8 +292,9 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, start time.Time) 
 	return ctx, func() { s.observeLatency(start); release(); cancel() }, true
 }
 
-// handleQuery is the request path: admit, normalize, answer from the
-// cache or fill through the engine, write the pre-encoded payload.
+// handleQuery is the request path: admit, parse and normalize once,
+// answer from the cache or fill by evaluating the already-parsed query,
+// write the pre-encoded payload.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, binary bool) {
 	//lint:ignore nodeterm feeds only the serve.latency_ns histogram, which no baseline diffs
 	start := time.Now()
@@ -372,7 +336,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, binary bool
 	}
 
 	pay, hit, err := s.cache.GetOrFill(ctx, key, func(ctx context.Context) (*payload, error) {
-		res, rerr := query.RunCtx(ctx, s.obj, qtext)
+		res, rerr := query.EvalCtx(ctx, s.obj, q)
 		if rerr != nil {
 			return nil, rerr
 		}
@@ -446,7 +410,7 @@ type appendRequest struct {
 // batch, publish a new generation (unless the client asked to buffer),
 // and return the writer's status. Admission applies like any request —
 // loads hold a slot so a write burst degrades into clean 429s, not an
-// unbounded load queue; the per-client limiter applies ahead of it.
+// unbounded load queue.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	//lint:ignore nodeterm feeds only the serve.latency_ns histogram, which no baseline diffs
 	start := time.Now()

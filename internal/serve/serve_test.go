@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"statcube/internal/budget"
+	"statcube/internal/obs"
+	"statcube/internal/qlog"
 	"statcube/internal/query"
 	"statcube/internal/workload"
 )
@@ -83,7 +85,7 @@ func TestServeQueryJSON(t *testing.T) {
 	}
 	// The engine agrees with the wire result.
 	obj, _ := workload.NewEmployment()
-	direct, err := query.Run(obj, "SHOW employment BY sex WHERE year = 1992")
+	direct, err := query.RunCtx(context.Background(), obj, "SHOW employment BY sex WHERE year = 1992")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +155,64 @@ func TestServeBadQuery(t *testing.T) {
 	}
 	if st := s.Cache().Stats(); st.Entries != 0 {
 		t.Fatalf("bad queries were cached: %+v", st)
+	}
+}
+
+// TestServeRefusesDimensionNamedTwice: a dimension named twice in BY is
+// a 400 even after its deduplicated form is cached — the two texts are
+// not the same plan, so they must never share a cache entry.
+func TestServeRefusesDimensionNamedTwice(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	do(h, "GET", "/query?q="+qSex, "")
+	if w := do(h, "GET", "/query?q="+qSex, ""); w.Header().Get("X-Statd-Cache") != "hit" {
+		t.Fatalf("BY sex was not cached")
+	}
+	for _, q := range []string{
+		"SHOW+employment+BY+sex%2C+sex+WHERE+year+%3D+1992",
+		"SHOW+employment+BY+sex%2C+sex.sex+WHERE+year+%3D+1992",
+	} {
+		w := do(h, "GET", "/query?q="+q, "")
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (X-Statd-Cache %q), want 400", q, w.Code, w.Header().Get("X-Statd-Cache"))
+		}
+		if eb := decodeErr(t, w); !strings.Contains(eb.Error, "named twice in BY") {
+			t.Fatalf("%s: error %q does not say the dimension is named twice in BY", q, eb.Error)
+		}
+	}
+}
+
+// TestServeOneQueryOneRecord: a miss evaluates the query it parsed once —
+// one query.queries increment and one qlog record of kind "query"
+// carrying the text — and a hit evaluates nothing.
+func TestServeOneQueryOneRecord(t *testing.T) {
+	rec := qlog.Default()
+	rec.Reset()
+	rec.SetEnabled(true)
+	t.Cleanup(rec.Reset)
+	h := newTestServer(t, Config{}).Handler()
+	for _, want := range []struct {
+		cache   string
+		queries int64
+		records int
+	}{{"miss", 1, 1}, {"hit", 0, 0}} {
+		before, seen := obs.Default().Snapshot(), len(rec.Snapshot())
+		w := do(h, "GET", "/query?q="+qSex, "")
+		if got := w.Header().Get("X-Statd-Cache"); w.Code != http.StatusOK || got != want.cache {
+			t.Fatalf("status %d cache %q, want 200 %q", w.Code, got, want.cache)
+		}
+		if n := obs.Default().Snapshot().Sub(before).Counters["query.queries"]; n != want.queries {
+			t.Errorf("%s: query.queries +%d, want +%d", want.cache, n, want.queries)
+		}
+		recs := rec.Snapshot()[seen:]
+		if len(recs) != want.records {
+			t.Fatalf("%s: %d qlog records, want %d", want.cache, len(recs), want.records)
+		}
+		for _, r := range recs {
+			if r.Kind != "query" || r.Text != "SHOW employment BY sex WHERE year = 1992" {
+				t.Errorf("%s: record kind %q text %q", want.cache, r.Kind, r.Text)
+			}
+		}
 	}
 }
 

@@ -145,7 +145,9 @@ func FlatDimension(name string, values ...Value) Dimension {
 
 // Query parses and evaluates a concise statistical query ("SHOW measure
 // [BY ...] [WHERE ...]"), returning the result as a statistical object.
-func Query(o *StatObject, q string) (*StatObject, error) { return query.Run(o, q) }
+func Query(o *StatObject, q string) (*StatObject, error) {
+	return query.RunCtx(context.Background(), o, q)
+}
 
 // QueryCtx is Query under a context: cancellation and deadlines abort the
 // evaluation between operators and between cell segments inside them,
@@ -156,7 +158,9 @@ func QueryCtx(ctx context.Context, o *StatObject, q string) (*StatObject, error)
 }
 
 // QueryScalar evaluates a concise query that reduces to a single number.
-func QueryScalar(o *StatObject, q string) (float64, error) { return query.RunScalar(o, q) }
+func QueryScalar(o *StatObject, q string) (float64, error) {
+	return query.RunScalarCtx(context.Background(), o, q)
+}
 
 // QueryScalarCtx is QueryScalar under a context (see QueryCtx).
 func QueryScalarCtx(ctx context.Context, o *StatObject, q string) (float64, error) {
@@ -267,7 +271,7 @@ type (
 // execution trace — EXPLAIN ANALYZE for statistical objects. The span is
 // returned even when the query fails, showing how far execution got.
 func QueryExplain(o *StatObject, q string) (*StatObject, *Span, error) {
-	return query.RunExplain(o, q)
+	return query.RunExplainCtx(context.Background(), o, q)
 }
 
 // QueryExplainCtx is QueryExplain under a context: when the query is cut
