@@ -10,13 +10,9 @@
 // Usage:
 //
 //	go run ./cmd/statlint ./...              # lint the whole module
-//	go run ./cmd/statlint -json ./internal/cube
 //	go run ./cmd/statlint -only errwrap,ctxpoll ./...
 //	go run ./cmd/statlint -list              # print the rule set
-//	go run ./cmd/statlint -fix ./...         # apply suggested fixes in place
 //	go run ./cmd/statlint -sarif out.sarif ./...
-//	go run ./cmd/statlint -baseline lint.baseline ./...
-//	go run ./cmd/statlint -write-baseline lint.baseline ./...
 //	go run ./cmd/statlint -suppressions ./...
 //
 // Exit status: 0 clean, 1 findings, 2 usage/load/type errors. Findings
@@ -36,13 +32,9 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array instead of file:line:col text")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and their rules, then exit")
-	fix := flag.Bool("fix", false, "apply suggested fixes in place, then report what remains")
 	sarifOut := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file (\"-\" for stdout)")
-	baseline := flag.String("baseline", "", "suppress findings recorded in this baseline file; fail only on new ones")
-	writeBaseline := flag.String("write-baseline", "", "record current findings as the baseline file and exit")
 	suppressions := flag.Bool("suppressions", false, "print //lint:ignore directive counts per analyzer and exit")
 	flag.Parse()
 
@@ -89,74 +81,11 @@ func main() {
 	}
 
 	if *suppressions {
-		writeSuppressions(res, set, *jsonOut)
+		writeSuppressions(res)
 		return
 	}
 
 	diags := res.Diagnostics
-
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "statlint:", err)
-			os.Exit(2)
-		}
-		if err := lint.WriteBaseline(f, diags, loader.ModRoot()); err != nil {
-			fmt.Fprintln(os.Stderr, "statlint:", err)
-			os.Exit(2)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "statlint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "statlint: wrote %d finding(s) to baseline %s\n", len(diags), *writeBaseline)
-		return
-	}
-
-	if *baseline != "" {
-		bl, err := lint.LoadBaseline(*baseline, loader.ModRoot())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "statlint:", err)
-			os.Exit(2)
-		}
-		fresh, matched := bl.Filter(diags)
-		if len(matched) > 0 {
-			fmt.Fprintf(os.Stderr, "statlint: %d finding(s) matched baseline %s\n", len(matched), *baseline)
-		}
-		diags = fresh
-	}
-
-	if *fix {
-		changed, applied, skipped := lint.ApplyFixes(diags, loader.Sources)
-		files := make([]string, 0, len(changed))
-		for file := range changed {
-			files = append(files, file)
-		}
-		sort.Strings(files)
-		for _, file := range files {
-			if err := os.WriteFile(file, changed[file], 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "statlint:", err)
-				os.Exit(2)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "statlint: applied %d fix(es) across %d file(s)", applied, len(files))
-		if skipped > 0 {
-			fmt.Fprintf(os.Stderr, ", skipped %d conflicting (rerun -fix)", skipped)
-		}
-		fmt.Fprintln(os.Stderr)
-		if skipped > 0 {
-			os.Exit(1)
-		}
-		// Applied fixes resolve their findings; only fix-less ones remain.
-		var remaining []lint.Diagnostic
-		for _, d := range diags {
-			if d.Fix == nil {
-				remaining = append(remaining, d)
-			}
-		}
-		diags = remaining
-	}
-
 	if *sarifOut != "" {
 		w := os.Stdout
 		if *sarifOut != "-" {
@@ -174,12 +103,7 @@ func main() {
 		}
 	}
 
-	if *jsonOut {
-		if err := lint.WriteJSON(os.Stdout, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "statlint:", err)
-			os.Exit(2)
-		}
-	} else if err := lint.WriteText(os.Stdout, diags); err != nil {
+	if err := lint.WriteText(os.Stdout, diags); err != nil {
 		fmt.Fprintln(os.Stderr, "statlint:", err)
 		os.Exit(2)
 	}
@@ -190,9 +114,9 @@ func main() {
 }
 
 // writeSuppressions prints the //lint:ignore inventory: per-analyzer
-// directive counts plus a total, as text or JSON. CI records the totals
-// and fails when they grow.
-func writeSuppressions(res *lint.Result, set []*lint.Analyzer, jsonOut bool) {
+// directive counts plus a total. CI records the total and fails when it
+// grows past the budget.
+func writeSuppressions(res *lint.Result) {
 	names := make([]string, 0, len(res.Suppressions))
 	for name := range res.Suppressions {
 		names = append(names, name)
@@ -201,22 +125,6 @@ func writeSuppressions(res *lint.Result, set []*lint.Analyzer, jsonOut bool) {
 	total := 0
 	for _, n := range names {
 		total += res.Suppressions[n]
-	}
-	if jsonOut {
-		fmt.Print("{")
-		for i, n := range names {
-			if i > 0 {
-				fmt.Print(",")
-			}
-			fmt.Printf("%q:%d", n, res.Suppressions[n])
-		}
-		if len(names) > 0 {
-			fmt.Print(",")
-		}
-		fmt.Printf("%q:%d}\n", "total", total)
-		return
-	}
-	for _, n := range names {
 		fmt.Printf("%-16s %d\n", n, res.Suppressions[n])
 	}
 	fmt.Printf("%-16s %d\n", "total", total)

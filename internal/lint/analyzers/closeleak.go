@@ -14,9 +14,7 @@ import (
 // handed off. File descriptors are the one resource the Go runtime will
 // not reclaim promptly for us; the snapshot store and statload harness
 // both open files in loops, where a leaked-on-early-return descriptor
-// becomes an EMFILE under sustained load. The suggested fix inserts the
-// idiomatic `defer f.Close()` (or `defer resp.Body.Close()`) after the
-// acquisition's error check.
+// becomes an EMFILE under sustained load.
 func newCloseleak() *lint.Analyzer {
 	return newLeakAnalyzer(&leakSpec{
 		name:    "closeleak",
@@ -26,7 +24,7 @@ func newCloseleak() *lint.Analyzer {
 	})
 }
 
-func closeAcquire(pass *lint.Pass, stmt ast.Node, list []ast.Stmt, idx int) []acqSite {
+func closeAcquire(pass *lint.Pass, stmt ast.Node) []acqSite {
 	call := singleCall(stmt)
 	if call == nil {
 		return nil
@@ -36,7 +34,6 @@ func closeAcquire(pass *lint.Pass, stmt ast.Node, list []ast.Stmt, idx int) []ac
 		return nil
 	}
 	fact := leakFact{pos: call.Pos()}
-	var name string
 	if res, errObj, ok := acquireBinding(pass.Info, stmt, call); ok {
 		fact.errObj = errObj
 		if res == nil {
@@ -45,18 +42,9 @@ func closeAcquire(pass *lint.Pass, stmt ast.Node, list []ast.Stmt, idx int) []ac
 			}
 		} else {
 			fact.obj = res
-			name = res.Name()
 		}
 	}
-	site := acqSite{fact: fact, desc: kind}
-	if name != "" {
-		deferText := "defer " + name + ".Close()"
-		if kind == "http response" {
-			deferText = "defer " + name + ".Body.Close()"
-		}
-		site.fix = deferInsertionFix(pass, stmt.(ast.Stmt), list, idx, fact.errObj, deferText)
-	}
-	return []acqSite{site}
+	return []acqSite{{fact: fact, desc: kind}}
 }
 
 // closeRelease recognizes X.Close() — keyed on X's object — and

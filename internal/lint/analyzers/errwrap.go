@@ -95,92 +95,8 @@ func checkErrCompare(pass *lint.Pass, b *ast.BinaryExpr) {
 	}
 	xt, yt := pass.Info.Types[b.X], pass.Info.Types[b.Y]
 	if isErrorType(xt.Type) && isErrorType(yt.Type) {
-		pass.ReportFix(b.OpPos, errorsIsFix(pass, b),
-			"errors compared with %s: use errors.Is so wrapped sentinels still match", b.Op)
+		pass.Reportf(b.OpPos, "errors compared with %s: use errors.Is so wrapped sentinels still match", b.Op)
 	}
-}
-
-// errorsIsFix rewrites `x == y` to `errors.Is(x, y)` (and != to its
-// negation) as a textual edit, adding the errors import when the file
-// lacks it. Nil when the source bytes are unavailable or the file has no
-// parenthesized import block to extend.
-func errorsIsFix(pass *lint.Pass, b *ast.BinaryExpr) *lint.Fix {
-	pos := pass.Fset.Position(b.Pos())
-	end := pass.Fset.Position(b.End())
-	src := pass.Src[pos.Filename]
-	if src == nil || pos.Filename != end.Filename {
-		return nil
-	}
-	xText := string(src[pass.Fset.Position(b.X.Pos()).Offset:pass.Fset.Position(b.X.End()).Offset])
-	yText := string(src[pass.Fset.Position(b.Y.Pos()).Offset:pass.Fset.Position(b.Y.End()).Offset])
-	neg := ""
-	if b.Op == token.NEQ {
-		neg = "!"
-	}
-	fix := &lint.Fix{
-		Message: "rewrite with errors.Is",
-		Edits: []lint.TextEdit{{
-			File:  pos.Filename,
-			Start: pos.Offset,
-			End:   end.Offset,
-			New:   neg + "errors.Is(" + xText + ", " + yText + ")",
-		}},
-	}
-	if imp := errorsImportEdit(pass, pos.Filename); imp != nil {
-		fix.Edits = append(fix.Edits, *imp)
-	} else if !fileImports(pass, pos.Filename, "errors") {
-		return nil // no import block to extend and errors not imported: skip
-	}
-	return fix
-}
-
-// fileImports reports whether the file at filename imports the given
-// path.
-func fileImports(pass *lint.Pass, filename, path string) bool {
-	for _, f := range pass.Files {
-		if pass.Fset.Position(f.Pos()).Filename != filename {
-			continue
-		}
-		for _, imp := range f.Imports {
-			if p, err := strconv.Unquote(imp.Path.Value); err == nil && p == path {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// errorsImportEdit builds the sorted insertion of `"errors"` into the
-// file's first parenthesized import block, or nil when the import is
-// already present or no such block exists.
-func errorsImportEdit(pass *lint.Pass, filename string) *lint.TextEdit {
-	if fileImports(pass, filename, "errors") {
-		return nil
-	}
-	for _, f := range pass.Files {
-		if pass.Fset.Position(f.Pos()).Filename != filename {
-			continue
-		}
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.IMPORT || !gd.Lparen.IsValid() {
-				continue
-			}
-			// Insert before the first existing import that sorts after
-			// "errors" (text lands at that spec's start, pushing it down);
-			// before the closing paren otherwise.
-			for _, spec := range gd.Specs {
-				is := spec.(*ast.ImportSpec)
-				if p, err := strconv.Unquote(is.Path.Value); err == nil && p > "errors" {
-					off := pass.Fset.Position(is.Pos()).Offset
-					return &lint.TextEdit{File: filename, Start: off, End: off, New: "\"errors\"\n\t"}
-				}
-			}
-			off := pass.Fset.Position(gd.Rparen).Offset
-			return &lint.TextEdit{File: filename, Start: off, End: off, New: "\t\"errors\"\n"}
-		}
-	}
-	return nil
 }
 
 func checkErrSwitch(pass *lint.Pass, s *ast.SwitchStmt) {

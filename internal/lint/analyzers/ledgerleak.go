@@ -28,7 +28,7 @@ func newLedgerleak() *lint.Analyzer {
 	})
 }
 
-func ledgerAcquire(pass *lint.Pass, stmt ast.Node, list []ast.Stmt, idx int) []acqSite {
+func ledgerAcquire(pass *lint.Pass, stmt ast.Node) []acqSite {
 	call := singleCall(stmt)
 	if call == nil {
 		return nil

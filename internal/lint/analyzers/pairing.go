@@ -71,9 +71,6 @@ type leakFact struct {
 type acqSite struct {
 	fact leakFact
 	desc string
-	// fix, when non-nil, is the ready-built suggested fix (defer
-	// insertion) for a leak reported at this site.
-	fix *lint.Fix
 }
 
 // leakSpec is one analyzer's vocabulary over the shared engine.
@@ -82,10 +79,7 @@ type leakSpec struct {
 	doc  string
 	// acquire inspects one statement (AssignStmt, or ExprStmt for
 	// result-discarding acquisitions) and returns its acquisitions.
-	// stmts carries the enclosing block's statement list and the
-	// statement's index so fix builders can look at the following
-	// error check; list is nil when the statement is an if/for init.
-	acquire func(pass *lint.Pass, stmt ast.Node, list []ast.Stmt, idx int) []acqSite
+	acquire func(pass *lint.Pass, stmt ast.Node) []acqSite
 	// release classifies a call: released != nil names the resource
 	// object the call releases; wildcard releases everything.
 	release func(info *types.Info, call *ast.CallExpr) (released types.Object, wildcard bool)
@@ -172,7 +166,7 @@ func runLeakFunc(pass *lint.Pass, spec *leakSpec, fn ast.Node) {
 		}
 	}
 	for _, s := range sites {
-		pass.ReportFix(s.fact.pos, s.fix, "%s is not released on every path to return (add a release, a defer, or hand ownership off)", s.desc)
+		pass.Reportf(s.fact.pos, "%s is not released on every path to return (add a release, a defer, or hand ownership off)", s.desc)
 	}
 }
 
@@ -190,52 +184,42 @@ func coveredByDefer(exit dataflow.Set[leakFact], fact leakFact) bool {
 	return false
 }
 
-// collectAcquisitions pre-walks the function for acquisition statements,
-// recording block context (for fix placement) where available. The walk
-// does not descend into nested function literals — those are analyzed
-// separately.
+// collectAcquisitions pre-walks the function for acquisition statements:
+// block statements plus if/for/switch inits. The walk does not descend
+// into nested function literals — those are analyzed separately.
 func (e *leakEngine) collectAcquisitions(fn ast.Node) {
 	body := funcBody(fn)
 	if body == nil {
 		return
 	}
-	seen := map[ast.Node]bool{}
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.BlockStmt:
-				for i, st := range n.List {
-					e.tryAcquire(st, n.List, i, seen)
-				}
-			case *ast.IfStmt:
-				if n.Init != nil {
-					e.tryAcquire(n.Init, nil, 0, seen)
-				}
-			case *ast.ForStmt:
-				if n.Init != nil {
-					e.tryAcquire(n.Init, nil, 0, seen)
-				}
-			case *ast.SwitchStmt:
-				if n.Init != nil {
-					e.tryAcquire(n.Init, nil, 0, seen)
-				}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.BlockStmt:
+			for _, st := range n.List {
+				e.tryAcquire(st)
 			}
-			return true
-		})
-	}
-	walk(body)
+		case *ast.IfStmt:
+			if n.Init != nil {
+				e.tryAcquire(n.Init)
+			}
+		case *ast.ForStmt:
+			if n.Init != nil {
+				e.tryAcquire(n.Init)
+			}
+		case *ast.SwitchStmt:
+			if n.Init != nil {
+				e.tryAcquire(n.Init)
+			}
+		}
+		return true
+	})
 }
 
-// tryAcquire records stmt's acquisitions once.
-func (e *leakEngine) tryAcquire(stmt ast.Stmt, list []ast.Stmt, idx int, seen map[ast.Node]bool) {
-	if seen[stmt] {
-		return
-	}
-	seen[stmt] = true
-	if sites := e.spec.acquire(e.pass, stmt, list, idx); len(sites) > 0 {
+// tryAcquire records stmt's acquisitions.
+func (e *leakEngine) tryAcquire(stmt ast.Stmt) {
+	if sites := e.spec.acquire(e.pass, stmt); len(sites) > 0 {
 		e.acqs[stmt] = sites
 	}
 }
@@ -641,63 +625,4 @@ func singleCall(stmt ast.Node) *ast.CallExpr {
 		}
 	}
 	return nil
-}
-
-// deferInsertionFix builds the `defer <recv>.<method>()` insertion fix
-// shared by spanend and closeleak: the defer lands after the acquiring
-// statement, or after the immediately following `if err != nil` check
-// when one exists (list/idx locate the statement in its block; a nil
-// list — an if/for init — gets no fix).
-func deferInsertionFix(pass *lint.Pass, stmt ast.Node, list []ast.Stmt, idx int, errObj types.Object, deferText string) *lint.Fix {
-	if list == nil {
-		return nil
-	}
-	insertAfter := stmt
-	if errObj != nil {
-		if idx+1 < len(list) {
-			if ifs, ok := list[idx+1].(*ast.IfStmt); ok {
-				if o, _ := errNilCheck(pass.Info, ifs.Cond); o == errObj && ifs.Init == nil {
-					insertAfter = ifs
-				}
-			}
-		}
-		if insertAfter == stmt {
-			// No adjacent error check to anchor on: inserting the defer
-			// before the check would run it on the failure path too.
-			// Leave the finding fix-less rather than suggest wrong code.
-			return nil
-		}
-	}
-	end := pass.Fset.Position(insertAfter.End())
-	src := pass.Src[end.Filename]
-	if src == nil {
-		return nil
-	}
-	start := pass.Fset.Position(stmt.Pos())
-	indent := lineIndent(src, start.Offset, start.Column)
-	return &lint.Fix{
-		Message: "insert " + deferText,
-		Edits: []lint.TextEdit{{
-			File:  end.Filename,
-			Start: end.Offset,
-			End:   end.Offset,
-			New:   "\n" + indent + deferText,
-		}},
-	}
-}
-
-// lineIndent returns the leading whitespace of the line containing the
-// byte at offset (whose 1-based column is col).
-func lineIndent(src []byte, offset, col int) string {
-	start := offset - (col - 1)
-	if start < 0 || start > offset || offset > len(src) {
-		return "\t"
-	}
-	ws := src[start:offset]
-	for _, c := range ws {
-		if c != ' ' && c != '\t' {
-			return "\t"
-		}
-	}
-	return string(ws)
 }

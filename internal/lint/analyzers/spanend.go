@@ -12,9 +12,7 @@ import (
 // A span that is never ended reports a wildly wrong duration the next
 // time anything reads it, and under the flight recorder it pins its
 // ring slot; both failure modes are silent, which is exactly what a
-// path-sensitive check is for. The suggested fix inserts
-// `defer sp.End()` right after the acquisition (spans have no error
-// sibling, so the insertion point is never on a failure path).
+// path-sensitive check is for.
 func newSpanend() *lint.Analyzer {
 	return newLeakAnalyzer(&leakSpec{
 		name:    "spanend",
@@ -24,7 +22,7 @@ func newSpanend() *lint.Analyzer {
 	})
 }
 
-func spanAcquire(pass *lint.Pass, stmt ast.Node, list []ast.Stmt, idx int) []acqSite {
+func spanAcquire(pass *lint.Pass, stmt ast.Node) []acqSite {
 	call := singleCall(stmt)
 	if call == nil {
 		return nil
@@ -34,7 +32,6 @@ func spanAcquire(pass *lint.Pass, stmt ast.Node, list []ast.Stmt, idx int) []acq
 		return nil
 	}
 	fact := leakFact{pos: call.Pos()}
-	var name string
 	if res, _, ok := acquireBinding(pass.Info, stmt, call); ok {
 		if res == nil {
 			if !blankResult(stmt) {
@@ -42,14 +39,9 @@ func spanAcquire(pass *lint.Pass, stmt ast.Node, list []ast.Stmt, idx int) []acq
 			}
 		} else {
 			fact.obj = res
-			name = res.Name()
 		}
 	}
-	site := acqSite{fact: fact, desc: "span (" + spanDesc(pass.Info, call) + ")"}
-	if name != "" {
-		site.fix = deferInsertionFix(pass, stmt.(ast.Stmt), list, idx, nil, "defer "+name+".End()")
-	}
-	return []acqSite{site}
+	return []acqSite{{fact: fact, desc: "span (" + spanDesc(pass.Info, call) + ")"}}
 }
 
 func spanRelease(info *types.Info, call *ast.CallExpr) (types.Object, bool) {

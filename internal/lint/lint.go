@@ -2,7 +2,7 @@
 // stdlib-only analyzer driver (go/parser + go/types, no x/tools) that
 // loads and type-checks the module's packages, runs a set of analyzers
 // over them, honors `//lint:ignore <analyzer> <reason>` suppressions,
-// and reports diagnostics with file:line:col positions.
+// and reports diagnostics as file:line:col text or as SARIF 2.1.0.
 //
 // PRs 1–3 introduced engine-wide conventions — context plumbed first and
 // polled in hot loops, budget reservations released on every path,
@@ -55,23 +55,8 @@ type Pass struct {
 	// ImportPath is the package's module-relative import path (e.g.
 	// statcube/internal/cube).
 	ImportPath string
-	// Src maps absolute filenames to source bytes for every file in
-	// Files — suggested-fix builders slice it for indentation and
-	// expression text.
-	Src map[string][]byte
 
 	report func(Diagnostic)
-}
-
-// ReportFix records a finding at pos carrying a suggested fix (nil fix
-// degrades to a plain finding).
-func (p *Pass) ReportFix(pos token.Pos, fix *Fix, format string, args ...any) {
-	p.report(Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Position: p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
-	})
 }
 
 // Reportf records a finding at pos.
@@ -83,19 +68,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Diagnostic is one finding: which rule, where, what — plus, for rules
-// with a mechanical remedy, a suggested Fix that `statlint -fix`
-// applies.
+// Diagnostic is one finding: which rule, where, what.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Position token.Position `json:"-"`
-	Message  string         `json:"message"`
-	Fix      *Fix           `json:"fix,omitempty"`
-
-	// Flattened position for JSON output.
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
+	Analyzer string
+	Position token.Position
+	Message  string
 }
 
 // String renders the diagnostic in the conventional

@@ -98,8 +98,7 @@ func modulePath(data []byte) string {
 }
 
 // ModRoot returns the module root directory the loader resolved — the
-// base SARIF and baseline output use to make file paths
-// checkout-independent.
+// base SARIF output uses to make file paths checkout-independent.
 func (l *Loader) ModRoot() string { return l.modRoot }
 
 // Load expands the patterns and returns the matched packages sorted by

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -51,7 +50,6 @@ func Run(loader *Loader, patterns []string, analyzers []*Analyzer) (*Result, err
 				Pkg:        pkg.Types,
 				Info:       pkg.Info,
 				ImportPath: pkg.ImportPath,
-				Src:        loader.Sources,
 				report:     func(d Diagnostic) { diags = append(diags, d) },
 			}
 			if err := a.Run(pass); err != nil {
@@ -85,19 +83,4 @@ func WriteText(w io.Writer, diags []Diagnostic) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON prints diagnostics as a JSON array of
-// {analyzer, file, line, col, message} objects.
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	out := make([]Diagnostic, len(diags))
-	for i, d := range diags {
-		d.File = d.Position.Filename
-		d.Line = d.Position.Line
-		d.Col = d.Position.Column
-		out[i] = d
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -12,8 +12,7 @@ import (
 // annotate PR diffs with findings instead of burying them in a log. The
 // writer emits the minimal valid subset — tool driver with one rule per
 // analyzer, one result per diagnostic with a physical location — and
-// nothing speculative: no fixes (SARIF's fix encoding differs from ours),
-// no flow traces.
+// nothing speculative: no fixes, no flow traces.
 
 type sarifLog struct {
 	Schema  string     `json:"$schema"`

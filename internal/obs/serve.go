@@ -38,12 +38,10 @@ func (r *Registry) Handler() http.Handler {
 // Handler exposes the default registry (see Registry.Handler).
 func Handler() http.Handler { return defaultRegistry.Handler() }
 
-// Server is a running metrics endpoint: the handle Serve returns. Earlier
-// revisions returned the bare net.Listener, which leaked the http.Server —
-// closing the listener stopped accepts but never shut down active
-// connections, and the serve loop's exit error vanished. The handle owns
-// both halves: Shutdown drains connections gracefully and surfaces the
-// serve error.
+// Server is a running HTTP endpoint: the handle Serve and ListenAndServe
+// return. It owns the listener, the http.Server and the serve loop's exit
+// error, so closing it shuts down active connections too: Shutdown drains
+// them gracefully and surfaces the serve error, Close drops them.
 type Server struct {
 	ln       net.Listener
 	srv      *http.Server
@@ -91,12 +89,17 @@ func (s *Server) Close() error {
 // "localhost:6060" or ":0" for an ephemeral port) and returns a handle;
 // call Shutdown (graceful) or Close (immediate) to stop it. The endpoint
 // is opt-in — nothing is served unless the embedding process calls Serve.
-func Serve(addr string) (*Server, error) {
+func Serve(addr string) (*Server, error) { return ListenAndServe(addr, Handler()) }
+
+// ListenAndServe binds addr (":0" for ephemeral) and serves h in the
+// background — the one accept loop behind both the metrics endpoint and
+// the statd daemon; stop it with Shutdown (graceful drain) or Close.
+func ListenAndServe(addr string, h http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, srv: &http.Server{Handler: Handler()}, done: make(chan error, 1)}
+	s := &Server{ln: ln, srv: &http.Server{Handler: h}, done: make(chan error, 1)}
 	go func() { s.done <- s.srv.Serve(ln) }()
 	return s, nil
 }

@@ -20,7 +20,9 @@ type resolved struct {
 
 // resolveName maps a query name onto a dimension and level of the object's
 // schema. Accepted forms: a dimension name (its leaf level), a level name
-// unique across all classifications, or "dimension.level".
+// unique across all classifications, or "dimension.level". The leaf level
+// is recorded as "" however it was spelled, so each plan has one
+// canonical name.
 func resolveName(o *core.StatObject, name string) (resolved, error) {
 	if i := strings.IndexByte(name, '.'); i > 0 {
 		dimName, levelName := name[:i], name[i+1:]
@@ -28,10 +30,11 @@ func resolveName(o *core.StatObject, name string) (resolved, error) {
 		if err != nil {
 			return resolved{}, fmt.Errorf("%w: %q", ErrUnknown, name)
 		}
-		if _, err := d.Class.LevelIndex(levelName); err != nil {
+		li, err := d.Class.LevelIndex(levelName)
+		if err != nil {
 			return resolved{}, fmt.Errorf("%w: %q", ErrUnknown, name)
 		}
-		return resolved{dim: dimName, level: levelName}, nil
+		return resolvedAt(dimName, levelName, li), nil
 	}
 	// An exact dimension name wins over levels of its own classification
 	// (flat dimensions name their leaf level after the dimension), but a
@@ -58,7 +61,7 @@ func resolveName(o *core.StatObject, name string) (resolved, error) {
 	for _, d := range o.Schema().Dimensions() {
 		for li := 0; li < d.Class.NumLevels(); li++ {
 			if d.Class.Level(li).Name == name {
-				hits = append(hits, resolved{dim: d.Name, level: name})
+				hits = append(hits, resolvedAt(d.Name, name, li))
 			}
 		}
 	}
@@ -70,6 +73,15 @@ func resolveName(o *core.StatObject, name string) (resolved, error) {
 	default:
 		return resolved{}, fmt.Errorf("%w: %q", ErrAmbiguous, name)
 	}
+}
+
+// resolvedAt locates level li of dimension dim, recording the leaf
+// (level 0) as "".
+func resolvedAt(dim, level string, li int) resolved {
+	if li == 0 {
+		level = ""
+	}
+	return resolved{dim: dim, level: level}
 }
 
 // EvalCtx evaluates a parsed query against a statistical object,

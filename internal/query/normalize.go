@@ -116,9 +116,9 @@ func Normalize(o *core.StatObject, q *Query) (fingerprint, key string, err error
 }
 
 // canonicalName renders a resolved name as its "dimension.level" form
-// (bare dimension when the level is the implied leaf).
+// (bare dimension for the leaf, which resolution records as "").
 func canonicalName(r resolved) string {
-	if r.level == "" || r.level == r.dim {
+	if r.level == "" {
 		return r.dim
 	}
 	return r.dim + "." + r.level

@@ -261,3 +261,51 @@ func TestResolveDimensionLevelCollision(t *testing.T) {
 		t.Errorf("bare non-colliding dimension: %v", err)
 	}
 }
+
+// TestLevelNamedLikeItsDimension: when a non-leaf level carries its
+// dimension's name, "BY d" (the leaf) and "BY d.d" (the upper level) are
+// different plans, so their cache keys, fingerprints and answers must
+// all differ; the leaf's spellings keep sharing one key.
+func TestLevelNamedLikeItsDimension(t *testing.T) {
+	region := hierarchy.NewBuilder("region", "city", "oakland", "fresno", "reno").
+		Level("region", "west", "mountain").
+		Parent("oakland", "west").
+		Parent("fresno", "west").
+		Parent("reno", "mountain").
+		MustBuild()
+	sch := schema.MustNew("towns", schema.Dimension{Name: "region", Class: region})
+	o := core.MustNew(sch, []core.Measure{{Name: "pop", Func: core.Sum, Type: core.Flow}})
+	for city, pop := range map[core.Value]float64{"oakland": 10, "fresno": 20, "reno": 30} {
+		if err := o.SetCell(map[string]core.Value{"region": city}, map[string]float64{"pop": pop}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ident := func(text string) (fingerprint, key string, cells int) {
+		t.Helper()
+		q, err := Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fingerprint, key, err = Normalize(o, q); err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		res, err := RunCtx(context.Background(), o, text)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		return fingerprint, key, res.Cells()
+	}
+	leafFP, leafKey, leafCells := ident("SHOW pop BY region")
+	upFP, upKey, upCells := ident("SHOW pop BY region.region")
+	if leafKey == upKey || leafFP == upFP {
+		t.Errorf("leaf and upper level share an identity: keys %q / %q, fingerprints %q / %q", leafKey, upKey, leafFP, upFP)
+	}
+	if leafCells != 3 || upCells != 2 {
+		t.Errorf("cells: leaf %d, upper level %d; want 3 and 2", leafCells, upCells)
+	}
+	for _, text := range []string{"SHOW pop BY region.city", "SHOW pop BY city"} {
+		if _, key, _ := ident(text); key != leafKey {
+			t.Errorf("%s: key %q, want the leaf's %q", text, key, leafKey)
+		}
+	}
+}

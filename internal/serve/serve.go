@@ -28,9 +28,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"sync"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -353,7 +352,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, binary bool
 	} else {
 		h.Set("X-Statd-Cache", "miss")
 	}
-	h.Set("X-Statd-Generation", fmt.Sprint(s.snapGen.Load()))
+	h.Set("X-Statd-Generation", strconv.FormatUint(s.snapGen.Load(), 10))
 	if binary {
 		h.Set("Content-Type", "application/octet-stream")
 		_, _ = w.Write(pay.bin)
@@ -463,59 +462,13 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(s.cache.Stats())
 }
 
-// HTTPServer is a running daemon endpoint, mirroring obs.Server: the
-// handle owns the listener, the http.Server and the serve loop's exit
-// error, and Shutdown/Close join all three.
-type HTTPServer struct {
-	ln       net.Listener
-	srv      *http.Server
-	done     chan error
-	once     sync.Once
-	serveErr error
-}
+// HTTPServer is a running daemon endpoint: obs's accept-loop handle,
+// which owns the listener, the http.Server and the serve loop's exit
+// error, and joins all three in Shutdown/Close.
+type HTTPServer = obs.Server
 
 // ListenAndServe binds addr (":0" for ephemeral) and serves h in the
 // background; stop it with Shutdown (graceful drain) or Close.
 func ListenAndServe(addr string, h http.Handler) (*HTTPServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &HTTPServer{ln: ln, srv: &http.Server{Handler: h}, done: make(chan error, 1)}
-	//lint:ignore nakedgoroutine the accept loop must outlive this call; its lifecycle is owned by Shutdown/Close, which join its exit error through the done channel
-	go func() { s.done <- s.srv.Serve(ln) }()
-	return s, nil
-}
-
-// Addr returns the bound address.
-func (s *HTTPServer) Addr() net.Addr { return s.ln.Addr() }
-
-// waitServe collects the serve loop's exit exactly once, filtering the
-// deliberate http.ErrServerClosed.
-func (s *HTTPServer) waitServe() error {
-	s.once.Do(func() {
-		if err := <-s.done; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			s.serveErr = err
-		}
-	})
-	return s.serveErr
-}
-
-// Shutdown stops accepting and drains active connections until ctx
-// expires; it returns the first error among shutdown and serve exit.
-func (s *HTTPServer) Shutdown(ctx context.Context) error {
-	err := s.srv.Shutdown(ctx)
-	if serveErr := s.waitServe(); err == nil {
-		err = serveErr
-	}
-	return err
-}
-
-// Close stops immediately, dropping active connections.
-func (s *HTTPServer) Close() error {
-	err := s.srv.Close()
-	if serveErr := s.waitServe(); err == nil {
-		err = serveErr
-	}
-	return err
+	return obs.ListenAndServe(addr, h)
 }

@@ -12,9 +12,12 @@ import (
 	"time"
 
 	"statcube/internal/budget"
+	"statcube/internal/core"
+	"statcube/internal/hierarchy"
 	"statcube/internal/obs"
 	"statcube/internal/qlog"
 	"statcube/internal/query"
+	"statcube/internal/schema"
 	"statcube/internal/workload"
 )
 
@@ -102,6 +105,47 @@ func TestServeQueryJSON(t *testing.T) {
 	}
 	if got := w2.Header().Get("X-Statd-Cache"); got != "hit" {
 		t.Fatalf("equivalent spelling X-Statd-Cache = %q, want hit", got)
+	}
+}
+
+// TestServeLevelNamedLikeItsDimension: a non-leaf level that carries its
+// dimension's name is a different plan from the dimension's leaf, so the
+// second spelling must miss the cache and answer with its own body.
+func TestServeLevelNamedLikeItsDimension(t *testing.T) {
+	region := hierarchy.NewBuilder("region", "city", "oakland", "fresno", "reno").
+		Level("region", "west", "mountain").
+		Parent("oakland", "west").
+		Parent("fresno", "west").
+		Parent("reno", "mountain").
+		MustBuild()
+	obj := core.MustNew(schema.MustNew("towns", schema.Dimension{Name: "region", Class: region}),
+		[]core.Measure{{Name: "pop", Func: core.Sum, Type: core.Flow}})
+	for city, pop := range map[core.Value]float64{"oakland": 10, "fresno": 20, "reno": 30} {
+		if err := obj.SetCell(map[string]core.Value{"region": city}, map[string]float64{"pop": pop}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := newTestServer(t, Config{Object: obj}).Handler()
+
+	leaf := do(h, "GET", "/query?q=SHOW+pop+BY+region", "")
+	upper := do(h, "GET", "/query?q=SHOW+pop+BY+region.region", "")
+	for _, w := range []*httptest.ResponseRecorder{leaf, upper} {
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+	}
+	if got := upper.Header().Get("X-Statd-Cache"); got != "miss" {
+		t.Fatalf("region.region after region: X-Statd-Cache = %q, want miss", got)
+	}
+	var leafRes, upperRes Result
+	if err := json.Unmarshal(leaf.Body.Bytes(), &leafRes); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(upper.Body.Bytes(), &upperRes); err != nil {
+		t.Fatal(err)
+	}
+	if len(leafRes.Cells) != 3 || len(upperRes.Cells) != 2 {
+		t.Fatalf("cells: region %d, region.region %d; want 3 and 2", len(leafRes.Cells), len(upperRes.Cells))
 	}
 }
 
