@@ -55,26 +55,43 @@ func (o *StatObject) Cube() ([]CubeCell, error) {
 		coords []Value
 		slots  []float64
 	}
-	cells := map[string]*agg{}
-	key := make([]Value, n)
+	// A group is its mask of summarized dimensions plus the linearized
+	// ordinals of the rest (masked ones zeroed): category values are not
+	// unique once joined into one string, ordinals are.
+	type group struct {
+		mask uint32
+		key  uint64
+	}
+	leaves := make([][]Value, n)
+	for i, d := range dims {
+		leaves[i] = d.Class.LeafLevel().Values
+	}
+	cells := map[group]*agg{}
+	gc := make([]int, n)
 	// For every stored cell and every subset of dimensions, fold the cell
 	// into the subset's group (ALL in the masked-out positions).
 	o.store.ForEach(func(coords []int, slots []float64) bool {
-		vals := o.Values(coords)
-		for mask := 0; mask < 1<<uint(n); mask++ {
-			for i := 0; i < n; i++ {
+		for mask := uint32(0); mask < 1<<uint(n); mask++ {
+			for i := range gc {
 				if mask&(1<<uint(i)) != 0 {
-					key[i] = All
+					gc[i] = 0
 				} else {
-					key[i] = vals[i]
+					gc[i] = coords[i]
 				}
 			}
-			k := strings.Join(key, "|")
-			a, ok := cells[k]
+			g := group{mask, o.store.key(gc)}
+			a, ok := cells[g]
 			if !ok {
-				a = &agg{coords: append([]Value(nil), key...), slots: make([]float64, o.nslots)}
+				a = &agg{coords: make([]Value, n), slots: make([]float64, o.nslots)}
+				for i := range a.coords {
+					if mask&(1<<uint(i)) != 0 {
+						a.coords[i] = All
+					} else {
+						a.coords[i] = leaves[i][coords[i]]
+					}
+				}
 				o.identitySlots(a.slots)
-				cells[k] = a
+				cells[g] = a
 			}
 			for i, m := range o.measures {
 				m.merge(a.slots[o.offsets[i]:o.offsets[i]+m.slots()], slots[o.offsets[i]:o.offsets[i]+m.slots()])

@@ -137,3 +137,37 @@ func TestCubeTooManyDims(t *testing.T) {
 		t.Error("21-dim cube should refuse")
 	}
 }
+
+// Category values may contain "|": two base cells whose values join to the
+// same string are still two cube rows, not one merged row.
+func TestCubeSeparatorInValues(t *testing.T) {
+	sch := schema.MustNew("s",
+		schema.Dimension{Name: "x", Class: hierarchy.FlatClassification("x", "a", "a|b")},
+		schema.Dimension{Name: "y", Class: hierarchy.FlatClassification("y", "b|c", "c")},
+	)
+	o := MustNew(sch, []Measure{{Name: "n", Func: Sum, Type: Flow}})
+	_ = o.SetCell(v("x", "a", "y", "b|c"), map[string]float64{"n": 1})
+	_ = o.SetCell(v("x", "a|b", "y", "c"), map[string]float64{"n": 10})
+	cells, err := o.Cube()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[[2]Value]float64{}
+	for _, c := range cells {
+		got[[2]Value{c.Coords[0], c.Coords[1]}] = c.Vals[0]
+	}
+	want := map[[2]Value]float64{
+		{"a", "b|c"}: 1, {"a|b", "c"}: 10,
+		{"a", All}: 1, {"a|b", All}: 10,
+		{All, "b|c"}: 1, {All, "c"}: 10,
+		{All, All}: 11,
+	}
+	if len(cells) != len(want) {
+		t.Errorf("cube rows = %d, want %d: %v", len(cells), len(want), cells)
+	}
+	for k, w := range want {
+		if g, ok := got[k]; !ok || g != w {
+			t.Errorf("cube%v = %v (ok=%v), want %v", k, g, ok, w)
+		}
+	}
+}

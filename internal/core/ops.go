@@ -22,8 +22,8 @@ import (
 //	Drill down      S-disaggregation
 //	---             S-union
 //
-// Every operator returns a new StatObject backed by a MapStore and records
-// provenance so drill-down can recover detail.
+// Every operator returns a new StatObject, its cells in their own sorted
+// MapStore, and records provenance so drill-down can recover detail.
 
 // ErrUnionConflict is returned by SUnion when overlapping cells disagree.
 var ErrUnionConflict = errors.New("core: union conflict: overlapping cells disagree")
@@ -413,6 +413,11 @@ func (o *StatObject) DisaggregateByProxy(dim string, finer *hierarchy.Classifica
 	if finer.Level(1).Name != d.Class.LeafLevel().Name {
 		return nil, fmt.Errorf("core: finer classification level 1 is %q, want current leaf level %q",
 			finer.Level(1).Name, d.Class.LeafLevel().Name)
+	}
+	// A child under two parents would get a share from each, and summing
+	// them double counts the way a non-strict roll-up does (Section 3.3.2).
+	if !finer.IsStrictEdge(0) {
+		return nil, fmt.Errorf("core: disaggregating %q: %w", dim, hierarchy.ErrNonStrict)
 	}
 	for _, v := range d.Class.LeafLevel().Values {
 		if !finer.HasValue(1, v) {

@@ -336,6 +336,29 @@ func TestDisaggregateByProxy(t *testing.T) {
 	}
 }
 
+// A child under two parents would take a share of each; writing them as
+// one cell loses one share, and summing them double counts, so a
+// non-strict finer classification is refused.
+func TestDisaggregateByProxyRejectsNonStrict(t *testing.T) {
+	sch := schema.MustNew("pop",
+		schema.Dimension{Name: "geo", Class: hierarchy.FlatClassification("state", "oregon", "washington")})
+	o := MustNew(sch, []Measure{{Name: "population", Func: Sum, Type: Stock}})
+	_ = o.SetCell(v("geo", "oregon"), map[string]float64{"population": 3000})
+	_ = o.SetCell(v("geo", "washington"), map[string]float64{"population": 5000})
+	finer := hierarchy.NewBuilder("geo", "county", "a", "b", "c").
+		Level("state", "oregon", "washington").
+		Parent("a", "oregon").
+		Parent("b", "oregon").
+		Parent("b", "washington").
+		Parent("c", "washington").
+		MustBuild()
+	est, err := o.DisaggregateByProxy("geo", finer, map[Value]float64{"a": 1, "b": 1, "c": 1})
+	if !errors.Is(err, hierarchy.ErrNonStrict) {
+		total, _ := est.Total("population")
+		t.Fatalf("err = %v (total %v of 8000), want ErrNonStrict", err, total)
+	}
+}
+
 func TestSUnion(t *testing.T) {
 	mkState := func(state string, cells map[string]float64) *StatObject {
 		var vals []Value

@@ -148,9 +148,11 @@ func (o *StatObject) groupFoldPar(ctx context.Context, st parallel.Stage, out *S
 		}
 		return false, nil
 	}
+	// The partials' keys are disjoint and out is still empty, so every key
+	// is new: append it to the tail, which out's first read sorts.
 	for _, part := range parts {
 		for k, acc := range part {
-			out.store.cells[k] = acc
+			copy(out.store.add(k), acc)
 		}
 	}
 	return true, nil

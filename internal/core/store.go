@@ -1,21 +1,46 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
-	"sort"
+	"slices"
+	"sync"
 )
 
 // MapStore holds a statistical object's cells, the one physical
-// organization the conceptual operators run over: a hash map from
-// linearized coordinates to accumulator slots. Coordinates are leaf-level
-// value ordinals, one per dimension, in schema order. Slots are the
-// flattened measure accumulators (see Measure.slots).
+// organization the conceptual operators run over: the linearized cell
+// positions of Section 6.2 kept in key order. Coordinates are leaf-level
+// value ordinals, one per dimension, in schema order; a cell's key is
+// their row-major linearization. Slots are the flattened measure
+// accumulators (see Measure.slots).
+//
+// The cells live in a run — keys ascending, slots floats per key beside
+// them, the layout of a stored cube view — plus an unsorted tail that
+// takes the keys written since the run was last settled. A write to a
+// present key updates it in place; a new key is appended to the tail.
+// ForEach first folds the tail into the run with one sort of the tail and
+// one linear merge, then walks the run, so an object built once sorts
+// once and every later pass over it is a straight scan.
+//
+// Reads (Get, ForEach, Cells) may run concurrently with each other, so
+// one built object can serve many readers; writes must not run
+// concurrently with anything.
 type MapStore struct {
 	shape   []int
 	strides []uint64
 	slots   int
-	cells   map[uint64][]float64
+
+	// mu guards the tail and the fold that empties it into the run.
+	mu   sync.Mutex
+	keys []uint64  // the run's keys, ascending
+	vals []float64 // slots floats per run key
+	// The tail: keys in write order, their slots, and key → tail position,
+	// the index existing only while the tail is non-empty.
+	tailKeys []uint64
+	tailVals []float64
+	tailIdx  map[uint64]int32
 }
 
 // keysFit reports whether every linearized key over shape fits in 64 bits:
@@ -44,10 +69,9 @@ func NewMapStore(shape []int, slots int) *MapStore {
 		shape:   append([]int(nil), shape...),
 		strides: make([]uint64, len(shape)),
 		slots:   slots,
-		cells:   map[uint64][]float64{},
 	}
-	// Row-major strides; the linearization of Section 6.2, used here only
-	// as a map key.
+	// Row-major strides: the linearization of Section 6.2, whose order is
+	// the run's order.
 	stride := uint64(1)
 	for i := len(shape) - 1; i >= 0; i-- {
 		s.strides[i] = stride
@@ -76,15 +100,77 @@ func (s *MapStore) unkey(k uint64, coords []int) {
 	}
 }
 
+// find returns the stored slots of key k, in place: from the run by binary
+// search, else from the tail by its index.
+func (s *MapStore) find(k uint64) ([]float64, bool) {
+	if i, ok := slices.BinarySearch(s.keys, k); ok {
+		return s.vals[i*s.slots : (i+1)*s.slots : (i+1)*s.slots], true
+	}
+	if j, ok := s.tailIdx[k]; ok {
+		lo := int(j) * s.slots
+		return s.tailVals[lo : lo+s.slots : lo+s.slots], true
+	}
+	return nil, false
+}
+
+// add appends key k, which the store does not hold, to the tail and
+// returns its zeroed slots.
+func (s *MapStore) add(k uint64) []float64 {
+	if len(s.tailKeys) == math.MaxInt32 {
+		s.settle() // keep every tail position an int32
+	}
+	if s.tailIdx == nil {
+		s.tailIdx = map[uint64]int32{}
+	}
+	s.tailIdx[k] = int32(len(s.tailKeys))
+	s.tailKeys = append(s.tailKeys, k)
+	s.tailVals = append(s.tailVals, make([]float64, s.slots)...)
+	n := len(s.tailVals)
+	return s.tailVals[n-s.slots : n : n]
+}
+
+// settle folds the tail into the run: the tail's positions sorted by key,
+// then one backward merge into the grown run, the way cube.run merges a
+// batch's new keys. It is a no-op on an empty tail, so once a built
+// object is settled its readers only take and release the lock.
+func (s *MapStore) settle() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.tailKeys) == 0 {
+		return
+	}
+	order := make([]int32, len(s.tailKeys))
+	for j := range order {
+		order[j] = int32(j)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(s.tailKeys[a], s.tailKeys[b]) })
+	sl := s.slots
+	i := len(s.keys) - 1
+	s.keys = slices.Grow(s.keys, len(order))[:len(s.keys)+len(order)]
+	s.vals = slices.Grow(s.vals, len(order)*sl)[:len(s.vals)+len(order)*sl]
+	for w, j := len(s.keys)-1, len(order)-1; j >= 0; w-- {
+		if t := order[j]; i >= 0 && s.keys[i] > s.tailKeys[t] {
+			s.keys[w] = s.keys[i]
+			copy(s.vals[w*sl:(w+1)*sl], s.vals[i*sl:(i+1)*sl])
+			i--
+		} else {
+			s.keys[w] = s.tailKeys[t]
+			copy(s.vals[w*sl:(w+1)*sl], s.tailVals[int(t)*sl:(int(t)+1)*sl])
+			j--
+		}
+	}
+	s.tailKeys, s.tailVals, s.tailIdx = nil, nil, nil
+}
+
 // Get copies the cell's slots into dst and reports whether the cell is
 // non-empty. dst must hold the store's slot count.
 func (s *MapStore) Get(coords []int, dst []float64) bool {
-	acc, ok := s.cells[s.key(coords)]
-	if !ok {
-		return false
-	}
+	k := s.key(coords)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	acc, ok := s.find(k)
 	copy(dst, acc)
-	return true
+	return ok
 }
 
 // Put replaces the cell's slots with a copy of slots.
@@ -92,18 +178,22 @@ func (s *MapStore) Put(coords []int, slots []float64) {
 	if len(slots) != s.slots {
 		panic(fmt.Sprintf("core: %d slots, store has %d", len(slots), s.slots))
 	}
-	s.cells[s.key(coords)] = append([]float64(nil), slots...)
+	k := s.key(coords)
+	acc, ok := s.find(k)
+	if !ok {
+		acc = s.add(k)
+	}
+	copy(acc, slots)
 }
 
 // Merge folds slots into the cell with the supplied merge function,
 // initializing an empty cell with identity first.
 func (s *MapStore) Merge(coords []int, slots []float64, identity func([]float64), merge func(dst, src []float64)) {
 	k := s.key(coords)
-	acc, ok := s.cells[k]
+	acc, ok := s.find(k)
 	if !ok {
-		acc = make([]float64, s.slots)
+		acc = s.add(k)
 		identity(acc)
-		s.cells[k] = acc
 	}
 	merge(acc, slots)
 }
@@ -112,19 +202,20 @@ func (s *MapStore) Merge(coords []int, slots []float64, identity func([]float64)
 // determinism; the callback must not retain coords or slots. Iteration
 // stops if the callback returns false.
 func (s *MapStore) ForEach(fn func(coords []int, slots []float64) bool) {
-	keys := make([]uint64, 0, len(s.cells))
-	for k := range s.cells {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	s.settle()
 	coords := make([]int, len(s.shape))
-	for _, k := range keys {
+	sl := s.slots
+	for i, k := range s.keys {
 		s.unkey(k, coords)
-		if !fn(coords, s.cells[k]) {
+		if !fn(coords, s.vals[i*sl:(i+1)*sl:(i+1)*sl]) {
 			return
 		}
 	}
 }
 
 // Cells returns the number of non-empty cells.
-func (s *MapStore) Cells() int { return len(s.cells) }
+func (s *MapStore) Cells() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.keys) + len(s.tailKeys)
+}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -173,5 +176,153 @@ func TestQuickMapStoreKeyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Model test: seeded random interleavings of Put, Merge, Get and ForEach
+// against a reference map that is sorted on every pass. Writes that land
+// in the run, in the tail and on keys not yet stored are all exercised,
+// because ForEach settles the tail at random points in the sequence.
+func TestMapStoreMatchesSortedModel(t *testing.T) {
+	shape := []int{5, 7, 3}
+	id := func(dst []float64) { dst[0], dst[1] = 0, math.Inf(1) }
+	merge := func(dst, src []float64) { dst[0] += src[0]; dst[1] = math.Min(dst[1], src[1]) }
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewMapStore(shape, 2)
+		model := map[uint64][]float64{}
+		coords := make([]int, len(shape))
+		lin := func() uint64 { return uint64((coords[0]*7+coords[1])*3 + coords[2]) }
+		for step := 0; step < 400; step++ {
+			for i, n := range shape {
+				coords[i] = rng.Intn(n)
+			}
+			src := []float64{rng.NormFloat64(), rng.NormFloat64()}
+			switch op := rng.Intn(10); {
+			case op < 3:
+				s.Put(coords, src)
+				model[lin()] = slices.Clone(src)
+			case op < 7:
+				s.Merge(coords, src, id, merge)
+				acc, ok := model[lin()]
+				if !ok {
+					acc = make([]float64, 2)
+					id(acc)
+					model[lin()] = acc
+				}
+				merge(acc, src)
+			case op < 9:
+				dst := make([]float64, 2)
+				ok := s.Get(coords, dst)
+				want, wok := model[lin()]
+				if ok != wok || (ok && !bitsEqual(dst, want)) {
+					t.Fatalf("seed %d step %d: Get%v = %v %v, want %v %v", seed, step, coords, dst, ok, want, wok)
+				}
+			default:
+				checkAgainstModel(t, s, model)
+			}
+			if s.Cells() != len(model) {
+				t.Fatalf("seed %d step %d: Cells = %d, want %d", seed, step, s.Cells(), len(model))
+			}
+		}
+		checkAgainstModel(t, s, model)
+	}
+}
+
+func checkAgainstModel(t *testing.T, s *MapStore, model map[uint64][]float64) {
+	t.Helper()
+	keys := make([]uint64, 0, len(model))
+	for k := range model {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	i := 0
+	s.ForEach(func(coords []int, slots []float64) bool {
+		if i >= len(keys) {
+			t.Fatalf("ForEach visits more than %d cells", len(keys))
+		}
+		if k := s.key(coords); k != keys[i] || !bitsEqual(slots, model[k]) {
+			t.Fatalf("ForEach cell %d = key %d %v, want key %d %v", i, k, slots, keys[i], model[keys[i]])
+		}
+		i++
+		return true
+	})
+	if i != len(keys) {
+		t.Fatalf("ForEach visited %d cells, want %d", i, len(keys))
+	}
+}
+
+func bitsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// An object built with Merge still holds its cells in the tail; the first
+// reads settle it, and they may come from many goroutines at once, as
+// statd's handlers read its boot object. Run under -race.
+func TestMapStoreConcurrentFirstReads(t *testing.T) {
+	build := func() (*StatObject, []int) {
+		o := retail(t)
+		by := map[string]Value{}
+		for _, d := range o.Schema().Dimensions() {
+			by[d.Name] = d.Class.LeafLevel().Values[0]
+		}
+		for _, m := range o.Measures() {
+			if err := o.Observe(by, map[string]float64{m.Name: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		coords, err := o.Coords(by)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o, coords
+	}
+	o, coords := build()
+	if len(o.store.tailKeys) == 0 {
+		t.Fatal("fixture has no unsettled tail")
+	}
+	// The expected answers come from an identical object read alone.
+	twin, _ := build()
+	name := o.Measures()[0].Name
+	want, err := twin.Total(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := twin.Cells()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			switch g % 4 {
+			case 0:
+				n := 0
+				o.store.ForEach(func([]int, []float64) bool { n++; return true })
+				if n != cells {
+					errs <- "ForEach count"
+				}
+			case 1:
+				if !o.store.Get(coords, make([]float64, o.nslots)) {
+					errs <- "Get missed a stored cell"
+				}
+			case 2:
+				if o.Cells() != cells {
+					errs <- "Cells"
+				}
+			case 3:
+				if got, _ := o.Total(name); got != want {
+					errs <- "Total"
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -229,7 +229,7 @@ func NewRetail(nProducts, nStores, nDays, nTx int, seed int64) (*Retail, error) 
 	if err != nil {
 		return nil, err
 	}
-	r.Input = &cube.Input{Card: []int{nProducts, nStores, nDays}}
+	r.Input = &cube.Input{Card: []int{nProducts, nStores, nDays}, Rows: make([][]int, 0, nTx), Vals: make([]float64, 0, nTx)}
 	var zipf *rand.Zipf
 	if nProducts > 1 {
 		zipf = rand.NewZipf(rng, 1.2, 1, uint64(nProducts-1))
@@ -358,7 +358,8 @@ func CubeInputFromObject(obj *core.StatObject) (*cube.Input, error) {
 	if len(dims) == 0 {
 		return nil, fmt.Errorf("workload: object has no dimensions to snapshot")
 	}
-	in := &cube.Input{Card: make([]int, len(dims))}
+	n := obj.Cells()
+	in := &cube.Input{Card: make([]int, len(dims)), Rows: make([][]int, 0, n), Vals: make([]float64, 0, n)}
 	code := make([]map[core.Value]int, len(dims))
 	for i, d := range dims {
 		vals := d.Class.LeafLevel().Values
