@@ -102,14 +102,16 @@ chaos-write:
 		CHAOS_SEED=$$seed $(GO) test -race -count=1 -run 'TestChaos' ./internal/writer/... || exit 1; \
 	done
 
-# Bench regression: the E9/E16 micro-benchmarks and the evaluator's
-# retail benchmark (sanity, 1 iteration), plus the full experiment
-# suite's deterministic counters diffed against BENCH_BASELINE.json.
+# Bench regression: the E9/E16 micro-benchmarks, the evaluator's retail
+# benchmark and the cube layer's bulk-build and publish kernels (sanity,
+# 1 iteration), plus the full experiment suite's deterministic counters
+# diffed against BENCH_BASELINE.json.
 # Fails only on a counter drifting past ±30% (see
 # scripts/benchdiff.go); wall-clock time is gated by `make ledger`.
 bench:
 	$(GO) test -bench='E9|E16' -benchtime=1x -count=3 -run='^$$' .
 	$(GO) test -bench=EvalRetail -benchtime=1x -run='^$$' ./internal/query
+	$(GO) test -bench='BuildSmallestParent|Publish' -benchtime=1x -run='^$$' ./internal/cube
 	$(GO) run ./cmd/cubebench -stats-json > $(BENCH_OUT)
 	bash scripts/serve_smoke.sh bench >> $(BENCH_OUT)
 	$(GO) run ./scripts/benchdiff.go -baseline BENCH_BASELINE.json -current $(BENCH_OUT)

@@ -87,14 +87,40 @@ func groupKey(row []int, dims []int, card []int) uint64 {
 	return k
 }
 
-// unkey decodes a row-major key over shape into coords, the inverse of
-// groupKey over the same extents.
-func unkey(k uint64, shape, coords []int) {
-	for j := len(shape) - 1; j >= 0; j-- {
-		c := uint64(shape[j])
-		coords[j] = int(k % c)
-		k /= c
+// rekey returns the map from a view's keys over the dims in mask to a
+// coarser view's keys over the dims in child (child ⊆ mask): the finer
+// key's digits are peeled off last dim first, and each child dim's digit
+// lands at its place value in the child key.
+func rekey(card []int, mask, child int) func(k uint64) uint64 {
+	var radix, place []uint64 // per dim of mask, last first; place 0 sums it out
+	for d, pv := len(card)-1, uint64(1); d >= 0; d-- {
+		if mask&(1<<uint(d)) == 0 {
+			continue
+		}
+		radix, place = append(radix, uint64(card[d])), append(place, 0)
+		if child&(1<<uint(d)) != 0 {
+			place[len(place)-1], pv = pv, pv*uint64(card[d])
+		}
 	}
+	return func(k uint64) uint64 {
+		var ck uint64
+		for i, c := range radix {
+			ck += k % c * place[i]
+			k /= c
+		}
+		return ck
+	}
+}
+
+// maxKey is groupKey of the largest code of every dim in dims: the
+// largest key the view over dims can hold. Within keysFit it does not
+// wrap, even where the view's key count, ∏ card, is 2^64.
+func maxKey(dims []int, card []int) uint64 {
+	var k uint64
+	for _, d := range dims {
+		k = k*uint64(card[d]) + uint64(card[d]-1)
+	}
+	return k
 }
 
 // keysFit reports whether groupKey's largest key over card, every code at
@@ -271,7 +297,7 @@ func everyMask(int) bool { return true }
 // BuildROLAPNaiveCtx computes every view with an independent hash
 // group-by over the base rows: 2^n full scans. The group-bys are
 // independent, so views fan out one task per mask;
-// each task scans the rows in order into its own accumulator and sorts it
+// each task hashes the rows in order into its own map and groups that
 // into the view's run, making the parallel result trivially byte-identical
 // to the sequential one. Cancellation is checked between views and between
 // row segments inside each scan, and a governor on ctx is charged per
@@ -297,7 +323,7 @@ func BuildROLAPNaiveCtx(ctx context.Context, in *Input, opt Options) (_ *Views, 
 			return err
 		}
 		dims := maskDims(mask, n)
-		a := accum{}
+		a := map[uint64]float64{}
 		tick := budget.NewTicker(ctx, 0)
 		for ri, row := range in.Rows {
 			if err := tick.Tick(); err != nil {
@@ -308,7 +334,11 @@ func BuildROLAPNaiveCtx(ctx context.Context, in *Input, opt Options) (_ *Views, 
 		if err := acct.chargeView(len(a)); err != nil {
 			return err
 		}
-		out.runs[mask] = a.run()
+		keys, sums := make([]uint64, 0, len(a)), make([]float64, 0, len(a))
+		for k, s := range a {
+			keys, sums = append(keys, k), append(sums, s)
+		}
+		out.runs[mask] = group(keys, sums, maxKey(dims, in.Card))
 		return nil
 	})
 	if err != nil {
@@ -335,28 +365,35 @@ func BuildROLAPSmallestParentCtx(ctx context.Context, in *Input, opt Options) (_
 }
 
 // walkRuns computes the wanted views of in (the base cuboid always): the
-// base by a deterministic grouped reduction over the rows, every other
-// view rolled up from its smallest computed ancestor, each sorted into its
-// run once. It is the whole of the smallest-parent ROLAP build and of
-// MaterializeCtx, which differ only in the masks they want.
+// base grouped from the rows, every other view rolled up from its
+// smallest computed ancestor, each by the group kernel. It is the whole
+// of the smallest-parent ROLAP build and of MaterializeCtx, which differ
+// only in the masks they want.
 func walkRuns(ctx context.Context, in *Input, st parallel.Stage, wanted func(mask int) bool) (*Views, error) {
 	n := len(in.Card)
 	out := newViews(in.Card)
 	acct := newAccountant(ctx)
 	defer acct.close()
-	err := walk(ctx, st, n, wanted, out.size, func(mask, parent int) (err error) {
-		var a accum
-		if parent < 0 {
-			if a, err = baseGroupBy(ctx, in, maskDims(mask, n), st); err != nil {
-				return err
-			}
+	err := walk(ctx, st, n, wanted, out.size, func(mask, parent int) error {
+		var r *run
+		if parent >= 0 {
+			r = aggregateFromParent(out, parent, mask)
 		} else {
-			a = aggregateFromParent(out, parent, mask)
+			dims := maskDims(mask, n)
+			keys := make([]uint64, len(in.Rows))
+			tick := budget.NewTicker(ctx, 0)
+			for ri, row := range in.Rows {
+				if err := tick.Tick(); err != nil {
+					return err
+				}
+				keys[ri] = groupKey(row, dims, in.Card)
+			}
+			r = group(keys, in.Vals, maxKey(dims, in.Card))
 		}
-		if err := acct.chargeView(len(a)); err != nil {
+		if err := acct.chargeView(len(r.keys)); err != nil {
 			return err
 		}
-		out.runs[mask] = a.run()
+		out.runs[mask] = r
 		return nil
 	})
 	if err != nil {
@@ -415,56 +452,6 @@ func walk(ctx context.Context, st parallel.Stage, n int, wanted func(mask int) b
 	return nil
 }
 
-// baseGroupBy aggregates the base view from the raw rows. The parallel
-// path routes rows to per-worker partial accumulators by key ownership;
-// each key is summed by exactly one worker in row order, so unioning the
-// disjoint partials reproduces the sequential sums bit for bit. A canceled
-// context aborts the grouped reduction between row segments and surfaces
-// here as budget.ErrCanceled — partials are discarded, never merged.
-func baseGroupBy(ctx context.Context, in *Input, dims []int, st parallel.Stage) (accum, error) {
-	w := parallel.Workers(st.Workers, len(in.Rows))
-	if w > 1 {
-		parts := make([]accum, w)
-		for o := range parts {
-			parts[o] = accum{}
-		}
-		ran, err := st.GroupReduce(len(in.Rows), parallel.HashOwner(w),
-			func(_, i int, out func(uint64)) { out(groupKey(in.Rows[i], dims, in.Card)) },
-			func(o int, key uint64, i, _ int) { parts[o][key] += in.Vals[i] })
-		if err != nil {
-			// A contained worker panic: the partial maps are garbage and a
-			// sequential retry would re-panic uncontained — surface the
-			// typed error instead.
-			return nil, err
-		}
-		if ran {
-			total := 0
-			for _, p := range parts {
-				total += len(p)
-			}
-			m := make(accum, total)
-			for _, p := range parts {
-				for k, v := range p {
-					m[k] = v
-				}
-			}
-			return m, nil
-		}
-		// GroupReduce declined (single worker after all) or aborted on a
-		// canceled context; the ticker below returns the typed error in
-		// the latter case before any sequential work happens.
-	}
-	m := accum{}
-	tick := budget.NewTicker(ctx, 0)
-	for ri, row := range in.Rows {
-		if err := tick.Tick(); err != nil {
-			return nil, err
-		}
-		m[groupKey(row, dims, in.Card)] += in.Vals[ri]
-	}
-	return m, nil
-}
-
 // smallestAncestor picks, among the candidate views, the one mask is
 // derivable from that is cheapest to scan, and reports whether any
 // qualifies. Ties go to the lowest mask, so the choice never depends on
@@ -482,50 +469,16 @@ func smallestAncestor(mask int, candidates []int, size func(mask int) int64) (be
 }
 
 // aggregateFromParent rolls a stored parent view up into the child's
-// group-by, decoding the parent keys and re-keying onto the child's dims.
-// The parent run is walked as stored, in ascending key order, so each
-// child key accumulates its float sum in one fixed order — the determinism
-// the byte-identical parallel/sequential guarantee rests on.
-func aggregateFromParent(v *Views, parent, child int) accum {
-	n := len(v.Card)
-	pd := maskDims(parent, n)
-	cd := maskDims(child, n)
-	// Child dims positions within the parent's dim list.
-	pos := make([]int, len(cd))
-	for i, d := range cd {
-		pos[i] = -1
-		for j, p := range pd {
-			if p == d {
-				pos[i] = j
-				break
-			}
-		}
-		if pos[i] < 0 {
-			panic("cube: child dim missing from parent")
-		}
-	}
+// group-by (see rekey). The parent run is walked as stored, in ascending
+// key order, so each child key accumulates its float sum in one fixed
+// order — the determinism the byte-identical parallel/sequential
+// guarantee rests on.
+func aggregateFromParent(v *Views, parent, child int) *run {
 	p := v.runs[parent]
-	// The child holds at most the parent's entries and at most its own
-	// key space; size the accumulator by the smaller.
-	hint, space := len(p.keys), 1
-	for _, d := range cd {
-		if space *= v.Card[d]; space >= hint {
-			break
-		}
-	}
-	out := make(accum, min(hint, space))
-	pshape := make([]int, len(pd))
-	for j, d := range pd {
-		pshape[j] = v.Card[d]
-	}
-	coords := make([]int, len(pd))
+	childKey := rekey(v.Card, parent, child)
+	keys := make([]uint64, len(p.keys))
 	for i, k := range p.keys {
-		unkey(k, pshape, coords)
-		var ck uint64
-		for j, d := range cd {
-			ck = ck*uint64(v.Card[d]) + uint64(coords[pos[j]])
-		}
-		out[ck] += p.sums[i]
+		keys[i] = childKey(k)
 	}
-	return out
+	return group(keys, p.sums, maxKey(maskDims(child, len(v.Card)), v.Card))
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -14,7 +15,15 @@ func viewsOf(card []int, byMask ...map[uint64]float64) *Views {
 	v := &Views{Card: card, runs: make([]*run, len(byMask))}
 	for mask, m := range byMask {
 		if m != nil {
-			v.runs[mask] = accum(m).run()
+			r := &run{}
+			for k := range m {
+				r.keys = append(r.keys, k)
+			}
+			slices.Sort(r.keys)
+			for _, k := range r.keys {
+				r.sums = append(r.sums, m[k])
+			}
+			v.runs[mask] = r
 		}
 	}
 	return v

@@ -70,7 +70,17 @@ func (m *MaterializedSet) Answer(mask int) (map[uint64]float64, int64, error) {
 	parent, cost, _ := smallestAncestor(mask, m.views.Masks(), m.views.size)
 	m.scanCost.Add(cost)
 	recordAnswer(false, cost)
-	return aggregateFromParent(m.views, parent, mask), cost, nil
+	// Fold the parent's entries, ascending, straight into the caller's map.
+	p, childKey := m.views.runs[parent], rekey(m.views.Card, parent, mask)
+	size := len(p.keys)
+	if mk := maxKey(maskDims(mask, len(m.views.Card)), m.views.Card); mk < uint64(size) {
+		size = int(mk) + 1
+	}
+	out := make(map[uint64]float64, size)
+	for i, k := range p.keys {
+		out[childKey(k)] += p.sums[i]
+	}
+	return out, cost, nil
 }
 
 // ScanCost returns the cumulative rows scanned by Answer calls.
@@ -97,13 +107,13 @@ func (m *MaterializedSet) StorageEntries() int64 {
 // ascending mask order, so a fault schedule replays the same per-view
 // decision sequence on every run. Within a view a row whose key is stored
 // is added to its sum in place, in row order; keys the view does not hold
-// yet accumulate from zero in row order and are merged into the run in one
-// pass — bit for bit the sums `view[key] += val` over the rows gives, at a
-// cost set by the batch and one copy of the view, never a sort of it. On
-// any failure the set is left PARTIALLY updated — some views folded, some
-// not — so the caller must discard it whole; internal/writer stages the
-// fold on a private clone and publishes only complete ones, which is how
-// a partial delta is never reader-visible.
+// yet are grouped (see group), each from zero in row order, and merged
+// into the run in one pass — bit for bit the sums `view[key] += val` over
+// the rows gives, at a cost set by the batch and one copy of the view,
+// never a sort of it. On any failure the set is left PARTIALLY updated —
+// some views folded, some not — so the caller must discard it whole;
+// internal/writer stages the fold on a private clone and publishes only
+// complete ones, which is how a partial delta is never reader-visible.
 func (m *MaterializedSet) AppendRowsCtx(ctx context.Context, rows [][]int, vals []float64) (int64, error) {
 	card := m.views.Card
 	if err := (&Input{Card: card, Rows: rows, Vals: vals}).Validate(); err != nil {
@@ -112,6 +122,8 @@ func (m *MaterializedSet) AppendRowsCtx(ctx context.Context, rows [][]int, vals 
 	inj := fault.From(ctx)
 	gov := budget.From(ctx)
 	var touched int64
+	// Keys a view does not hold yet, in row order; reused view to view.
+	freshKeys, freshVals := make([]uint64, 0, len(rows)), make([]float64, 0, len(rows))
 	for _, mask := range m.MaterializedMasks() {
 		if err := budget.Check(ctx); err != nil {
 			return touched, err
@@ -127,16 +139,16 @@ func (m *MaterializedSet) AppendRowsCtx(ctx context.Context, rows [][]int, vals 
 		}
 		view := m.views.runs[mask]
 		dims := maskDims(mask, len(card))
-		fresh := accum{}
+		freshKeys, freshVals = freshKeys[:0], freshVals[:0]
 		for ri, row := range rows {
 			k := groupKey(row, dims, card)
 			if i, ok := slices.BinarySearch(view.keys, k); ok {
 				view.sums[i] += vals[ri]
 			} else {
-				fresh[k] += vals[ri]
+				freshKeys, freshVals = append(freshKeys, k), append(freshVals, vals[ri])
 			}
 		}
-		view.merge(fresh.run())
+		view.merge(group(freshKeys, freshVals, maxKey(dims, card)))
 		touched += int64(len(rows))
 	}
 	return touched, nil

@@ -82,7 +82,7 @@ func BuildMOLAPCtx(ctx context.Context, in *Input, opt Options) (_ *Views, err e
 		return BuildROLAPSmallestParentCtx(ctx, in, opt)
 	}
 	n := len(in.Card)
-	// arrays[mask] is the dense array of the view's own shape.
+	// arrays[mask] is the dense array of the view's own key space.
 	arrays := make([]*dense, 1<<uint(n))
 	st := opt.stage(ctx, "cube.molap", len(in.Rows))
 	err = walk(ctx, st, n, everyMask,
@@ -125,14 +125,7 @@ func loadDense(ctx context.Context, in *Input, a *dense, st parallel.Stage) erro
 	w := parallel.Workers(st.Workers, len(in.Rows))
 	if w > 1 {
 		ran, err := st.GroupReduce(len(in.Rows), parallel.RangeOwner(w, uint64(len(a.vals))),
-			func(_, i int, out func(uint64)) {
-				pos := 0
-				row := in.Rows[i]
-				for j, d := range a.dims {
-					pos = pos*a.shape[j] + row[d]
-				}
-				out(uint64(pos))
-			},
+			func(_, i int, out func(uint64)) { out(groupKey(in.Rows[i], a.dims, a.card)) },
 			func(_ int, key uint64, i, _ int) {
 				a.vals[key] += in.Vals[i]
 				a.present[key] = true
@@ -165,65 +158,38 @@ type dense struct {
 	mask    int
 	dims    []int // participating dimensions, ascending
 	card    []int // full cardinalities (all dims)
-	shape   []int // extents of the participating dims
 	vals    []float64
 	present []bool
 }
 
 func newDenseView(card []int, mask int) *dense {
 	dims := maskDims(mask, len(card))
-	shape := make([]int, len(dims))
-	size := 1
-	for i, d := range dims {
-		shape[i] = card[d]
-		size *= card[d]
-	}
-	if len(dims) == 0 {
-		size = 1
-	}
+	size := maxKey(dims, card) + 1
 	return &dense{
 		mask: mask, dims: dims, card: append([]int(nil), card...),
-		shape: shape, vals: make([]float64, size), present: make([]bool, size),
+		vals: make([]float64, size), present: make([]bool, size),
 	}
 }
 
 // add folds a full-width coded row into the view.
 func (a *dense) add(row []int, v float64) {
-	pos := 0
-	for i, d := range a.dims {
-		pos = pos*a.shape[i] + row[d]
-	}
+	pos := groupKey(row, a.dims, a.card)
 	a.vals[pos] += v
 	a.present[pos] = true
 }
 
 // rollup aggregates this array down to the child view (child ⊂ a.mask)
 // with index arithmetic: one pass over the parent cells, each mapped to
-// its child position by dropping the summed-out dimensions' contributions.
+// its child position by dropping the summed-out dimensions' digits.
 func (a *dense) rollup(childMask int) *dense {
 	child := newDenseView(a.card, childMask)
-	// Position of each child dim within the parent dim list.
-	pos := make([]int, len(child.dims))
-	for i, d := range child.dims {
-		pos[i] = -1
-		for j, p := range a.dims {
-			if p == d {
-				pos[i] = j
-			}
-		}
-	}
-	coords := make([]int, len(a.dims))
+	childPos := rekey(a.card, a.mask, childMask)
 	for p, present := range a.present {
-		if !present {
-			continue
+		if present {
+			cp := childPos(uint64(p))
+			child.vals[cp] += a.vals[p]
+			child.present[cp] = true
 		}
-		unkey(uint64(p), a.shape, coords)
-		cp := 0
-		for i := range child.dims {
-			cp = cp*child.shape[i] + coords[pos[i]]
-		}
-		child.vals[cp] += a.vals[p]
-		child.present[cp] = true
 	}
 	return child
 }

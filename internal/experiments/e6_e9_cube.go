@@ -258,8 +258,10 @@ func E8ExtendibleArrays() *Report {
 }
 
 // E9MolapVsRolap — Section 6.6 [ZDN97]: array-based (MOLAP) cube
-// computation beats relational (ROLAP) plans; smallest-parent helps ROLAP
-// but does not close the gap on dense cubes.
+// computation against two relational (ROLAP) plans. MOLAP beats the
+// per-group-by hash plan on dense cubes; the sort-based smallest-parent plan, whose
+// grouping kernel sums a small key range in a dense scratch array much as
+// MOLAP does, keeps up with or runs ahead of this simplified in-memory MOLAP.
 func E9MolapVsRolap() *Report {
 	ctx := context.Background()
 	r := &Report{
@@ -297,9 +299,9 @@ func E9MolapVsRolap() *Report {
 		if !naive.Equal(sp) || !naive.Equal(molap) {
 			return r.fail(fmt.Errorf("cube algorithms disagree on %s", cfg.name))
 		}
-		r.addf("%s: ROLAP naive %8v | ROLAP smallest-parent %8v | MOLAP array %8v (%.1fx vs naive)",
-			cfg.name, tNaive, tSP, tMolap, ratio(float64(tNaive), float64(tMolap)))
+		r.addf("%s: ROLAP naive %8v | ROLAP smallest-parent %8v | MOLAP array %8v (%.1fx vs naive, %.1fx vs smallest-parent)",
+			cfg.name, tNaive, tSP, tMolap, ratio(float64(tNaive), float64(tMolap)), ratio(float64(tSP), float64(tMolap)))
 	}
-	r.Shape = "MOLAP wins clearly on dense cubes and its edge shrinks toward (and can cross) parity as the cube gets sparse — the density-dependence behind the Section 6.6 debate"
+	r.Shape = "MOLAP beats the per-group-by hash plan (naive ROLAP) on dense cubes, its edge shrinking toward (and crossing) parity as the cube gets sparse; a sort-based smallest-parent ROLAP build matches or beats this simplified MOLAP at every density — which side of the Section 6.6 debate wins depends on the ROLAP plan as much as on density"
 	return r
 }
