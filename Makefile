@@ -77,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzGovernorReserve$$' -fuzztime=$(FUZZTIME) ./internal/budget
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=$(FUZZTIME) ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeViews$$' -fuzztime=$(FUZZTIME) ./internal/cube
+	$(GO) test -run='^$$' -fuzz='^FuzzReplayLog$$' -fuzztime=$(FUZZTIME) ./internal/cube
 
 # Chaos: the fault-injection suites (injected errors, panics, torn
 # writes, bit-flips) under each fixed seed, race-checked. The suites
@@ -91,11 +92,12 @@ chaos:
 
 # Write-path chaos: the torn-load matrix over the MVCC writer alone —
 # injected errors, short writes, bit-flips and panics at
-# writer.append/writer.delta/writer.publish and the snapshot
-# write/rename points, per seed. The suites assert the publish
-# contract: a failed load is never visible, the previous generation
-# stays authoritative, and bounded retries converge byte-identically
-# to the fault-free state.
+# writer.append/writer.delta/writer.publish, the log append (log.write)
+# and the checkpoint's snapshot write/rename points, per seed. The
+# suites assert the publish contract: a failed load is never visible
+# and leaves no log record, the previous generation stays
+# authoritative, a logged batch is published exactly once, and bounded
+# retries converge byte-identically to the fault-free state.
 chaos-write:
 	@for seed in $(if $(CHAOS_SEED),$(CHAOS_SEED),$(CHAOS_SEEDS)); do \
 		echo "== chaos-write seed $$seed =="; \

@@ -25,6 +25,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -322,7 +323,8 @@ func snapshotCube(ctx context.Context, dir, name string, obj *statcube.StatObjec
 	}
 	v, gen, err := cube.LoadViews(ctx, st, name)
 	if err == nil {
-		fmt.Fprintf(w, "statcli: snapshot: loaded %q generation %d (%d views)\n", name, gen, len(v.Masks()))
+		fmt.Fprintf(w, "statcli: snapshot: loaded %q generation %d (%d views, total %s)\n",
+			name, gen, len(v.Masks()), strconv.FormatFloat(viewTotal(v), 'f', -1, 64))
 		return nil
 	}
 	if !errors.Is(err, snapshot.ErrNotFound) {
@@ -342,6 +344,26 @@ func snapshotCube(ctx context.Context, dir, name string, obj *statcube.StatObjec
 	}
 	fmt.Fprintf(w, "statcli: snapshot: built and saved %q generation %d\n", name, gen)
 	return nil
+}
+
+// viewTotal is a loaded cube's grand total: its coarsest stored view
+// summed in key order, so the figure is the same on every run.
+func viewTotal(v *cube.Views) float64 {
+	masks := v.Masks()
+	if len(masks) == 0 {
+		return 0
+	}
+	view := v.View(masks[0])
+	keys := make([]uint64, 0, len(view))
+	for k := range view {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	var total float64
+	for _, k := range keys {
+		total += view[k]
+	}
+	return total
 }
 
 // cubeInput codes a statistical object's cells into a cube fact table

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -312,6 +313,14 @@ func TestAppendLoad(t *testing.T) {
 	if gen != 2 {
 		t.Fatalf("newest generation = %d, want 2", gen)
 	}
+	// The load published a log record, not a checkpoint: the built cube
+	// is still the one checkpoint, and generation 2 is its log's.
+	if gens, err := st.Generations("employment"); err != nil || len(gens) != 1 || gens[0] != 1 {
+		t.Fatalf("checkpoints = %v (%v), want just the built generation 1", gens, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "employment.00000001.log")); err != nil {
+		t.Fatalf("no log beside the checkpoint: %v", err)
+	}
 	base := 1<<uint(len(dims)) - 1
 	view, _, err := m.Answer(base)
 	if err != nil {
@@ -341,5 +350,43 @@ func TestAppendLoad(t *testing.T) {
 	}
 	if _, gen, err := cube.LoadMaterialized(ctx, st, "employment"); err != nil || gen != 2 {
 		t.Fatalf("store after failed append: gen %d err %v, want 2 and nil", gen, err)
+	}
+}
+
+// TestSnapshotDirSeesAppendedGeneration: -snapshot-dir reads a store
+// through the same loader -append's writer recovers with, so a
+// generation published only to the log is the one it reports, with the
+// appended total.
+func TestSnapshotDirSeesAppendedGeneration(t *testing.T) {
+	obj, err := workload.Demo("employment")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ctx := context.Background()
+	dims := obj.Schema().Dimensions()
+	var row []string
+	for _, d := range dims {
+		row = append(row, d.Class.LeafLevel().Values[0])
+	}
+	csvPath := filepath.Join(t.TempDir(), "facts.csv")
+	if err := os.WriteFile(csvPath, []byte(strings.Join(row, ",")+",250\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := appendLoad(ctx, dir, "employment", obj, csvPath, &out); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := snapshotCube(ctx, dir, "employment", obj, &out); err != nil {
+		t.Fatal(err)
+	}
+	want, err := obj.Total(obj.Measures()[0].Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := fmt.Sprintf("loaded \"employment\" generation 2 (1 views, total %s)", strconv.FormatFloat(want+250, 'f', -1, 64))
+	if !strings.Contains(out.String(), report) {
+		t.Fatalf("-snapshot-dir after -append reported %q, want %q", out.String(), report)
 	}
 }

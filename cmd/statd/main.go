@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"statcube/internal/budget"
+	"statcube/internal/cube"
 	"statcube/internal/parallel"
 	"statcube/internal/qlog"
 	"statcube/internal/serve"
@@ -198,7 +199,7 @@ Exit codes:
 	if wr != nil {
 		srv.SetGeneration(wr.Generation())
 	} else if store != nil {
-		if gen, err := newestGeneration(store, *demo); err == nil {
+		if gen, err := newestGeneration(ctx, store, *demo); err == nil {
 			srv.SetGeneration(gen)
 		}
 	}
@@ -233,7 +234,7 @@ loop:
 		case <-ctx.Done():
 			break loop
 		case <-tick:
-			if gen, err := newestGeneration(store, *demo); err == nil {
+			if gen, err := newestGeneration(ctx, store, *demo); err == nil {
 				srv.SetGeneration(gen) // no-op unless the generation changed
 			}
 		}
@@ -257,18 +258,12 @@ loop:
 	}
 }
 
-// newestGeneration returns the highest published generation for the
-// dataset's snapshot name, 0 when none exist yet.
-func newestGeneration(st *snapshot.Store, name string) (uint64, error) {
-	gens, err := st.Generations(name)
-	if err != nil {
-		return 0, err
-	}
-	var max uint64
-	for _, g := range gens {
-		if g > max {
-			max = g
-		}
-	}
-	return max, nil
+// newestGeneration returns the generation a reader of the dataset's
+// store recovers: its newest good checkpoint plus the logs extending it,
+// through the loader every reader of a store shares — a generation a
+// writer published only to the log counts. Each poll decodes the store;
+// the watch interval bounds what that costs.
+func newestGeneration(ctx context.Context, st *snapshot.Store, name string) (uint64, error) {
+	_, gen, err := cube.LoadViews(ctx, st, name)
+	return gen, err
 }

@@ -182,24 +182,15 @@ func SaveViews(ctx context.Context, st *snapshot.Store, name string, v *Views) (
 	return st.Save(ctx, name, func(w io.Writer) error { return EncodeViews(ctx, w, v) })
 }
 
-// load reads the newest generation of name that decode accepts,
-// recovering past corrupt generations (see Store.Load).
-func load[T any](ctx context.Context, st *snapshot.Store, name string, decode func(context.Context, io.Reader) (*T, error)) (*T, uint64, error) {
-	var out *T
-	gen, err := st.Load(ctx, name, func(r io.Reader) error {
-		var err error
-		out, err = decode(ctx, r)
-		return err
-	})
+// LoadViews reads the newest generation of name from the store: its
+// newest loadable checkpoint with the batches logged after it folded in
+// (see recoverViews).
+func LoadViews(ctx context.Context, st *snapshot.Store, name string) (*Views, uint64, error) {
+	v, chain, err := recoverViews(ctx, st, name, DecodeViews)
 	if err != nil {
 		return nil, 0, err
 	}
-	return out, gen, nil
-}
-
-// LoadViews reads the newest loadable generation of name from the store.
-func LoadViews(ctx context.Context, st *snapshot.Store, name string) (*Views, uint64, error) {
-	return load(ctx, st, name, DecodeViews)
+	return v, chain.Gen, nil
 }
 
 // EncodeMaterialized writes a materialized-view set to w. Only the
@@ -214,6 +205,16 @@ func EncodeMaterialized(ctx context.Context, w io.Writer, m *MaterializedSet) er
 // query was never a valid MaterializedSet, and half-loaded state must
 // not impersonate one.
 func DecodeMaterialized(ctx context.Context, r io.Reader) (*MaterializedSet, error) {
+	v, err := decodeMaterializedViews(ctx, r)
+	if err != nil {
+		return nil, err
+	}
+	return &MaterializedSet{views: v}, nil
+}
+
+// decodeMaterializedViews is DecodeViews refusing a cube without its
+// base cuboid.
+func decodeMaterializedViews(ctx context.Context, r io.Reader) (*Views, error) {
 	v, err := DecodeViews(ctx, r)
 	if err != nil {
 		return nil, err
@@ -221,18 +222,16 @@ func DecodeMaterialized(ctx context.Context, r io.Reader) (*MaterializedSet, err
 	if v.runs[len(v.runs)-1] == nil {
 		return nil, corruptf("materialized set without its base cuboid")
 	}
-	return &MaterializedSet{views: v}, nil
+	return v, nil
 }
 
-// SaveMaterialized writes a materialized set as the next generation of
-// name in the store, atomically.
-func SaveMaterialized(ctx context.Context, st *snapshot.Store, name string, m *MaterializedSet) (uint64, error) {
-	return SaveViews(ctx, st, name, m.views)
-}
-
-// LoadMaterialized reads the newest loadable materialized set of name,
-// recovering past corrupt generations (one without its base cuboid counts
-// as corrupt).
+// LoadMaterialized reads the newest generation of name as a materialized
+// set: its newest loadable checkpoint (one without its base cuboid counts
+// as corrupt) with the batches logged after it folded in.
 func LoadMaterialized(ctx context.Context, st *snapshot.Store, name string) (*MaterializedSet, uint64, error) {
-	return load(ctx, st, name, DecodeMaterialized)
+	m, chain, err := RecoverMaterialized(ctx, st, name)
+	if err != nil {
+		return nil, 0, err
+	}
+	return m, chain.Gen, nil
 }

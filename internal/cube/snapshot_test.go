@@ -81,7 +81,7 @@ func TestMaterializedSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SaveMaterialized(ctx, st, "mv", m); err != nil {
+	if _, err := SaveViews(ctx, st, "mv", m.views); err != nil {
 		t.Fatal(err)
 	}
 	got, gen, err := LoadMaterialized(ctx, st, "mv")

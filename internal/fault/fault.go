@@ -58,6 +58,11 @@ const (
 	PointSnapshotRename = "snapshot.rename"
 	// PointSnapshotRead fires before each decoded snapshot section.
 	PointSnapshotRead = "snapshot.read"
+	// PointLogWrite fires before each append-log record is written (error
+	// mode fails the append, panic mode dies before it) and wraps the log
+	// file's writer (torn writes and bit-flips land in the record). A
+	// fault that fails the append leaves no record behind.
+	PointLogWrite = "log.write"
 	// PointQlogWrite wraps the flight recorder's NDJSON sink append
 	// (error mode fails the append; short/torn writes and bit-flips
 	// corrupt the line — which the log reader must skip and count, never

@@ -1,7 +1,9 @@
 // Package snapshot is the engine's durable storage path: a versioned,
-// checksummed binary container for cube and materialized-view state, and
-// a generation-per-file Store whose writes are crash-atomic and whose
-// reads recover to the last good snapshot.
+// checksummed binary container for cube and materialized-view state, a
+// Store of numbered checkpoint generations whose writes are crash-atomic
+// and whose reads recover to the last good checkpoint, and the append
+// log beside each checkpoint that holds the generations published after
+// it.
 //
 // The paper's closing argument is that the Statistical Object should be
 // a first-class database citizen — and a database survives crashes, torn
@@ -10,7 +12,14 @@
 // assumes cube results persist and are reloaded; both presuppose exactly
 // this layer.
 //
-// On-disk layout (all integers little-endian):
+// On-disk layout, per snapshot name in the store's directory:
+//
+//	<name>.<gen>.snap  checkpoint: the whole state at generation gen,
+//	                   in the container format below
+//	<name>.<gen>.log   the log extending checkpoint gen: one record per
+//	                   generation published after it, oldest first
+//
+// Container format (all integers little-endian):
 //
 //	header   "STCB" | u16 version | u16 flags | u32 CRC32C(previous 8 bytes)
 //	section  u8 kind | u64 payload length | payload | u32 CRC32C(kind+length+payload)
@@ -24,6 +33,26 @@
 // never a panic: the decoder is the boundary where bad bytes from disk
 // become clean errors, so it validates instead of trusting (the
 // recoverboundary statlint analyzer keeps recover() out of here).
+//
+// Log format (little-endian), framed like the container's sections:
+//
+//	header   "STCL" | u16 version | u16 flags | u64 base generation | u32 CRC32C(previous 16 bytes)
+//	record   u8 kind 1 | u64 payload length | payload | u32 CRC32C(kind+length+payload)
+//	payload  u64 generation | body
+//
+// The records of the log extending checkpoint g carry generations g+1,
+// g+2, … in order; the body is the caller's (internal/cube's coded
+// batch). A log has no end marker: it ends after its last whole record,
+// and a record cut short, failing its CRC or out of generation order
+// ends the valid prefix — what follows is a torn or corrupt tail, which
+// recovery stops at and the next append cuts. A checkpoint written at
+// the generation a log reached starts the next log, so recovery loads
+// the newest good checkpoint and walks the logs from it (ReplayLogs);
+// pruning removes a checkpoint together with its log.
+//
+// A store has one writer. Nothing locks it: a second process appending
+// to the same name would interleave records in one log. Readers in any
+// number of processes only read.
 package snapshot
 
 import (
@@ -149,21 +178,39 @@ func (e *Encoder) Close() error {
 // Sections returns how many payload sections have been written.
 func (e *Encoder) Sections() int64 { return e.sections }
 
+// frameHeaderSize and frameTailSize bound one section frame: kind and
+// length before the payload, CRC32C after it. The append log frames its
+// records the same way.
+const (
+	frameHeaderSize = 1 + 8
+	frameTailSize   = 4
+)
+
+// frameHeader is a section's kind | u64 payload length.
+func frameHeader(kind uint8, n int) [frameHeaderSize]byte {
+	var hdr [frameHeaderSize]byte
+	hdr[0] = kind
+	binary.LittleEndian.PutUint64(hdr[1:], uint64(n))
+	return hdr
+}
+
+// frameCRC is the CRC32C a section frame closes with: over its header
+// and payload.
+func frameCRC(hdr, payload []byte) uint32 {
+	return crc32.Update(crc32.Checksum(hdr, castagnoli), castagnoli, payload)
+}
+
 // section emits kind | length | payload | CRC32C.
 func (e *Encoder) section(kind uint8, payload []byte) error {
-	var hdr [9]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint64(hdr[1:], uint64(len(payload)))
-	crc := crc32.Checksum(hdr[:], castagnoli)
-	crc = crc32.Update(crc, castagnoli, payload)
+	hdr := frameHeader(kind, len(payload))
 	if err := e.emit(hdr[:]); err != nil {
 		return err
 	}
 	if err := e.emit(payload); err != nil {
 		return err
 	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
+	var tail [frameTailSize]byte
+	binary.LittleEndian.PutUint32(tail[:], frameCRC(hdr[:], payload))
 	return e.emit(tail[:])
 }
 
@@ -223,7 +270,7 @@ func (d *Decoder) Next() (uint8, []byte, error) {
 	if d.done {
 		return 0, nil, io.EOF
 	}
-	var hdr [9]byte
+	var hdr [frameHeaderSize]byte
 	if err := d.fill(hdr[:], "section header"); err != nil {
 		return 0, nil, err
 	}
@@ -246,13 +293,11 @@ func (d *Decoder) Next() (uint8, []byte, error) {
 			return 0, nil, err
 		}
 	}
-	var tail [4]byte
+	var tail [frameTailSize]byte
 	if err := d.fill(tail[:], "section checksum"); err != nil {
 		return 0, nil, err
 	}
-	crc := crc32.Checksum(hdr[:], castagnoli)
-	crc = crc32.Update(crc, castagnoli, payload)
-	if crc != binary.LittleEndian.Uint32(tail[:]) {
+	if frameCRC(hdr[:], payload) != binary.LittleEndian.Uint32(tail[:]) {
 		return 0, nil, d.corrupt("section checksum mismatch (kind %d, %d bytes)", kind, length)
 	}
 	if kind == EndKind {

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -85,15 +86,17 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// Store keeps named snapshots as numbered generations in one directory
-// (name.00000001.snap, name.00000002.snap, …). Saves are crash-atomic
-// and never overwrite; loads walk generations newest-first and recover
-// past corrupt or truncated ones to the last good snapshot.
+// Store keeps named snapshots as numbered checkpoint generations in one
+// directory (name.00000001.snap, name.00000002.snap, …), each with the
+// log extending it (name.00000001.log, …; see the package doc). Saves
+// are crash-atomic and never overwrite; loads walk checkpoints
+// newest-first and recover past corrupt or truncated ones to the last
+// good one, and ReplayLogs walks the logs from there.
 type Store struct {
 	dir string
-	// Keep is how many generations Save retains per name (older ones are
-	// pruned best-effort). Values < 1 mean the default of 2 — the newest
-	// plus one fallback.
+	// Keep is how many checkpoints Save and SaveAt retain per name, each
+	// with its log (older ones are pruned best-effort). Values < 1 mean
+	// the default of 2 — the newest plus one fallback.
 	Keep int
 
 	// pinMu guards pins: refcounts of (name, generation) pairs a reader
@@ -149,11 +152,16 @@ func (s *Store) Unpin(name string, gen uint64) {
 	}
 }
 
-// pinned reports whether a generation is currently pinned.
-func (s *Store) pinned(name string, gen uint64) bool {
+// pinnedIn reports whether a generation in [lo, hi) is pinned.
+func (s *Store) pinnedIn(name string, lo, hi uint64) bool {
 	s.pinMu.Lock()
 	defer s.pinMu.Unlock()
-	return s.pins[pinKey{name, gen}] > 0
+	for k := range s.pins {
+		if k.name == name && lo <= k.gen && k.gen < hi {
+			return true
+		}
+	}
+	return false
 }
 
 // Dir returns the store's directory.
@@ -168,14 +176,25 @@ func checkName(name string) error {
 	return nil
 }
 
-// genPath builds the file path of one generation.
+// genPath builds the file path of one generation's checkpoint.
 func (s *Store) genPath(name string, gen uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s.%08d.snap", name, gen))
 }
 
-// Generations returns the on-disk generation numbers for name, ascending.
-// Temp files and foreign names are ignored.
+// logPath builds the file path of the log extending checkpoint gen.
+func (s *Store) logPath(name string, gen uint64) string {
+	return filepath.Join(s.dir, fmt.Sprintf("%s.%08d.log", name, gen))
+}
+
+// Generations returns the on-disk checkpoint generation numbers for
+// name, ascending. Temp files, logs and foreign names are ignored.
 func (s *Store) Generations(name string) ([]uint64, error) {
+	return s.list(name, ".snap")
+}
+
+// list returns the generation numbers of name's files with the given
+// suffix, ascending.
+func (s *Store) list(name, suffix string) ([]uint64, error) {
 	if err := checkName(name); err != nil {
 		return nil, err
 	}
@@ -187,10 +206,10 @@ func (s *Store) Generations(name string) ([]uint64, error) {
 	prefix := name + "."
 	for _, e := range entries {
 		fn := e.Name()
-		if e.IsDir() || !strings.HasPrefix(fn, prefix) || !strings.HasSuffix(fn, ".snap") {
+		if e.IsDir() || !strings.HasPrefix(fn, prefix) || !strings.HasSuffix(fn, suffix) {
 			continue
 		}
-		mid := strings.TrimSuffix(strings.TrimPrefix(fn, prefix), ".snap")
+		mid := strings.TrimSuffix(strings.TrimPrefix(fn, prefix), suffix)
 		gen, err := strconv.ParseUint(mid, 10, 64)
 		if err != nil || mid == "" {
 			continue
@@ -214,27 +233,102 @@ func (s *Store) Save(ctx context.Context, name string, write func(io.Writer) err
 	if len(gens) > 0 {
 		next = gens[len(gens)-1] + 1
 	}
-	if err := WriteFileCtx(ctx, s.genPath(name, next), write); err != nil {
+	if err := s.saveAt(ctx, name, next, gens, write); err != nil {
 		return 0, err
+	}
+	return next, nil
+}
+
+// SaveAt writes a checkpoint of name at generation gen, atomically, and
+// prunes as Save does. Unlike Save it does not pick the number: the
+// writer checkpoints a generation it has already published through the
+// log. It returns the checkpoint's size in bytes.
+func (s *Store) SaveAt(ctx context.Context, name string, gen uint64, write func(io.Writer) error) (int64, error) {
+	gens, err := s.Generations(name)
+	if err != nil {
+		return 0, err
+	}
+	if err := s.saveAt(ctx, name, gen, gens, write); err != nil {
+		return 0, err
+	}
+	fi, err := os.Stat(s.genPath(name, gen))
+	if err != nil {
+		return 0, err
+	}
+	return fi.Size(), nil
+}
+
+// saveAt writes checkpoint gen over the existing checkpoints gens
+// (ascending) and prunes. A log already named after gen would extend
+// some earlier history, so it goes first: a new checkpoint starts with
+// no log.
+func (s *Store) saveAt(ctx context.Context, name string, gen uint64, gens []uint64, write func(io.Writer) error) error {
+	if err := os.Remove(s.logPath(name, gen)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	if err := WriteFileCtx(ctx, s.genPath(name, gen), write); err != nil {
+		return err
 	}
 	if obs.On() {
 		savesCounter.Inc()
 	}
+	if i, found := slices.BinarySearch(gens, gen); !found {
+		gens = slices.Insert(gens, i, gen)
+	}
+	s.prune(name, gens)
+	return nil
+}
+
+// prune removes, best-effort, every checkpoint but the newest Keep of
+// gens (ascending) together with the log that extends it. A checkpoint
+// stays whatever Keep says while a reader pins a generation it or its
+// log holds — one from it up to the next checkpoint — so a reader
+// answering from an older generation keeps its files until it unpins
+// (the next unpinned save sweeps them).
+func (s *Store) prune(name string, gens []uint64) {
 	keep := s.Keep
 	if keep < 1 {
 		keep = 2
 	}
-	// Prune best-effort: the new generation plus keep-1 predecessors stay,
-	// and pinned generations stay regardless — a reader answering from an
-	// older generation keeps its snapshot until it unpins (the next
-	// unpinned Save sweeps it).
-	for i := 0; i+keep-1 < len(gens); i++ {
-		if s.pinned(name, gens[i]) {
+	for i := 0; i+keep < len(gens); i++ {
+		if s.pinnedIn(name, gens[i], gens[i+1]) {
 			continue
 		}
 		os.Remove(s.genPath(name, gens[i]))
+		os.Remove(s.logPath(name, gens[i]))
 	}
-	return next, nil
+}
+
+// DiscardAfter removes every checkpoint and log of name numbered past
+// gen. A writer calls it before its first record when recovery stopped
+// short of files on disk (a corrupt checkpoint beyond a torn log): those
+// files extend a history the writer no longer continues, and a later
+// recovery must not splice them into the one it does.
+func (s *Store) DiscardAfter(name string, gen uint64) error {
+	removed := false
+	for _, suffix := range []string{".snap", ".log"} {
+		gens, err := s.list(name, suffix)
+		if err != nil {
+			return err
+		}
+		for _, g := range gens {
+			if g <= gen {
+				continue
+			}
+			path := s.genPath(name, g)
+			if suffix == ".log" {
+				path = s.logPath(name, g)
+			}
+			if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return err
+			}
+			removed = true
+		}
+	}
+	if !removed {
+		return nil
+	}
+	return syncDir(s.dir)
 }
 
 // Load opens generations of name newest-first and hands each to read

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,13 +20,14 @@ import (
 )
 
 // The write path's chaos suite: under seeded fault injection at every
-// writer hook (writer.append, writer.delta, writer.publish) and the
-// snapshot hooks inside the save (snapshot.write, snapshot.rename), a
-// load must end in exactly one of two states — published and
-// byte-identical to its fault-free outcome, or failed with a typed
-// error while the previous generation stays authoritative for readers
-// and on disk. No third state: no partial delta visible, no torn file
-// loadable, no appended row lost.
+// writer hook (writer.append, writer.delta, writer.publish), the log
+// append (log.write) and the snapshot hooks inside a checkpoint
+// (snapshot.write, snapshot.rename), a load must end in exactly one of
+// two states — published and byte-identical to its fault-free outcome,
+// or failed with a typed error while the previous generation stays
+// authoritative for readers and on disk. No third state: no partial
+// delta visible, no torn file loadable, no appended row lost or logged
+// twice.
 //
 // Seeds come from the fixed {1, 7, 42} matrix plus CHAOS_SEED (the CI
 // chaos job runs one per matrix entry); replay any failure with
@@ -49,8 +52,15 @@ var writerPoints = []string{
 	fault.PointWriterAppend,
 	fault.PointWriterDelta,
 	fault.PointWriterPublish,
+	fault.PointLogWrite,
 	fault.PointSnapshotWrite,
 	fault.PointSnapshotRename,
+}
+
+// checkpointPoint reports whether a hook fires only inside a checkpoint,
+// which runs after its load has published.
+func checkpointPoint(point string) bool {
+	return point == fault.PointSnapshotWrite || point == fault.PointSnapshotRename
 }
 
 // batchGen generates one chaos input from a seed: the base facts and the
@@ -109,6 +119,14 @@ func tiedBatches(seed int64) (base *cube.Input, rows [][][]int, vals [][]float64
 	return base, rows, vals
 }
 
+// loggedBatches is chaosBatches cut to 2-row loads: all 8 records
+// together stay below the checkpoint's size, so the whole sequence lives
+// in the log and the reload converges through replay alone.
+func loggedBatches(seed int64) (base *cube.Input, rows [][][]int, vals [][]float64) {
+	base, rows, vals = chaosBatches(seed)
+	return base, small(rows, 2), small(vals, 2)
+}
+
 // faultFreeOutcome runs the whole load sequence with no injector — the
 // base materialized, each batch folded in as a delta — and returns the
 // final set: the state every chaos run must converge to.
@@ -139,6 +157,7 @@ func TestChaosWriterConverges(t *testing.T) {
 	}{
 		{"random", chaosBatches, []int{0b011, 0b101}},
 		{"tied", tiedBatches, []int{0b011, 0b101, 0b001}},
+		{"logged", loggedBatches, []int{0b011, 0b101}},
 	}
 	for _, in := range inputs {
 		masks, batches := in.masks, in.batches
@@ -193,7 +212,12 @@ func TestChaosWriterConverges(t *testing.T) {
 // TestChaosFailedLoadInvisible: a load that exhausts its retries leaves
 // no trace a reader can see — the acquired handle's answers don't
 // change, the published generation doesn't advance, the batch stays
-// buffered, and the store still reloads the previous generation.
+// buffered, and the store still reloads the previous generation. The
+// snapshot.* hooks fire only in the checkpoint a load writes after it
+// has published (this 40-row batch's record outgrows the small cube's
+// checkpoint, so one is due): a failed checkpoint is just as invisible —
+// the load stands, published once and durable in the log, no new
+// checkpoint file appears, and the store reloads the published set.
 func TestChaosFailedLoadInvisible(t *testing.T) {
 	masks := []int{0b110}
 	for _, seed := range chaosSeeds(t) {
@@ -216,16 +240,20 @@ func TestChaosFailedLoadInvisible(t *testing.T) {
 				beforeGen := w.Generation()
 
 				// Error mode fires at Hit-style hooks; the snapshot.write
-				// stream hook corrupts writes instead, so a torn write is
-				// its failure shape.
+				// and log.write stream hooks also corrupt writes, so a
+				// torn write is their failure shape.
 				mode := fault.Error
-				if point == fault.PointSnapshotWrite {
+				if point == fault.PointSnapshotWrite || point == fault.PointLogWrite {
 					mode = fault.ShortWrite
 				}
 				inj := fault.New(fault.Schedule{Seed: seed, Points: []string{point}, Rate: 1, Mode: mode})
 				ctx := fault.WithInjector(context.Background(), inj)
 				if err := w.Append(ctx, rows[0], vals[0]); err != nil {
 					t.Fatal(err)
+				}
+				if checkpointPoint(point) {
+					checkpointFailureInvisible(t, w, st, before, rows[0], vals[0], ctx)
+					return
 				}
 				_, err = w.Flush(ctx)
 				if !errors.Is(err, fault.ErrInjected) {
@@ -264,6 +292,51 @@ func TestChaosFailedLoadInvisible(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// checkpointFailureInvisible is TestChaosFailedLoadInvisible's case for
+// a hook inside the checkpoint: the flush publishes the batch, the
+// failed checkpoint shows only in Status, and the store reloads the
+// published set through the log with no checkpoint added.
+func checkpointFailureInvisible(t *testing.T, w *writer.Writer, st *snapshot.Store, before *cube.ReadHandle, rows [][]int, vals []float64, ctx context.Context) {
+	t.Helper()
+	ckpts, err := st.Generations("facts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := w.Flush(ctx)
+	if err != nil {
+		t.Fatalf("flush = %v: a failed checkpoint must not fail its published load", err)
+	}
+	if gen != before.Generation()+1 || w.Pending() != 0 {
+		t.Fatalf("flush published generation %d with %d pending, want %d and 0", gen, w.Pending(), before.Generation()+1)
+	}
+	if !strings.Contains(w.Status().LastError, "checkpoint") {
+		t.Fatalf("status.LastError = %q, want the checkpoint failure", w.Status().LastError)
+	}
+	after, err := st.Generations("facts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(after) != fmt.Sprint(ckpts) {
+		t.Fatalf("checkpoints %v -> %v after a failed checkpoint", ckpts, after)
+	}
+	staged := before.Set().Clone()
+	if _, err := staged.AppendRowsCtx(context.Background(), rows, vals); err != nil {
+		t.Fatal(err)
+	}
+	h := w.Acquire()
+	defer h.Release()
+	if !h.Set().Identical(staged) {
+		t.Fatal("published set is not the previous one plus the batch")
+	}
+	loaded, lgen, err := cube.LoadMaterialized(context.Background(), st, "facts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lgen != gen || !loaded.Identical(staged) {
+		t.Fatalf("store reloads generation %d (want %d) or a different set after a failed checkpoint", lgen, gen)
 	}
 }
 
@@ -441,5 +514,268 @@ func TestChaosBudgetNotRetried(t *testing.T) {
 	}
 	if st := w.Status(); st.Retries != 0 || st.PendingRows != len(rows[0]) {
 		t.Fatalf("status = %+v: budget refusal must not retry or drop rows", st)
+	}
+}
+
+// logWriter opens a writer for the log cases over a fresh store: the
+// chaos base and masks, no retries.
+func logWriter(t *testing.T) (*writer.Writer, *snapshot.Store, [][][]int, [][]float64) {
+	t.Helper()
+	st, err := snapshot.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, rows, vals := chaosBatches(99)
+	w, err := writer.Open(context.Background(), writer.Config{
+		Store: st, Name: "facts", Base: base, Masks: []int{0b011},
+		MaxRetries: -1, Backoff: time.Nanosecond, Sleep: func(time.Duration) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, st, rows, vals
+}
+
+// publish appends and flushes one batch and returns the published set.
+func publish(t *testing.T, ctx context.Context, w *writer.Writer, rows [][]int, vals []float64) *cube.MaterializedSet {
+	t.Helper()
+	if err := w.Append(ctx, rows, vals); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	h := w.Acquire()
+	defer h.Release()
+	return h.Set()
+}
+
+// small cuts every batch to its first n rows: such a record stays well
+// below the checkpoint's size, so it lands in the log and triggers no
+// checkpoint.
+func small[T any](batches [][]T, n int) [][]T {
+	out := make([][]T, len(batches))
+	for i, b := range batches {
+		out[i] = b[:n]
+	}
+	return out
+}
+
+// requireRecovers reloads the store and requires generation gen holding
+// want.
+func requireRecovers(t *testing.T, st *snapshot.Store, gen uint64, want *cube.MaterializedSet) {
+	t.Helper()
+	got, g, err := cube.LoadMaterialized(context.Background(), st, "facts")
+	if err != nil {
+		t.Fatalf("reload: %v", err)
+	}
+	if g != gen || !got.Identical(want) {
+		t.Fatalf("reload recovered generation %d (want %d), identical to its set: %v", g, gen, got.Identical(want))
+	}
+}
+
+// logTail replays the store's logs from checkpoint 1 and returns the
+// chain and how many records it replayed.
+func logTail(t *testing.T, st *snapshot.Store) (snapshot.Chain, int) {
+	t.Helper()
+	n := 0
+	chain, err := st.ReplayLogs("facts", 1, func(uint64, []byte) error { n++; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chain, n
+}
+
+// TestChaosLogWrite is the log.write matrix: the commit point under a
+// torn record, a flipped bit, a crash between the record's fsync and the
+// publish, and a corrupt newest checkpoint. Each case ends with the
+// store recovering the last generation it can prove, never a panic, and
+// a writer that carries on from there.
+func TestChaosLogWrite(t *testing.T) {
+	clean := context.Background()
+	for _, seed := range chaosSeeds(t) {
+		t.Run(fmt.Sprintf("seed=%d/short-write", seed), func(t *testing.T) {
+			w, st, rows, vals := logWriter(t)
+			sr, sv := small(rows, 5), small(vals, 5)
+			publish(t, clean, w, sr[0], sv[0])
+			// A torn record fails the append and is cut back off: the
+			// generation does not advance and the batch waits.
+			inj := fault.New(fault.Schedule{Seed: seed, Points: []string{fault.PointLogWrite}, Rate: 1, Mode: fault.ShortWrite, MaxInjections: 1})
+			r, v := sr[1], sv[1]
+			if err := w.Append(clean, r, v); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Flush(fault.WithInjector(clean, inj)); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("flush = %v, want the torn write", err)
+			}
+			if w.Generation() != 2 || w.Pending() != len(r) {
+				t.Fatalf("generation %d, %d pending after a torn record; want 2 and %d", w.Generation(), w.Pending(), len(r))
+			}
+			// The retry's record follows the valid prefix.
+			if _, err := w.Flush(clean); err != nil {
+				t.Fatal(err)
+			}
+			s3 := publish(t, clean, w, sr[2], sv[2])
+			requireRecovers(t, st, 4, s3)
+			if chain, n := logTail(t, st); chain.Tail != nil || n != 3 {
+				t.Fatalf("log after a torn append: %d records, tail %v; want 3 and none", n, chain.Tail)
+			}
+
+			// A crash mid-record leaves a torn tail on disk: cut the last
+			// record short by a seed-chosen count of bytes.
+			chain, _ := logTail(t, st)
+			path := filepath.Join(st.Dir(), fmt.Sprintf("facts.%08d.log", chain.Log))
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			publish(t, clean, w, sr[3], sv[3])
+			grown, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			record := grown.Size() - info.Size()
+			if err := os.Truncate(path, grown.Size()-1-int64(seed)%(record-1)); err != nil {
+				t.Fatal(err)
+			}
+			requireRecovers(t, st, 4, s3)
+			// A reopened writer recovers the prefix and cuts the torn tail
+			// before its first record, which then replays after it.
+			w2, err := writer.Open(clean, writer.Config{Store: st, Name: "facts", Card: []int{4, 3, 2}, Masks: []int{0b011}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w2.Generation() != 4 || !strings.Contains(w2.Status().LastError, "corrupt") {
+				t.Fatalf("reopened at generation %d, status %q; want 4 and the torn tail reported", w2.Generation(), w2.Status().LastError)
+			}
+			s5 := publish(t, clean, w2, sr[4], sv[4])
+			requireRecovers(t, st, 5, s5)
+			if chain, n := logTail(t, st); chain.Tail != nil || n != 4 {
+				t.Fatalf("log after reopen: %d records, tail %v; want 4 and none", n, chain.Tail)
+			}
+		})
+
+		t.Run(fmt.Sprintf("seed=%d/bit-flip", seed), func(t *testing.T) {
+			w, st, rows, vals := logWriter(t)
+			sr, sv := small(rows, 5), small(vals, 5)
+			s2 := publish(t, clean, w, sr[0], sv[0])
+			// A flipped bit in the second record passes the append (only
+			// a checksum can tell) and is caught on replay.
+			inj := fault.New(fault.Schedule{Seed: seed, Points: []string{fault.PointLogWrite}, Rate: 1, Mode: fault.BitFlip, MaxInjections: 1})
+			r, v := sr[1], sv[1]
+			publish(t, fault.WithInjector(clean, inj), w, r, v)
+			publish(t, clean, w, sr[2], sv[2])
+			if inj.Injected() != 1 {
+				t.Fatalf("%d bit-flips injected, want 1", inj.Injected())
+			}
+			chain, n := logTail(t, st)
+			if !errors.Is(chain.Tail, snapshot.ErrCorrupt) || n != 1 || chain.Gen != 2 {
+				t.Fatalf("replay: %d records to generation %d, tail %v; want 1, 2 and ErrCorrupt", n, chain.Gen, chain.Tail)
+			}
+			requireRecovers(t, st, 2, s2)
+			// A reopened writer carries on from generation 2: the corrupt
+			// record and the one after it are cut, the new one replays.
+			w2, err := writer.Open(clean, writer.Config{Store: st, Name: "facts", Card: []int{4, 3, 2}, Masks: []int{0b011}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s3 := publish(t, clean, w2, r, v)
+			requireRecovers(t, st, 3, s3)
+			if chain, n := logTail(t, st); chain.Tail != nil || n != 2 {
+				t.Fatalf("log after reopen: %d records, tail %v; want 2 and none", n, chain.Tail)
+			}
+		})
+
+		t.Run(fmt.Sprintf("seed=%d/crash-after-fsync", seed), func(t *testing.T) {
+			w, st, rows, vals := logWriter(t)
+			sr, sv := small(rows, 5), small(vals, 5)
+			s2 := publish(t, clean, w, sr[0], sv[0])
+			inj := fault.New(fault.Schedule{Seed: seed, Points: []string{fault.PointWriterPublish}, Rate: 1, Mode: fault.Panic, MaxInjections: 1})
+			r, v := sr[1], sv[1]
+			if err := w.Append(clean, r, v); err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("publish-window panic did not fire")
+					}
+				}()
+				_, _ = w.Flush(fault.WithInjector(clean, inj))
+			}()
+			// The record was durable before the crash: it replays, once.
+			staged := s2.Clone()
+			if _, err := staged.AppendRowsCtx(clean, r, v); err != nil {
+				t.Fatal(err)
+			}
+			requireRecovers(t, st, 3, staged)
+			if _, n := logTail(t, st); n != 2 {
+				t.Fatalf("log holds %d records after the crash, want 2", n)
+			}
+			w2, err := writer.Open(clean, writer.Config{Store: st, Name: "facts", Card: []int{4, 3, 2}, Masks: []int{0b011}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s4 := publish(t, clean, w2, sr[2], sv[2])
+			requireRecovers(t, st, 4, s4)
+			if _, n := logTail(t, st); n != 3 {
+				t.Fatalf("log holds %d records, want 3", n)
+			}
+		})
+
+		t.Run(fmt.Sprintf("seed=%d/corrupt-newest-checkpoint", seed), func(t *testing.T) {
+			w, st, rows, vals := logWriter(t)
+			sr, sv := small(rows, 5), small(vals, 5)
+			// Two small records into checkpoint 1's log, then a full
+			// batch whose record outgrows the checkpoint and so writes
+			// checkpoint 4, then two small records into its log.
+			publish(t, clean, w, sr[0], sv[0])
+			publish(t, clean, w, sr[1], sv[1])
+			publish(t, clean, w, rows[2], vals[2])
+			publish(t, clean, w, sr[3], sv[3])
+			last := publish(t, clean, w, sr[4], sv[4])
+			if gens, err := st.Generations("facts"); err != nil || fmt.Sprint(gens) != "[1 4]" {
+				t.Fatalf("checkpoints %v (%v), want [1 4]", gens, err)
+			}
+			path := filepath.Join(st.Dir(), fmt.Sprintf("facts.%08d.snap", 4))
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[int(seed)%len(b)] ^= 0x10
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// Checkpoint 1 plus both logs recover the last acknowledged
+			// generation.
+			requireRecovers(t, st, 6, last)
+
+			// A second fault tears checkpoint 1's log inside the record of
+			// generation 4: recovery now stops at generation 3, short of
+			// the corrupt checkpoint and its log. A writer carrying on from
+			// there discards both before its first record, so a later
+			// recovery never splices the old generations 5 and 6 onto the
+			// new generation 4.
+			logPath := filepath.Join(st.Dir(), fmt.Sprintf("facts.%08d.log", 1))
+			info, err := os.Stat(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(logPath, info.Size()-1-int64(seed)); err != nil {
+				t.Fatal(err)
+			}
+			w2, err := writer.Open(clean, writer.Config{Store: st, Name: "facts", Card: []int{4, 3, 2}, Masks: []int{0b011}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w2.Generation() != 3 {
+				t.Fatalf("reopened at generation %d, want 3", w2.Generation())
+			}
+			again := publish(t, clean, w2, sr[5], sv[5])
+			requireRecovers(t, st, 4, again)
+			if gens, err := st.Generations("facts"); err != nil || fmt.Sprint(gens) != "[1]" {
+				t.Fatalf("checkpoints %v (%v) after the diverged recovery, want [1]", gens, err)
+			}
+		})
 	}
 }

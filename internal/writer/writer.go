@@ -1,8 +1,8 @@
 // Package writer is the engine's production write path: batched fact
 // appends folded into a materialized cube by delta maintenance, each
-// completed load published as a crash-atomic snapshot generation that
-// concurrent readers pin for the lifetime of a query — MVCC
-// reader/writer isolation built on internal/snapshot's versioned store.
+// completed load published as the next generation, which concurrent
+// readers pin for the lifetime of a query — MVCC reader/writer isolation
+// built on internal/snapshot's versioned store.
 //
 // The paper's own operational model (§3: static data, periodic bulk
 // loads) made concurrent, with the two §6.5 techniques E8 proved as
@@ -13,24 +13,59 @@
 //     never a rematerialization), staged on a private clone of the
 //     published generation (extendible-array discipline: existing data
 //     is copied, never recomputed);
-//   - every load is crash-atomic: staged build → CRC32C-sectioned
-//     encode → fsync → generation rename (internal/snapshot's
-//     container); a torn or injected-fault load leaves the previous
-//     generation authoritative and is retried with bounded backoff;
+//   - a publish writes the batch, not the dataset: the load's coded
+//     batch is appended to the store's log as one CRC32C-framed record
+//     and fsynced, and only then does the new generation become
+//     reader-visible;
 //   - readers never block: a read handle pins one immutable generation
 //     (in memory by reference, on disk by a store pin that pruning
-//     honors) with one short mutex hold — never across a load's build
-//     or save.
+//     honors) with one short mutex hold — never across a load's fold or
+//     its log append.
 //
-// Fault hook points writer.append, writer.delta and writer.publish
-// (plus the snapshot.* hooks inside the save) let the chaos suite kill
-// a load at every stage and assert byte-identical recovery.
+// The publish protocol, one load at a time:
+//
+//  1. take the buffered batch (writer.append fires);
+//  2. clone the published set and fold the batch in (writer.delta);
+//  3. append the batch's record to the live log and fsync it (log.write)
+//     — the commit point: from here a crash replays the batch on the
+//     next Open;
+//  4. swap the published pointer (writer.publish fires just before), and
+//     acknowledge;
+//  5. once the live log has grown to the newest checkpoint's size, write
+//     the published set as a checkpoint at its own generation
+//     (Store.SaveAt), which starts an empty log. Checkpoints keep
+//     recovery's replay short and the bytes written at most about twice
+//     the logged ones; a failed checkpoint fails no load — the
+//     generation is already durable in the log — and the next load
+//     retries it.
+//
+// A fault before the commit point leaves no record: the log is cut back
+// to its previous length. A fault the process survives between the
+// commit point and the swap withdraws the record the same way, so the
+// batch is never logged twice; a record that cannot be withdrawn is
+// committed and published. Either way a batch is published exactly
+// once, and a failed load returns its batch to the buffer for the
+// bounded retry. Open recovers through cube.RecoverMaterialized — the
+// newest good checkpoint plus its logs, folded in one call — and the
+// first record after it cuts any torn or corrupt log tail.
+//
+// A store has one writer: nothing locks it against a second process,
+// which would interleave records in one log. Readers of the store in
+// other processes (statcli -snapshot-dir, statd -watch) go through the
+// same loader and never write.
+//
+// The fault hook points writer.append, writer.delta, log.write and
+// writer.publish (plus the snapshot.* hooks inside a checkpoint) let
+// the chaos suite kill a load at every stage and assert byte-identical
+// recovery.
 package writer
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,6 +87,9 @@ import (
 //	                      retried or surfaced as a typed error)
 //	writer.publish_ns     wall time per published load (staging → visible)
 //	writer.pending_rows   rows buffered awaiting the next load
+//	writer.checkpoints    checkpoints written after a publish
+//	writer.checkpoint_failures  checkpoints that failed (the next load
+//	                      retries; the log keeps the generation durable)
 var (
 	loadsCounter   = obs.Default().Counter("writer.loads")
 	deltaCells     = obs.Default().Counter("writer.delta_cells")
@@ -59,6 +97,8 @@ var (
 	abortedLoads   = obs.Default().Counter("writer.aborted_loads")
 	publishHist    = obs.Default().Histogram("writer.publish_ns")
 	pendingGauge   = obs.Default().Gauge("writer.pending_rows")
+	ckptCounter    = obs.Default().Counter("writer.checkpoints")
+	ckptFailures   = obs.Default().Counter("writer.checkpoint_failures")
 )
 
 // Config sizes a Writer. Zero fields take the documented defaults.
@@ -133,6 +173,16 @@ type Writer struct {
 	rows   [][]int
 	vals   []float64
 
+	// The append log, nil without a store, and the newest checkpoint's
+	// size, which the log grows to before the next checkpoint. stale is
+	// set by Open: files numbered past the opening generation (a
+	// diverged history, see logBatch) go before the first record. body
+	// is the reused record buffer. All guarded by loadMu.
+	log       *snapshot.Log
+	ckptBytes int64
+	stale     bool
+	body      []byte
+
 	loads   atomic.Int64
 	retries atomic.Int64
 	aborted atomic.Int64
@@ -142,11 +192,12 @@ type Writer struct {
 	lastErr string
 }
 
-// Open builds the writer's initial generation: the newest loadable one
-// from the store (recovering past corrupt or torn generations — the
-// crash-recovery half of the publish protocol), else a fresh
-// materialization of Base (or an empty cube over Card) published as the
-// first generation.
+// Open builds the writer's initial generation: the newest one the store
+// recovers to — its newest good checkpoint plus the logs extending it,
+// the crash-recovery half of the publish protocol — else a fresh
+// materialization of Base (or an empty cube over Card) saved as the
+// first checkpoint. Opening a store that holds a generation writes
+// nothing; a torn log tail is cut by the first record after it.
 func Open(ctx context.Context, cfg Config) (*Writer, error) {
 	if cfg.Store != nil && cfg.Name == "" {
 		return nil, fmt.Errorf("writer: Config.Name is required with a store")
@@ -188,14 +239,22 @@ func Open(ctx context.Context, cfg Config) (*Writer, error) {
 		w.sleep = time.Sleep
 	}
 
+	w.stale = w.store != nil
 	if w.store != nil {
-		set, gen, err := cube.LoadMaterialized(ctx, w.store, w.name)
+		set, chain, err := cube.RecoverMaterialized(ctx, w.store, w.name)
 		if err == nil {
 			if got := set.Card(); len(got) != len(w.card) {
-				return nil, fmt.Errorf("writer: store generation %d has %d dims, config %d", gen, len(got), len(w.card))
+				return nil, fmt.Errorf("writer: store generation %d has %d dims, config %d", chain.Gen, len(got), len(w.card))
 			}
-			w.cur.Store(&generation{gen: gen, set: set})
-			w.store.Pin(w.name, gen)
+			if w.log, err = w.store.OpenLog(w.name, chain.Log, chain.LogBytes); err != nil {
+				return nil, err
+			}
+			w.ckptBytes = chain.CheckpointBytes
+			if chain.Tail != nil {
+				w.setLastErr(chain.Tail) // recovered to the prefix before it
+			}
+			w.cur.Store(&generation{gen: chain.Gen, set: set})
+			w.store.Pin(w.name, chain.Gen)
 			return w, nil
 		}
 		if !errors.Is(err, snapshot.ErrNotFound) {
@@ -210,14 +269,14 @@ func Open(ctx context.Context, cfg Config) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen := uint64(1)
+	g := &generation{gen: 1, set: set}
 	if w.store != nil {
-		if gen, err = cube.SaveMaterialized(ctx, w.store, w.name, set); err != nil {
+		if err := w.checkpoint(ctx, g); err != nil {
 			return nil, err
 		}
-		w.store.Pin(w.name, gen)
+		w.store.Pin(w.name, g.gen)
 	}
-	w.cur.Store(&generation{gen: gen, set: set})
+	w.cur.Store(g)
 	return w, nil
 }
 
@@ -225,6 +284,13 @@ func Open(ctx context.Context, cfg Config) (*Writer, error) {
 // current generation. Outstanding read handles keep their pins.
 func (w *Writer) Close(ctx context.Context) error {
 	_, err := w.Flush(ctx)
+	w.loadMu.Lock()
+	if w.log != nil {
+		if cerr := w.log.Close(); err == nil {
+			err = cerr
+		}
+	}
+	w.loadMu.Unlock()
 	w.pinMu.Lock()
 	defer w.pinMu.Unlock()
 	if w.store != nil {
@@ -259,13 +325,19 @@ func (w *Writer) Acquire() *cube.ReadHandle {
 }
 
 // Append validates and buffers a batch of coded fact rows. The rows are
-// copied — the caller's slices stay the caller's. When the buffer
-// reaches FlushRows the load runs inline (the appender pays for the
-// publish, a natural backpressure); otherwise rows wait for Flush.
+// copied into one code slab the buffered rows share — the caller's
+// slices stay the caller's. When the buffer reaches FlushRows the load
+// runs inline (the appender pays for the publish, a natural
+// backpressure); otherwise rows wait for Flush.
 func (w *Writer) Append(ctx context.Context, rows [][]int, vals []float64) error {
 	in := &cube.Input{Card: w.card, Rows: rows, Vals: vals}
 	if err := in.Validate(); err != nil {
 		return err
+	}
+	dims := len(w.card)
+	slab := make([]int, len(rows)*dims)
+	for i, row := range rows {
+		copy(slab[i*dims:], row)
 	}
 	w.bufMu.Lock()
 	if len(w.rows)+len(rows) > w.maxPending {
@@ -273,8 +345,9 @@ func (w *Writer) Append(ctx context.Context, rows [][]int, vals []float64) error
 		w.bufMu.Unlock()
 		return fmt.Errorf("writer: append buffer full (%d pending + %d new > %d): flush or raise MaxPending", n, len(rows), w.maxPending)
 	}
-	for _, row := range rows {
-		w.rows = append(w.rows, append([]int(nil), row...))
+	w.rows = slices.Grow(w.rows, len(rows))
+	for i := range rows {
+		w.rows = append(w.rows, slab[i*dims:(i+1)*dims:(i+1)*dims])
 	}
 	w.vals = append(w.vals, vals...)
 	pending := len(w.rows)
@@ -298,11 +371,13 @@ func (w *Writer) Pending() int {
 
 // Flush folds every buffered row into the cube as one load and
 // publishes the result as the next generation, retrying failed attempts
-// with bounded exponential backoff. On success it returns the published
-// generation (the current one when the buffer was empty). On final
-// failure the batch returns to the buffer — no appended row is ever
-// silently dropped — and the typed error surfaces. Budget refusals and
-// cancellations are the caller's errors and are not retried.
+// with bounded exponential backoff, then writes a checkpoint if one is
+// due. On success it returns the published generation (the current one
+// when the buffer was empty). On final failure the batch returns to the
+// buffer — no appended row is ever silently dropped, and none of its
+// failed attempts left a record — and the typed error surfaces. Budget
+// refusals and cancellations are the caller's errors and are not
+// retried.
 func (w *Writer) Flush(ctx context.Context) (uint64, error) {
 	w.loadMu.Lock()
 	defer w.loadMu.Unlock()
@@ -324,6 +399,7 @@ func (w *Writer) Flush(ctx context.Context) (uint64, error) {
 		gen, err = w.load(ctx, rows, vals)
 		if err == nil {
 			w.setLastErr(nil)
+			w.checkpointIfDue(ctx)
 			return gen, nil
 		}
 		w.aborted.Add(1)
@@ -362,8 +438,9 @@ func retryable(err error) bool {
 }
 
 // load is one staged load attempt: clone the published set, fold the
-// batch, save durably, publish. Every failure path discards the staging
-// clone whole — the published generation is immutable and untouched.
+// batch, log it durably, publish. Every failure path discards the
+// staging clone whole and leaves no record — the published generation
+// is immutable and untouched.
 func (w *Writer) load(ctx context.Context, rows [][]int, vals []float64) (uint64, error) {
 	//lint:ignore nodeterm feeds the writer.publish_ns histogram and the load flight's wall time; benchdiff diffs neither
 	start := time.Now()
@@ -381,23 +458,22 @@ func (w *Writer) load(ctx context.Context, rows [][]int, vals []float64) (uint64
 			return 0, err
 		}
 		gen := cur.gen + 1
-		if w.store != nil {
-			// The crash-atomic half: CRC32C-sectioned encode to a temp
-			// file, fsync, generation rename, directory fsync. The
-			// snapshot.write/section/rename hooks fire inside; pruning
-			// honors reader pins.
-			if gen, err = cube.SaveMaterialized(ctx, w.store, w.name, staging); err != nil {
+		if w.log != nil {
+			// The commit point: the batch's record, appended and fsynced.
+			// A failed append has cut its partial record back off.
+			if err := w.logBatch(ctx, gen, rows, vals); err != nil {
 				return 0, err
 			}
 		}
-		// The publish window: the new generation is durable but not yet
-		// reader-visible. A fault or crash here leaves readers on the
-		// previous generation; the retried load re-stages from it and
-		// converges to a byte-identical state (the orphaned on-disk
-		// generation is itself complete and checksummed, so recovery
-		// from it is equally correct).
+		// The publish window: the record is durable but the generation
+		// not yet reader-visible. A crash here replays the record on the
+		// next Open. A fault the process survives withdraws the record,
+		// so the retry logs the batch once, as this same generation; a
+		// record that cannot be withdrawn is committed, and published.
 		if err := inj.Hit(fault.PointWriterPublish); err != nil {
-			return 0, err
+			if w.log == nil || w.log.Rewind() == nil {
+				return 0, err
+			}
 		}
 		w.pinMu.Lock()
 		w.cur.Store(&generation{gen: gen, set: staging})
@@ -424,6 +500,67 @@ func (w *Writer) load(ctx context.Context, rows [][]int, vals []float64) (uint64
 		w.onPublish(gen)
 	}
 	return gen, err
+}
+
+// logBatch appends one batch's record to the live log. The first record
+// after Open first discards any checkpoint or log numbered past the
+// opening generation: only a recovery that stopped short of them (a
+// corrupt checkpoint beyond a torn log, or none loadable at all) leaves
+// one, and the history they extend is not the one this record
+// continues.
+func (w *Writer) logBatch(ctx context.Context, gen uint64, rows [][]int, vals []float64) error {
+	if w.stale {
+		if err := w.store.DiscardAfter(w.name, gen-1); err != nil {
+			return err
+		}
+		w.stale = false
+	}
+	w.body = cube.AppendBatch(w.body[:0], rows, vals)
+	return w.log.Append(ctx, gen, w.body)
+}
+
+// checkpointIfDue writes the published generation as a checkpoint once
+// the live log has grown to the newest checkpoint's size. The rule comes
+// from the data: replay never reads more than about one checkpoint's
+// worth of log, and the checkpoints add at most the logged bytes again.
+// A failed checkpoint fails nothing — the generation is durable in the
+// log, which goes on — and Status reports it until the next load, which
+// retries.
+func (w *Writer) checkpointIfDue(ctx context.Context) {
+	if w.log == nil || w.log.Size() < w.ckptBytes {
+		return
+	}
+	if err := w.checkpoint(ctx, w.cur.Load()); err != nil {
+		w.setLastErr(fmt.Errorf("writer: checkpoint: %w", err))
+		if obs.On() {
+			ckptFailures.Inc()
+		}
+		return
+	}
+	if obs.On() {
+		ckptCounter.Inc()
+	}
+}
+
+// checkpoint saves g as the checkpoint at its own generation (pruning
+// older ones with their logs) and starts the empty log extending it.
+func (w *Writer) checkpoint(ctx context.Context, g *generation) error {
+	next, err := w.store.OpenLog(w.name, g.gen, 0)
+	if err != nil {
+		return err
+	}
+	n, err := w.store.SaveAt(ctx, w.name, g.gen, func(wr io.Writer) error {
+		return cube.EncodeMaterialized(ctx, wr, g.set)
+	})
+	if err != nil {
+		return err
+	}
+	if w.log != nil {
+		// Every record in the old log was synced when it was appended.
+		_ = w.log.Close()
+	}
+	w.log, w.ckptBytes = next, n
+	return nil
 }
 
 // recordFlight logs one load (or failed attempt) to the flight

@@ -253,8 +253,10 @@ func TestMVCCHandleIsolation(t *testing.T) {
 		t.Fatalf("fresh handle generation = %d, want 5", fresh.Generation())
 	}
 
-	// Pinned generation 1 must still be on disk; after release and one
-	// more publish it is swept.
+	// Pinned generation 1 must still be on disk; after release it is
+	// swept by the next checkpoint. Each 50-row batch's record outgrows
+	// this small cube's checkpoint, so every load above wrote one, and
+	// the publish below writes the next.
 	gens, err := st.Generations("facts")
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +266,7 @@ func TestMVCCHandleIsolation(t *testing.T) {
 	}
 	old.Release()
 	old.Release() // idempotent
-	rows, vals := batch(rng, 10)
+	rows, vals := batch(rng, 50)
 	if err := w.Append(ctx, rows, vals); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +289,9 @@ func TestMVCCHandleIsolation(t *testing.T) {
 // a later fault-free Flush publishes it.
 func TestFlushFailureKeepsBatch(t *testing.T) {
 	in := testInput(t, 100, 8)
-	w, _ := openTestWriter(t, writer.Config{Base: in, MaxRetries: 2, Backoff: time.Nanosecond})
+	w, store := openTestWriter(t, writer.Config{Base: in, MaxRetries: 2, Backoff: time.Nanosecond})
+	before := w.Acquire()
+	defer before.Release()
 
 	inj := fault.New(fault.Schedule{Seed: 9, Points: []string{fault.PointWriterPublish}, Rate: 1, Mode: fault.Error})
 	ctx := fault.WithInjector(context.Background(), inj)
@@ -314,15 +318,24 @@ func TestFlushFailureKeepsBatch(t *testing.T) {
 		t.Fatal("status.LastError empty after failed load")
 	}
 
-	// Each publish-window fault left a durable-but-unpublished orphan
-	// generation (2, 3, 4 — that's the documented crash shape); the
-	// recovery flush publishes the next store generation after them.
+	// Each publish-window fault withdrew the record its attempt had
+	// logged, so the store holds no trace of the batch: the recovery
+	// flush publishes it as generation 2, and a restart finds it there
+	// exactly once.
+	if loaded, gen, err := cube.LoadMaterialized(context.Background(), store, "facts"); err != nil || gen != 1 || !loaded.Identical(before.Set()) {
+		t.Fatalf("store after failed loads: generation %d, err %v; want generation 1 unchanged", gen, err)
+	}
 	gen, err := w.Flush(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen != 5 || w.Pending() != 0 {
-		t.Fatalf("recovery flush: gen=%d pending=%d, want 5 and 0", gen, w.Pending())
+	if gen != 2 || w.Pending() != 0 {
+		t.Fatalf("recovery flush: gen=%d pending=%d, want 2 and 0", gen, w.Pending())
+	}
+	h := w.Acquire()
+	defer h.Release()
+	if loaded, lgen, err := cube.LoadMaterialized(context.Background(), store, "facts"); err != nil || lgen != 2 || !loaded.Identical(h.Set()) {
+		t.Fatalf("store after recovery flush: generation %d, err %v; want generation 2, the published set", lgen, err)
 	}
 	if w.Status().LastError != "" {
 		t.Fatal("status.LastError not cleared by successful load")
@@ -506,43 +519,79 @@ func TestConcurrentReadersDuringSustainedAppends(t *testing.T) {
 }
 
 // TestSavedGenerationBytesMatchPublished: what a load publishes in
-// memory and what it saved to disk decode to identical sets — the
-// durable generation IS the published one.
+// memory and what the store recovers decode to identical sets — the
+// durable generation IS the published one, whether it was written as a
+// checkpoint or as a record in the log after one.
 func TestSavedGenerationBytesMatchPublished(t *testing.T) {
 	ctx := context.Background()
 	in := testInput(t, 150, 14)
 	w, st := openTestWriter(t, writer.Config{Base: in, Masks: []int{0b110}})
 	rng := rand.New(rand.NewSource(14))
-	rows, vals := batch(rng, 60)
-	if err := w.Append(ctx, rows, vals); err != nil {
-		t.Fatal(err)
+	// 60 rows: the record outgrows this small cube's checkpoint, so the
+	// load also writes checkpoint 2. 5 rows: the record alone holds
+	// generation 3.
+	for i, n := range []int{60, 5} {
+		rows, vals := batch(rng, n)
+		if err := w.Append(ctx, rows, vals); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		loaded, gen, err := cube.LoadMaterialized(ctx, st, "facts")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := uint64(i + 2); gen != want {
+			t.Fatalf("newest stored generation = %d, want %d", gen, want)
+		}
+		if gens, err := st.Generations("facts"); err != nil || gens[len(gens)-1] != 2 {
+			t.Fatalf("checkpoints = %v (%v), want the newest at 2", gens, err)
+		}
+		h := w.Acquire()
+		if !h.Set().Identical(loaded) {
+			t.Fatal("stored generation decodes differently from the published set")
+		}
+		// And the encodings themselves are byte-identical: the encoder
+		// sorts, so equal sets mean equal files.
+		var a, b bytes.Buffer
+		if err := cube.EncodeMaterialized(ctx, &a, h.Set()); err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+		if err := cube.EncodeMaterialized(ctx, &b, loaded); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatal("published and stored sets encode to different bytes")
+		}
 	}
-	if _, err := w.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	loaded, gen, err := cube.LoadMaterialized(ctx, st, "facts")
+}
+
+// TestAppendCopiesIntoOneSlab: Append copies a batch's codes into one
+// slab the buffered rows share, not one slice per row.
+func TestAppendCopiesIntoOneSlab(t *testing.T) {
+	ctx := context.Background()
+	w, err := writer.Open(ctx, writer.Config{Card: []int{4, 3, 2}, MaxPending: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen != 2 {
-		t.Fatalf("newest stored generation = %d, want 2", gen)
+	rows, vals := batch(rand.New(rand.NewSource(15)), 500)
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := w.Append(ctx, rows, vals); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The slab, plus the buffer's amortized growth (rows and values).
+	if allocs > 4 {
+		t.Fatalf("Append of %d rows made %v allocations, want the slab and the buffer's growth", len(rows), allocs)
 	}
-	h := w.Acquire()
-	defer h.Release()
-	if !h.Set().Identical(loaded) {
-		t.Fatal("stored generation decodes differently from the published set")
-	}
-	// And the encodings themselves are byte-identical: the encoder sorts,
-	// so equal sets mean equal files.
-	var a, b bytes.Buffer
-	if err := cube.EncodeMaterialized(ctx, &a, h.Set()); err != nil {
+	gen, err := w.Flush(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cube.EncodeMaterialized(ctx, &b, loaded); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("published and stored sets encode to different bytes")
+	if gen != 2 || w.Pending() != 0 {
+		t.Fatalf("flush = generation %d, %d pending", gen, w.Pending())
 	}
 }
 
