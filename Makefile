@@ -108,7 +108,8 @@ chaos-write:
 # benchmark and the cube layer's bulk-build and publish kernels (sanity,
 # 1 iteration), plus the full experiment suite's deterministic counters
 # diffed against BENCH_BASELINE.json.
-# Fails only on a counter drifting past ±30% (see
+# Fails only on a counter that differs from the baseline (exact;
+# parallel.* counters follow GOMAXPROCS and are skipped — see
 # scripts/benchdiff.go); wall-clock time is gated by `make ledger`.
 bench:
 	$(GO) test -bench='E9|E16' -benchtime=1x -count=3 -run='^$$' .

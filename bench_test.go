@@ -294,9 +294,10 @@ func BenchmarkE9CubeMOLAP(b *testing.B) {
 	}
 }
 
-// Parallel counterparts of the E9 builds: same inputs, Workers: 4. The
-// sequential benches above serve as the baseline for the speedup ratio
-// tracked in EXPERIMENTS.md (meaningful only on multi-core hosts).
+// Parallel counterparts of the E9 builds: same inputs, Workers: 4, so
+// the views of each lattice level fan out across workers (a build's base
+// load stays one sequential pass). Compare them with the sequential
+// benches above; the ratio means something only on multi-core hosts.
 
 func BenchmarkE9CubeROLAPNaiveParallel(b *testing.B) {
 	in := benchRetailInput(b)

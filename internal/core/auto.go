@@ -60,15 +60,13 @@ func (o *StatObject) AutoAggregateCtx(ctx context.Context, q AutoQuery, sp *obs.
 	sort.Strings(mentioned) // deterministic evaluation order
 	// step runs one storage operator under a child span, charging the
 	// cells its store scan visited and the groups the derived object holds.
-	// The child span is handed to the operator so its fan-out stage can
-	// attach the parallel-vs-sequential breakdown beneath it.
-	step := func(name string, in *StatObject, op func(child *obs.Span) (*StatObject, error)) (*StatObject, error) {
+	step := func(name string, in *StatObject, op func() (*StatObject, error)) (*StatObject, error) {
 		if err := budget.Check(ctx); err != nil {
 			return nil, err
 		}
 		child := sp.Child(name)
 		child.AddInt("cells_scanned", int64(in.Cells()))
-		out, err := op(child)
+		out, err := op()
 		if err != nil {
 			child.SetErr(err)
 		} else {
@@ -95,20 +93,20 @@ func (o *StatObject) AutoAggregateCtx(ctx context.Context, q AutoQuery, sp *obs.
 			return nil, fmt.Errorf("core: empty condition for dimension %q", dim)
 		}
 		if li == 0 {
-			cur, err = step("scan:s-select:"+dim, cur, func(*obs.Span) (*StatObject, error) {
+			cur, err = step("scan:s-select:"+dim, cur, func() (*StatObject, error) {
 				return cur.SSelect(dim, pick.Values...)
 			})
 		} else {
 			// Keep the subtrees under the picked values, then roll up to
 			// the picked level; whole subtrees preserve completeness.
-			cur, err = step("scan:s-select-level:"+dim, cur, func(*obs.Span) (*StatObject, error) {
+			cur, err = step("scan:s-select-level:"+dim, cur, func() (*StatObject, error) {
 				return cur.SSelectLevel(dim, level, pick.Values...)
 			})
 			if err != nil {
 				return nil, err
 			}
-			cur, err = step("scan:s-aggregate:"+dim, cur, func(child *obs.Span) (*StatObject, error) {
-				return cur.SAggregateCtx(ctx, child, dim, level)
+			cur, err = step("scan:s-aggregate:"+dim, cur, func() (*StatObject, error) {
+				return cur.SAggregateCtx(ctx, dim, level)
 			})
 		}
 		if err != nil {
@@ -130,7 +128,7 @@ func (o *StatObject) AutoAggregateCtx(ctx context.Context, q AutoQuery, sp *obs.
 		child.SetStr("dims", strings.Join(drop, ","))
 		child.AddInt("cells_scanned", int64(cur.Cells()))
 		var err error
-		cur, err = cur.SProjectCtx(ctx, child, drop...)
+		cur, err = cur.SProjectCtx(ctx, drop...)
 		if err != nil {
 			child.SetErr(err)
 			child.End()

@@ -35,12 +35,12 @@ func TestOpsPreCanceled(t *testing.T) {
 	o := wideObject(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if res, err := o.SProjectCtx(ctx, nil, "dim1"); err == nil || res != nil {
+	if res, err := o.SProjectCtx(ctx, "dim1"); err == nil || res != nil {
 		t.Errorf("SProjectCtx: res=%v err=%v", res, err)
 	} else if !budget.IsCanceled(err) {
 		t.Errorf("SProjectCtx: %v is not ErrCanceled", err)
 	}
-	if res, err := o.SAggregateCtx(ctx, nil, "region", "state"); err == nil || res != nil {
+	if res, err := o.SAggregateCtx(ctx, "region", "state"); err == nil || res != nil {
 		t.Errorf("SAggregateCtx: res=%v err=%v", res, err)
 	} else if !budget.IsCanceled(err) {
 		t.Errorf("SAggregateCtx: %v is not ErrCanceled", err)
@@ -52,37 +52,33 @@ func TestOpsPreCanceled(t *testing.T) {
 	}
 }
 
-// TestOpsMidFlightCancel drives the operators through a countdown context
-// on both the sequential and the forced-parallel path: every abort must be
-// typed, with no partial object, and completion must match the un-canceled
-// result bit for bit.
+// TestOpsMidFlightCancel drives S-project through a countdown context:
+// every abort must be typed, with no partial object, and completion must
+// match the un-canceled result bit for bit.
 func TestOpsMidFlightCancel(t *testing.T) {
 	o := wideObject(t)
 	want, err := o.SProject("dim1", "dim2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		forceParallel(t, workers)
-		sawCancel := false
-		for polls := 0; polls < 12; polls++ {
-			ctx := newCountdownCtx(polls)
-			res, err := o.SProjectCtx(ctx, nil, "dim1", "dim2")
-			if err != nil {
-				sawCancel = true
-				if !budget.IsCanceled(err) {
-					t.Fatalf("w=%d polls=%d: %v is not ErrCanceled", workers, polls, err)
-				}
-				if res != nil {
-					t.Fatalf("w=%d polls=%d: partial object escaped", workers, polls)
-				}
-				continue
+	sawCancel := false
+	for polls := 0; polls < 12; polls++ {
+		ctx := newCountdownCtx(polls)
+		res, err := o.SProjectCtx(ctx, "dim1", "dim2")
+		if err != nil {
+			sawCancel = true
+			if !budget.IsCanceled(err) {
+				t.Fatalf("polls=%d: %v is not ErrCanceled", polls, err)
 			}
-			cellsIdentical(t, want, res)
+			if res != nil {
+				t.Fatalf("polls=%d: partial object escaped", polls)
+			}
+			continue
 		}
-		if !sawCancel {
-			t.Errorf("w=%d: countdown never fired; test lost its bite", workers)
-		}
+		cellsIdentical(t, want, res)
+	}
+	if !sawCancel {
+		t.Error("countdown never fired; test lost its bite")
 	}
 }
 
@@ -91,14 +87,14 @@ func TestOpsCellQuota(t *testing.T) {
 	o := wideObject(t)
 	gov := budget.NewGovernor(budget.Limits{MaxCells: 3})
 	ctx := budget.WithGovernor(context.Background(), gov)
-	_, err := o.SProjectCtx(ctx, nil, "dim1", "dim2")
+	_, err := o.SProjectCtx(ctx, "dim1", "dim2")
 	if !errors.Is(err, budget.ErrBudgetExceeded) {
 		t.Errorf("cell quota not enforced: %v", err)
 	}
 	// A quota with headroom admits the same call.
 	gov2 := budget.NewGovernor(budget.Limits{MaxCells: 1 << 20})
 	ctx2 := budget.WithGovernor(context.Background(), gov2)
-	res, err := o.SProjectCtx(ctx2, nil, "dim1", "dim2")
+	res, err := o.SProjectCtx(ctx2, "dim1", "dim2")
 	if err != nil {
 		t.Fatalf("admitting quota rejected the fold: %v", err)
 	}

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"math"
 
+	"statcube/internal/budget"
 	"statcube/internal/hierarchy"
-	"statcube/internal/obs"
 	"statcube/internal/schema"
 )
 
@@ -163,15 +163,15 @@ func (o *StatObject) Dice(ranges map[string][]Value) (*StatObject, error) {
 // OLAP's "slice" in its summarize-over-a-dimension reading (Section 4.4).
 // Summarizability of each measure along each removed dimension is checked.
 func (o *StatObject) SProject(removeDims ...string) (*StatObject, error) {
-	return o.SProjectCtx(context.Background(), nil, removeDims...)
+	return o.SProjectCtx(context.Background(), removeDims...)
 }
 
-// SProjectCtx is SProject with a context and optional tracing span — the
-// cancellable, budget-governed entry point. The store scan checks ctx
-// between cell segments, so canceling mid-scan returns budget.ErrCanceled
-// promptly with no partial result; a governor on ctx has the output cells
-// charged against its quota.
-func (o *StatObject) SProjectCtx(ctx context.Context, sp *obs.Span, removeDims ...string) (*StatObject, error) {
+// SProjectCtx is SProject with a context — the cancellable,
+// budget-governed entry point. The store scan checks ctx between cell
+// segments, so canceling mid-scan returns budget.ErrCanceled promptly
+// with no partial result; a governor on ctx has the output cells charged
+// against its quota.
+func (o *StatObject) SProjectCtx(ctx context.Context, removeDims ...string) (*StatObject, error) {
 	if len(removeDims) == 0 {
 		return o, nil
 	}
@@ -205,20 +205,44 @@ func (o *StatObject) SProjectCtx(ctx context.Context, sp *obs.Span, removeDims .
 		return nil, err
 	}
 	out := o.derive(nsch, "s-project")
-	err = o.groupFold(ctx, sp, "s-project", out, func() func([]int, func([]int)) {
-		nc := make([]int, len(keepIdx))
-		return func(coords []int, emit func([]int)) {
-			for j, i := range keepIdx {
-				nc[j] = coords[i]
-			}
-			emit(nc)
+	nc := make([]int, len(keepIdx))
+	err = o.groupFold(ctx, out, func(coords []int, emit func([]int)) {
+		for j, i := range keepIdx {
+			nc[j] = coords[i]
 		}
+		emit(nc)
 	})
 	if err != nil {
 		return nil, err
 	}
 	recordOp(o.Cells(), out.Cells())
 	return out, nil
+}
+
+// groupFold folds every cell of o into out, in the store's ForEach order:
+// fanout maps a cell's coordinates to zero or more destination
+// coordinates, and each destination accumulates the cell's slots with the
+// measures' merge functions. A canceled ctx aborts between cell segments
+// with budget.ErrCanceled, and the caller returns no object; the governor
+// on ctx is charged for the output cells — the row/group quota of the
+// resource budget.
+func (o *StatObject) groupFold(ctx context.Context, out *StatObject, fanout func(coords []int, emit func(dst []int))) error {
+	tick := budget.NewTicker(ctx, 0)
+	var src []float64
+	emit := func(dst []int) { out.mergeSlots(dst, src) }
+	var err error
+	o.store.ForEach(func(coords []int, slots []float64) bool {
+		if err = tick.Tick(); err != nil {
+			return false
+		}
+		src = slots
+		fanout(coords, emit)
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	return budget.From(ctx).AddCells(int64(out.Cells()))
 }
 
 // mergeSlots folds a full slot vector into the cell at coords.
@@ -237,14 +261,14 @@ func (o *StatObject) mergeSlots(coords []int, slots []float64) {
 // the traversed classification edges must be strict and complete, and each
 // measure must be additive along the dimension.
 func (o *StatObject) SAggregate(dim, toLevel string) (*StatObject, error) {
-	return o.sAggregate(context.Background(), nil, dim, toLevel, true)
+	return o.sAggregate(context.Background(), dim, toLevel, true)
 }
 
-// SAggregateCtx is SAggregate with a context and optional tracing span —
-// the cancellable, budget-governed entry point (see SProjectCtx for the
-// cancellation and quota semantics).
-func (o *StatObject) SAggregateCtx(ctx context.Context, sp *obs.Span, dim, toLevel string) (*StatObject, error) {
-	return o.sAggregate(ctx, sp, dim, toLevel, true)
+// SAggregateCtx is SAggregate with a context — the cancellable,
+// budget-governed entry point (see SProjectCtx for the cancellation and
+// quota semantics).
+func (o *StatObject) SAggregateCtx(ctx context.Context, dim, toLevel string) (*StatObject, error) {
+	return o.sAggregate(ctx, dim, toLevel, true)
 }
 
 // SAggregateUnchecked performs the same roll-up without summarizability
@@ -253,10 +277,10 @@ func (o *StatObject) SAggregateCtx(ctx context.Context, sp *obs.Span, dim, toLev
 // caller takes responsibility (e.g. after verifying the query semantics
 // really want overlapping groups).
 func (o *StatObject) SAggregateUnchecked(dim, toLevel string) (*StatObject, error) {
-	return o.sAggregate(context.Background(), nil, dim, toLevel, false)
+	return o.sAggregate(context.Background(), dim, toLevel, false)
 }
 
-func (o *StatObject) sAggregate(ctx context.Context, sp *obs.Span, dim, toLevel string, check bool) (*StatObject, error) {
+func (o *StatObject) sAggregate(ctx context.Context, dim, toLevel string, check bool) (*StatObject, error) {
 	d, err := o.sch.Dimension(dim)
 	if err != nil {
 		return nil, err
@@ -306,14 +330,12 @@ func (o *StatObject) sAggregate(ctx context.Context, sp *obs.Span, dim, toLevel 
 			up[ord] = append(up[ord], aOrd)
 		}
 	}
-	err = o.groupFold(ctx, sp, "s-aggregate", out, func() func([]int, func([]int)) {
-		nc := make([]int, len(o.sch.Dimensions()))
-		return func(coords []int, emit func([]int)) {
-			copy(nc, coords)
-			for _, aOrd := range up[coords[di]] {
-				nc[di] = aOrd
-				emit(nc)
-			}
+	nc := make([]int, len(o.sch.Dimensions()))
+	err = o.groupFold(ctx, out, func(coords []int, emit func([]int)) {
+		copy(nc, coords)
+		for _, aOrd := range up[coords[di]] {
+			nc[di] = aOrd
+			emit(nc)
 		}
 	})
 	if err != nil {

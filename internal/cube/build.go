@@ -193,7 +193,7 @@ var parMinRows = parallel.MinWork
 
 // stage resolves build options into a fan-out stage: below the row
 // threshold the stage is pinned to one worker, which makes every
-// ForEach/GroupReduce on it run inline. The build context rides on the
+// ForEach on it run inline. The build context rides on the
 // stage, so every level fan-out and row scan checks it between tasks.
 func (o Options) stage(ctx context.Context, name string, rows int) parallel.Stage {
 	st := parallel.Stage{Name: name, Workers: o.Workers, Span: o.Span, Ctx: ctx}

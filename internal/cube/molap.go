@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"statcube/internal/budget"
-	"statcube/internal/parallel"
 	"statcube/internal/qlog"
 )
 
@@ -90,7 +89,7 @@ func BuildMOLAPCtx(ctx context.Context, in *Input, opt Options) (_ *Views, err e
 		func(mask, parent int) error {
 			if parent < 0 {
 				arrays[mask] = newDenseView(in.Card, mask)
-				return loadDense(ctx, in, arrays[mask], st)
+				return loadDense(ctx, in, arrays[mask])
 			}
 			arrays[mask] = arrays[parent].rollup(mask)
 			return nil
@@ -116,32 +115,10 @@ func BuildMOLAPCtx(ctx context.Context, in *Input, opt Options) (_ *Views, err e
 	return out, nil
 }
 
-// loadDense folds the rows into the base array. The parallel path owns the
-// array by contiguous index range, so each cell is written by exactly one
-// reducer, in row order — no locks, and bit-identical sums. Cancellation
-// aborts between row segments; the partially-loaded array is discarded by
-// the caller.
-func loadDense(ctx context.Context, in *Input, a *dense, st parallel.Stage) error {
-	w := parallel.Workers(st.Workers, len(in.Rows))
-	if w > 1 {
-		ran, err := st.GroupReduce(len(in.Rows), parallel.RangeOwner(w, uint64(len(a.vals))),
-			func(_, i int, out func(uint64)) { out(groupKey(in.Rows[i], a.dims, a.card)) },
-			func(_ int, key uint64, i, _ int) {
-				a.vals[key] += in.Vals[i]
-				a.present[key] = true
-			})
-		if err != nil {
-			// Contained worker panic — the array holds partial sums and the
-			// sequential retry would re-panic; surface the typed error.
-			return err
-		}
-		if ran {
-			return nil
-		}
-		// Aborted mid-reduction on a canceled context: the array holds
-		// partial sums, so the sequential retry below must not run — the
-		// ticker's first poll returns the typed error instead.
-	}
+// loadDense folds the rows into the base array in row order.
+// Cancellation aborts between row segments; the partially-loaded array is
+// discarded by the caller.
+func loadDense(ctx context.Context, in *Input, a *dense) error {
 	tick := budget.NewTicker(ctx, 0)
 	for ri, row := range in.Rows {
 		if err := tick.Tick(); err != nil {

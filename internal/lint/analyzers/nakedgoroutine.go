@@ -26,7 +26,7 @@ func newNakedgoroutine() *lint.Analyzer {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {
 					pass.Reportf(g.Pos(),
-						"naked goroutine: spawn through internal/parallel (Stage.ForEach / GroupReduce) so errors, cancellation and worker accounting stay engine-wide")
+						"naked goroutine: spawn through internal/parallel (Stage.ForEach) so errors, cancellation and worker accounting stay engine-wide")
 				}
 				return true
 			})

@@ -9,7 +9,7 @@ import (
 
 // newNodeterm keeps the deterministic counter paths deterministic. The
 // bench-regression gate diffs engine counters against a committed
-// baseline with a tight tolerance, and the experiment suite's claim
+// baseline exactly, and the experiment suite's claim
 // checks assume identical numbers across runs; both collapse if an
 // internal/ package derives work from wall-clock time or an unseeded
 // random stream. Two sources are flagged inside internal/ (internal/obs

@@ -92,42 +92,3 @@ func TestMapCanceledDiscards(t *testing.T) {
 		t.Errorf("partial results escaped: %v", out)
 	}
 }
-
-// TestGroupReduceCanceled: a canceled stage context makes GroupReduce
-// decline (return false) so the caller falls back to its sequential loop,
-// which fails fast on its own context check — partial parallel reductions
-// are never merged.
-func TestGroupReduceCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ok, err := Stage{Name: "test", Workers: 4, Ctx: ctx}.GroupReduce(
-		10000,
-		HashOwner(4),
-		func(chunk, item int, out func(uint64)) { out(uint64(item % 7)) },
-		func(owner int, key uint64, item, sub int) {},
-	)
-	if ok {
-		t.Error("GroupReduce reported completion under a canceled context")
-	}
-	if err != nil {
-		t.Errorf("cancellation is a decline, not an error: %v", err)
-	}
-}
-
-// TestGroupReduceLiveContext: with a live context the parallel reduction
-// runs to completion and visits every item exactly once.
-func TestGroupReduceLiveContext(t *testing.T) {
-	var visited atomic.Int64
-	ok, err := Stage{Name: "test", Workers: 4, Ctx: context.Background()}.GroupReduce(
-		5000,
-		HashOwner(4),
-		func(chunk, item int, out func(uint64)) { out(uint64(item % 7)) },
-		func(owner int, key uint64, item, sub int) { visited.Add(1) },
-	)
-	if !ok || err != nil {
-		t.Fatalf("parallel path declined with 4 workers: %v", err)
-	}
-	if n := visited.Load(); n != 5000 {
-		t.Errorf("reduce visited %d items, want 5000", n)
-	}
-}

@@ -68,42 +68,6 @@ func TestForEachFirstPanicWins(t *testing.T) {
 	}
 }
 
-// TestGroupReducePanicEmit: a panic in the route phase aborts the
-// reduction with a typed error and no goroutine leak.
-func TestGroupReducePanicEmit(t *testing.T) {
-	st := Stage{Name: "test", Workers: 4}
-	ran, err := st.GroupReduce(10000, HashOwner(4),
-		func(_, i int, out func(uint64)) {
-			if i == 5000 {
-				panic("emit boom")
-			}
-			out(uint64(i % 7))
-		},
-		func(o int, key uint64, i, _ int) {})
-	if ran {
-		t.Fatal("GroupReduce reported completion after a panic")
-	}
-	if !errors.Is(err, ErrWorkerPanic) {
-		t.Fatalf("err = %v, want ErrWorkerPanic", err)
-	}
-}
-
-// TestGroupReducePanicReduce: a panic in the reduce phase surfaces the
-// same way.
-func TestGroupReducePanicReduce(t *testing.T) {
-	st := Stage{Name: "test", Workers: 4}
-	ran, err := st.GroupReduce(10000, HashOwner(4),
-		func(_, i int, out func(uint64)) { out(uint64(i % 7)) },
-		func(o int, key uint64, i, _ int) {
-			if i == 7777 {
-				panic("reduce boom")
-			}
-		})
-	if ran || !errors.Is(err, ErrWorkerPanic) {
-		t.Fatalf("ran=%v err=%v, want contained panic", ran, err)
-	}
-}
-
 // TestPanicCounter: contained panics are charged to parallel.panics.
 func TestPanicCounter(t *testing.T) {
 	obs.SetEnabled(true)

@@ -1,18 +1,19 @@
 // Package parallel is the engine-wide fan-out layer: a GOMAXPROCS-aware
 // bounded worker pool with deterministic merge order and error propagation
-// that cancels queued work. The cube builders, the colstore/relstore scans
-// and the core group-by operators all run their hot loops through this
-// package, so every parallel stage in the engine shares one contract:
+// that cancels queued work. The cube builders' per-level lattice walk and
+// the colstore/relstore segmented scans run their independent tasks
+// through this package, so every parallel stage in the engine shares one
+// contract:
 //
 //   - the parallel path produces byte-identical output to the sequential
-//     path (see GroupReduce for how order-sensitive reductions keep this);
+//     path: tasks write disjoint outputs, merged in task order;
 //   - inputs smaller than MinWork stay sequential — fan-out overhead must
 //     never regress small queries;
-//   - every stage is observable through internal/obs (stage counters, a
-//     pool queue-depth gauge, a worker-count gauge) and, when a span is
-//     attached, renders as a parallel:/sequential: child in
-//     EXPLAIN ANALYZE output — the per-stage breakdown lives in the span
-//     tree, keeping the metric namespace literal and bounded;
+//   - every stage is observable through internal/obs (stage and task
+//     counters) and, when a span is attached, renders as a
+//     parallel:/sequential: child in EXPLAIN ANALYZE output — the
+//     per-stage breakdown lives in the span tree, keeping the metric
+//     namespace literal and bounded;
 //   - every stage honors context cancellation and deadlines: a stage with
 //     a Ctx attached checks it between tasks (sequential and parallel
 //     paths alike), so cancellation latency is bounded by one task, the
@@ -62,19 +63,16 @@ type Stage struct {
 	Name    string
 	Workers int
 	Span    *obs.Span
-	//lint:ignore ctxfirst Stage is an options bundle consumed before ForEach/GroupReduce return; the context never outlives the call it configures
+	//lint:ignore ctxfirst Stage is an options bundle consumed before ForEach returns; the context never outlives the call it configures
 	Ctx context.Context
 }
 
-// Stage metrics: how many stages ran parallel vs sequential, total tasks
-// executed, the pool's remaining-task depth (sampled on each claim), and
-// the worker count of the most recent stage.
+// Stage metrics: how many stages ran parallel vs sequential, and total
+// tasks executed.
 var (
-	stagesPar    = obs.Default().Counter("parallel.stages_parallel")
-	stagesSeq    = obs.Default().Counter("parallel.stages_sequential")
-	tasksRun     = obs.Default().Counter("parallel.tasks")
-	queueDepth   = obs.Default().Gauge("parallel.queue_depth")
-	workersGauge = obs.Default().Gauge("parallel.workers")
+	stagesPar = obs.Default().Counter("parallel.stages_parallel")
+	stagesSeq = obs.Default().Counter("parallel.stages_sequential")
+	tasksRun  = obs.Default().Counter("parallel.tasks")
 )
 
 func (s Stage) name() string {
@@ -84,12 +82,9 @@ func (s Stage) name() string {
 	return s.Name
 }
 
-// Begin records one stage execution — counters, the per-stage worker-count
-// gauge, and a span child — and returns the child span; callers End it
-// when the stage completes. ForEach and GroupReduce call this themselves;
-// it is exported for call sites that run their own loop shape but still
-// want the stage to show up in metrics and EXPLAIN output.
-func (s Stage) Begin(par bool, tasks, workers int) *obs.Span {
+// begin records one stage execution — counters and a span child — and
+// returns the child span; ForEach ends it when the stage completes.
+func (s Stage) begin(par bool, tasks, workers int) *obs.Span {
 	if obs.On() {
 		if par {
 			stagesPar.Inc()
@@ -97,7 +92,6 @@ func (s Stage) Begin(par bool, tasks, workers int) *obs.Span {
 			stagesSeq.Inc()
 		}
 		tasksRun.Add(int64(tasks))
-		workersGauge.Set(float64(workers))
 	}
 	mode := "sequential:"
 	if par {
@@ -145,7 +139,7 @@ func (s Stage) ForEach(n int, fn func(task int) error) error {
 	}
 	w := Workers(s.Workers, n)
 	if w <= 1 {
-		sp := s.Begin(false, n, 1)
+		sp := s.begin(false, n, 1)
 		defer sp.End()
 		for i := 0; i < n; i++ {
 			if err := budget.Check(s.Ctx); err != nil {
@@ -159,7 +153,7 @@ func (s Stage) ForEach(n int, fn func(task int) error) error {
 		}
 		return nil
 	}
-	sp := s.Begin(true, n, w)
+	sp := s.begin(true, n, w)
 	defer sp.End()
 	var (
 		next     atomic.Int64
@@ -177,7 +171,6 @@ func (s Stage) ForEach(n int, fn func(task int) error) error {
 		mu.Unlock()
 		stop.Store(true)
 	}
-	enabled := obs.On()
 	for k := 0; k < w; k++ {
 		wg.Add(1)
 		go func() {
@@ -191,9 +184,6 @@ func (s Stage) ForEach(n int, fn func(task int) error) error {
 					record(i, err)
 					return
 				}
-				if enabled {
-					queueDepth.Set(float64(n - 1 - i))
-				}
 				if err := run(i); err != nil {
 					record(i, err)
 				}
@@ -201,9 +191,6 @@ func (s Stage) ForEach(n int, fn func(task int) error) error {
 		}()
 	}
 	wg.Wait()
-	if enabled {
-		queueDepth.Set(0)
-	}
 	if firstErr != nil {
 		sp.SetErr(firstErr)
 	}

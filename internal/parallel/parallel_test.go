@@ -3,8 +3,6 @@ package parallel
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -103,135 +101,6 @@ func TestMapReturnsIndexOrder(t *testing.T) {
 		return 0, fmt.Errorf("fail %d", i)
 	}); err == nil {
 		t.Fatal("Map swallowed the error")
-	}
-}
-
-func TestOwners(t *testing.T) {
-	for _, w := range []int{1, 3, 8} {
-		h := HashOwner(w)
-		r := RangeOwner(w, 1000)
-		for k := uint64(0); k < 2000; k++ {
-			if o := h(k); o < 0 || o >= w {
-				t.Fatalf("HashOwner(%d)(%d) = %d out of [0,%d)", w, k, o, w)
-			}
-			if o := r(k); o < 0 || o >= w {
-				t.Fatalf("RangeOwner(%d)(%d) = %d out of [0,%d)", w, k, o, w)
-			}
-		}
-		// RangeOwner must be monotone so owners hold contiguous key ranges.
-		prev := 0
-		for k := uint64(0); k < 1000; k++ {
-			if o := r(k); o < prev {
-				t.Fatalf("RangeOwner not monotone at key %d", k)
-			} else {
-				prev = o
-			}
-		}
-	}
-	if o := RangeOwner(4, 0)(0); o < 0 || o >= 4 {
-		t.Fatalf("RangeOwner with size 0 returned %d", o)
-	}
-}
-
-// seqGroupSum is the sequential reference: left-to-right accumulation per
-// key, the order whose floating-point result the parallel path must match
-// bit for bit.
-func seqGroupSum(keys []uint64, vals []float64, nkeys int) []float64 {
-	out := make([]float64, nkeys)
-	for i, k := range keys {
-		out[k] += vals[i]
-	}
-	return out
-}
-
-// TestGroupReduceByteIdentical drives the two-phase shuffle with GOMAXPROCS
-// forced to 1, 2 and 8 and checks the grouped float sums are byte-identical
-// to the sequential loop — the determinism guarantee every parallel stage
-// in the engine relies on.
-func TestGroupReduceByteIdentical(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	const n, nkeys = 50000, 97
-	rng := rand.New(rand.NewSource(42))
-	keys := make([]uint64, n)
-	vals := make([]float64, n)
-	for i := range keys {
-		keys[i] = uint64(rng.Intn(nkeys))
-		// Values spanning many magnitudes make float addition order visible.
-		vals[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
-	}
-	want := seqGroupSum(keys, vals, nkeys)
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		for _, workers := range []int{0, 2, 3, 8} {
-			st := Stage{Name: "test", Workers: workers}
-			w := Workers(workers, n)
-			parts := make([][]float64, w)
-			for o := range parts {
-				parts[o] = make([]float64, nkeys)
-			}
-			ran, err := st.GroupReduce(n, HashOwner(w),
-				func(_, i int, out func(uint64)) { out(keys[i]) },
-				func(o int, key uint64, i, _ int) { parts[o][key] += vals[i] })
-			if err != nil {
-				t.Fatalf("procs=%d workers=%d: %v", procs, workers, err)
-			}
-			got := make([]float64, nkeys)
-			if !ran {
-				if w > 1 {
-					t.Fatalf("procs=%d workers=%d: parallel path refused", procs, workers)
-				}
-				got = seqGroupSum(keys, vals, nkeys)
-			} else {
-				owner := HashOwner(w)
-				for k := 0; k < nkeys; k++ {
-					got[k] = parts[owner(uint64(k))][k]
-				}
-			}
-			for k := range want {
-				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-					t.Fatalf("procs=%d workers=%d: key %d = %x, want %x (not byte-identical)",
-						procs, workers, k, math.Float64bits(got[k]), math.Float64bits(want[k]))
-				}
-			}
-		}
-	}
-}
-
-// TestGroupReduceReplayOrder checks the ordering contract directly: within
-// one key, reduce sees (item, sub) pairs in ascending global order.
-func TestGroupReduceReplayOrder(t *testing.T) {
-	const n = 10000
-	st := Stage{Name: "test", Workers: 8}
-	w := Workers(8, n)
-	type ev struct{ item, sub int }
-	seen := make([]map[uint64][]ev, w)
-	for o := range seen {
-		seen[o] = map[uint64][]ev{}
-	}
-	ran, err := st.GroupReduce(n, HashOwner(w),
-		func(_, i int, out func(uint64)) {
-			// Two emissions per item, to distinct keys, exercising sub.
-			out(uint64(i % 13))
-			out(uint64(i % 7))
-		},
-		func(o int, key uint64, item, sub int) {
-			seen[o][key] = append(seen[o][key], ev{item, sub})
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Skip("single worker resolved; nothing to verify")
-	}
-	for o := range seen {
-		for key, evs := range seen[o] {
-			for i := 1; i < len(evs); i++ {
-				a, b := evs[i-1], evs[i]
-				if a.item > b.item || (a.item == b.item && a.sub >= b.sub) {
-					t.Fatalf("owner %d key %d: out-of-order replay %v then %v", o, key, a, b)
-				}
-			}
-		}
 	}
 }
 

@@ -224,7 +224,7 @@ func evaluate(ctx context.Context, o *core.StatObject, auto core.AutoQuery, wher
 		if len(vals) == 1 {
 			res, err = res.Slice(dim, vals[0])
 		} else {
-			res, err = res.SProjectCtx(ctx, cs, dim)
+			res, err = res.SProjectCtx(ctx, dim)
 		}
 		if err != nil {
 			cs.SetErr(err)
