@@ -78,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=$(FUZZTIME) ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeViews$$' -fuzztime=$(FUZZTIME) ./internal/cube
 	$(GO) test -run='^$$' -fuzz='^FuzzReplayLog$$' -fuzztime=$(FUZZTIME) ./internal/cube
+	$(GO) test -run='^$$' -fuzz='^FuzzAppendBody$$' -fuzztime=$(FUZZTIME) ./internal/serve
 
 # Chaos: the fault-injection suites (injected errors, panics, torn
 # writes, bit-flips) under each fixed seed, race-checked. The suites

@@ -61,10 +61,10 @@ func (in *Input) Validate() error {
 }
 
 // Views holds every computed view: per mask, the view's linearized group
-// keys and their aggregated sums, stored as one sorted run (see run).
+// keys and their aggregated sums, read as one sorted run (see view).
 type Views struct {
-	Card []int
-	runs []*run // indexed by mask; nil where the view is not stored
+	Card   []int
+	stored []*view // indexed by mask; nil where the view is not stored
 }
 
 // maskDims lists the dimensions participating in a mask.
@@ -145,15 +145,20 @@ func keysFit(card []int) bool {
 // View returns one stored view as a fresh map from group key to sum (nil
 // if the mask is out of range or not stored).
 func (v *Views) View(mask int) map[uint64]float64 {
-	if mask < 0 || mask >= len(v.runs) || v.runs[mask] == nil {
+	if mask < 0 || mask >= len(v.stored) || v.stored[mask] == nil {
 		return nil
 	}
-	r := v.runs[mask]
-	m := make(map[uint64]float64, len(r.keys))
-	for i, k := range r.keys {
-		m[k] = r.sums[i]
+	r := v.stored[mask]
+	m := make(map[uint64]float64, r.size)
+	for c := r.cursor(); ; {
+		keys, sums := c.next()
+		if len(keys) == 0 {
+			return m
+		}
+		for i, k := range keys {
+			m[k] = sums[i]
+		}
 	}
-	return m
 }
 
 // Equal compares two cubes within a small tolerance.
@@ -162,11 +167,11 @@ func (v *Views) Equal(o *Views) bool { return v.equal(o, within) }
 // equal reports whether both cubes store the same masks with the same keys
 // and sums that same accepts.
 func (v *Views) equal(o *Views, same func(a, b float64) bool) bool {
-	if len(v.runs) != len(o.runs) {
+	if len(v.stored) != len(o.stored) {
 		return false
 	}
-	for mask, a := range v.runs {
-		b := o.runs[mask]
+	for mask, a := range v.stored {
+		b := o.stored[mask]
 		if (a == nil) != (b == nil) || a != nil && !a.equal(b, same) {
 			return false
 		}
@@ -268,7 +273,7 @@ func (v *Views) Identical(o *Views) bool { return v.equal(o, sameBits) }
 // Masks lists the stored view masks, ascending.
 func (v *Views) Masks() []int {
 	var out []int
-	for mask, r := range v.runs {
+	for mask, r := range v.stored {
 		if r != nil {
 			out = append(out, mask)
 		}
@@ -279,8 +284,8 @@ func (v *Views) Masks() []int {
 // size is the entry count of a stored view (0 if not stored) — the linear
 // scan cost of answering from it.
 func (v *Views) size(mask int) int64 {
-	if r := v.runs[mask]; r != nil {
-		return int64(len(r.keys))
+	if r := v.stored[mask]; r != nil {
+		return int64(r.size)
 	}
 	return 0
 }
@@ -288,7 +293,7 @@ func (v *Views) size(mask int) int64 {
 // newViews allocates the container for a cube of the given cardinalities
 // with no view stored yet.
 func newViews(card []int) *Views {
-	return &Views{Card: append([]int(nil), card...), runs: make([]*run, 1<<uint(len(card)))}
+	return &Views{Card: append([]int(nil), card...), stored: make([]*view, 1<<uint(len(card)))}
 }
 
 // everyMask is the wanted-predicate of a full cube build.
@@ -315,7 +320,7 @@ func BuildROLAPNaiveCtx(ctx context.Context, in *Input, opt Options) (_ *Views, 
 	acct := newAccountant(ctx)
 	defer acct.close()
 	inj := fault.From(ctx)
-	err = st.ForEach(len(out.runs), func(mask int) error {
+	err = st.ForEach(len(out.stored), func(mask int) error {
 		// Each view scan is a cube.view fault hook: chaos tests fail or
 		// panic a single view's computation and assert the whole build
 		// unwinds cleanly.
@@ -338,7 +343,7 @@ func BuildROLAPNaiveCtx(ctx context.Context, in *Input, opt Options) (_ *Views, 
 		for k, s := range a {
 			keys, sums = append(keys, k), append(sums, s)
 		}
-		out.runs[mask] = group(keys, sums, maxKey(dims, in.Card))
+		out.stored[mask] = packedView(group(keys, sums, maxKey(dims, in.Card)))
 		return nil
 	})
 	if err != nil {
@@ -393,7 +398,7 @@ func walkRuns(ctx context.Context, in *Input, st parallel.Stage, wanted func(mas
 		if err := acct.chargeView(len(r.keys)); err != nil {
 			return err
 		}
-		out.runs[mask] = r
+		out.stored[mask] = packedView(r)
 		return nil
 	})
 	if err != nil {
@@ -468,13 +473,14 @@ func smallestAncestor(mask int, candidates []int, size func(mask int) int64) (be
 	return best, bestSize, ok
 }
 
-// aggregateFromParent rolls a stored parent view up into the child's
-// group-by (see rekey). The parent run is walked as stored, in ascending
-// key order, so each child key accumulates its float sum in one fixed
-// order — the determinism the byte-identical parallel/sequential
-// guarantee rests on.
+// aggregateFromParent rolls a parent view a build computed up into the
+// child's group-by (see rekey). A view a build computes is packed, with
+// no delta, so the parent run is walked as stored, in ascending key
+// order, and each child key accumulates its float sum in one fixed order
+// — the determinism the byte-identical parallel/sequential guarantee
+// rests on.
 func aggregateFromParent(v *Views, parent, child int) *run {
-	p := v.runs[parent]
+	p := v.stored[parent].packed
 	childKey := rekey(v.Card, parent, child)
 	keys := make([]uint64, len(p.keys))
 	for i, k := range p.keys {

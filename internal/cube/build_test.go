@@ -12,7 +12,7 @@ import (
 // viewsOf builds a Views by hand: one map per mask, nil for a view that
 // is not stored.
 func viewsOf(card []int, byMask ...map[uint64]float64) *Views {
-	v := &Views{Card: card, runs: make([]*run, len(byMask))}
+	v := &Views{Card: card, stored: make([]*view, len(byMask))}
 	for mask, m := range byMask {
 		if m != nil {
 			r := &run{}
@@ -23,7 +23,7 @@ func viewsOf(card []int, byMask ...map[uint64]float64) *Views {
 			for _, k := range r.keys {
 				r.sums = append(r.sums, m[k])
 			}
-			v.runs[mask] = r
+			v.stored[mask] = packedView(r)
 		}
 	}
 	return v

@@ -75,7 +75,7 @@ func (w viewsLen) Len() int {
 	if w.v == nil {
 		return 0
 	}
-	return len(w.v.runs)
+	return len(w.v.stored)
 }
 
 type matLen struct{ m *MaterializedSet }

@@ -107,7 +107,7 @@ func TestGroupMatchesMapFold(t *testing.T) {
 			if len(got.keys) != len(got.sums) {
 				t.Fatalf("seed %d, %s: %d keys, %d sums", seed, c.name, len(got.keys), len(got.sums))
 			}
-			if !got.equal(want, sameBits) {
+			if !packedView(got).equal(packedView(want), sameBits) {
 				t.Fatalf("seed %d, %s: %d keys differ from the map fold's %d, or a sum's bits do",
 					seed, c.name, len(got.keys), len(want.keys))
 			}
@@ -162,7 +162,7 @@ func TestKeySpace2To64(t *testing.T) {
 	if !naive.Identical(sp) {
 		t.Fatal("naive and smallest-parent builds differ")
 	}
-	base := sp.View(len(sp.runs) - 1)
+	base := sp.View(len(sp.stored) - 1)
 	if got := base[math.MaxUint64]; got != -2.25+0.75 {
 		t.Errorf("base[2^64-1] = %v, want %v", got, -2.25+0.75)
 	}
@@ -187,7 +187,7 @@ func TestKeySpace2To64(t *testing.T) {
 		t.Fatal("materialize + append differs from materializing every row")
 	}
 	for _, mask := range whole.MaterializedMasks() {
-		if !whole.views.runs[mask].equal(sp.runs[mask], sameBits) {
+		if !whole.views.stored[mask].equal(sp.stored[mask], sameBits) {
 			t.Errorf("view %04b: materialized run differs from the smallest-parent build's", mask)
 		}
 	}

@@ -30,9 +30,12 @@ func NewReadHandle(set *MaterializedSet, gen uint64, release func()) *ReadHandle
 func (h *ReadHandle) Generation() uint64 { return h.gen }
 
 // Set returns the pinned materialized set, shared by every handle on the
-// generation. Its stored views are not reachable through it — Answer hands
-// out a fresh map per call — so the only way to change it is AppendRowsCtx,
-// which is for a Clone, never for a published set.
+// generation. Its stored runs are immutable and shared with the
+// generations around it — Answer hands out a fresh map per call — and
+// the only call that changes a set, AppendRowsCtx, swaps in new runs
+// for a set no reader holds (a Clone), never a published one: the next
+// generation is a Clone of this one with a batch folded in, and this
+// one stays as it is.
 func (h *ReadHandle) Set() *MaterializedSet { return h.set }
 
 // Answer answers a group-by against the pinned generation (see

@@ -59,7 +59,7 @@ func MaterializeCtx(ctx context.Context, in *Input, masks []int) (_ *Materialize
 // when the view itself is materialized — a stored view answers without
 // aggregating).
 func (m *MaterializedSet) Answer(mask int) (map[uint64]float64, int64, error) {
-	if mask < 0 || mask >= len(m.views.runs) {
+	if mask < 0 || mask >= len(m.views.stored) {
 		return nil, 0, fmt.Errorf("cube: view mask %d out of range", mask)
 	}
 	if view := m.views.View(mask); view != nil {
@@ -71,16 +71,21 @@ func (m *MaterializedSet) Answer(mask int) (map[uint64]float64, int64, error) {
 	m.scanCost.Add(cost)
 	recordAnswer(false, cost)
 	// Fold the parent's entries, ascending, straight into the caller's map.
-	p, childKey := m.views.runs[parent], rekey(m.views.Card, parent, mask)
-	size := len(p.keys)
+	childKey := rekey(m.views.Card, parent, mask)
+	size := int(cost)
 	if mk := maxKey(maskDims(mask, len(m.views.Card)), m.views.Card); mk < uint64(size) {
 		size = int(mk) + 1
 	}
 	out := make(map[uint64]float64, size)
-	for i, k := range p.keys {
-		out[childKey(k)] += p.sums[i]
+	for c := m.views.stored[parent].cursor(); ; {
+		keys, sums := c.next()
+		if len(keys) == 0 {
+			return out, cost, nil
+		}
+		for i, k := range keys {
+			out[childKey(k)] += sums[i]
+		}
 	}
-	return out, cost, nil
 }
 
 // ScanCost returns the cumulative rows scanned by Answer calls.
@@ -92,7 +97,7 @@ func (m *MaterializedSet) MaterializedMasks() []int { return m.views.Masks() }
 // StorageEntries returns the total stored entries beyond the base cuboid —
 // the "space" of the space/time trade-off.
 func (m *MaterializedSet) StorageEntries() int64 {
-	return m.Entries() - m.views.size(len(m.views.runs)-1)
+	return m.Entries() - m.views.size(len(m.views.stored)-1)
 }
 
 // AppendRowsCtx folds a batch of new facts into the base cuboid AND every
@@ -102,79 +107,83 @@ func (m *MaterializedSet) StorageEntries() int64 {
 // scratch. It returns the number of view entries touched (the update
 // cost a full rematerialization is compared against).
 //
-// Cancellation and budget are checked between views, and the context's fault injector fires at
-// the writer.delta hook before each view's fold. Views are folded in
-// ascending mask order, so a fault schedule replays the same per-view
-// decision sequence on every run. Within a view a row whose key is stored
-// is added to its sum in place, in row order; keys the view does not hold
-// yet are grouped (see group), each from zero in row order, and merged
-// into the run in one pass — bit for bit the sums `view[key] += val` over
-// the rows gives, at a cost set by the batch and one copy of the view,
-// never a sort of it. On any failure the set is left PARTIALLY updated —
-// some views folded, some not — so the caller must discard it whole;
-// internal/writer stages the fold on a private clone and publishes only
-// complete ones, which is how a partial delta is never reader-visible.
+// m takes new views and its old runs are never written: per view, one
+// radix sort of the batch's keys and one forward merge build a new delta
+// run, and the packed run is shared (see view.fold). So the write path
+// stages each load on a Clone of the published generation, and readers
+// of the original never see the batch. All or nothing: every view's new
+// runs are built before m takes any, so on any failure m is exactly as
+// it was.
+//
+// Cancellation and budget are checked between views, and the context's
+// fault injector fires at the writer.delta hook before each view's fold.
+// Views are folded in ascending mask order, so a fault schedule replays
+// the same per-view decision sequence on every run.
 func (m *MaterializedSet) AppendRowsCtx(ctx context.Context, rows [][]int, vals []float64) (int64, error) {
-	card := m.views.Card
-	if err := (&Input{Card: card, Rows: rows, Vals: vals}).Validate(); err != nil {
+	stored, touched, err := m.views.fold(ctx, rows, vals)
+	if err != nil {
 		return 0, err
+	}
+	m.views.stored = stored
+	return touched, nil
+}
+
+// fold computes the stored views folding the batch into v gives, sharing
+// what it does not change; v is untouched.
+func (v *Views) fold(ctx context.Context, rows [][]int, vals []float64) ([]*view, int64, error) {
+	card := v.Card
+	if err := (&Input{Card: card, Rows: rows, Vals: vals}).Validate(); err != nil {
+		return nil, 0, err
 	}
 	inj := fault.From(ctx)
 	gov := budget.From(ctx)
+	stored := slices.Clone(v.stored)
 	var touched int64
-	// Keys a view does not hold yet, in row order; reused view to view.
-	freshKeys, freshVals := make([]uint64, 0, len(rows)), make([]float64, 0, len(rows))
-	for _, mask := range m.MaterializedMasks() {
+	// The batch's entries for one view and the sort's other buffer;
+	// reused view to view.
+	batch, scratch := make([]entry, len(rows)), make([]entry, len(rows))
+	for mask, view := range v.stored {
+		if view == nil {
+			continue
+		}
 		if err := budget.Check(ctx); err != nil {
-			return touched, err
+			return nil, 0, err
 		}
 		// Delta maintenance produces cells like any build: charge the
 		// governor one cell per folded row per view, so a quota bounds
 		// write amplification the same way it bounds query output.
 		if err := gov.AddCells(int64(len(rows))); err != nil {
-			return touched, err
+			return nil, 0, err
 		}
 		if err := inj.Hit(fault.PointWriterDelta); err != nil {
-			return touched, err
+			return nil, 0, err
 		}
-		view := m.views.runs[mask]
 		dims := maskDims(mask, len(card))
-		freshKeys, freshVals = freshKeys[:0], freshVals[:0]
 		for ri, row := range rows {
-			k := groupKey(row, dims, card)
-			if i, ok := slices.BinarySearch(view.keys, k); ok {
-				view.sums[i] += vals[ri]
-			} else {
-				freshKeys, freshVals = append(freshKeys, k), append(freshVals, vals[ri])
-			}
+			batch[ri] = entry{groupKey(row, dims, card), vals[ri]}
 		}
-		view.merge(group(freshKeys, freshVals, maxKey(dims, card)))
+		sorted := radixSort(batch, scratch, maxKey(dims, card))
+		stored[mask] = view.fold(sorted)
 		touched += int64(len(rows))
 	}
-	return touched, nil
+	return stored, touched, nil
 }
 
-// Clone returns a deep copy of the set: fresh view runs, zero scan-cost
-// accounting. The write path stages each load on a clone of the
-// published generation, so readers of the original never observe a
-// half-applied delta — copy-on-load MVCC without persistent structures.
-// The copy is two slice copies per view and recomputes nothing: no
-// fact-table scan, no aggregation, no hashing.
+// Clone returns a copy of the set with zero scan-cost accounting. Stored
+// runs are immutable, so the copy shares them: it copies one pointer per
+// view and recomputes nothing. A fold into either set (AppendRowsCtx)
+// builds new runs and leaves the other's alone.
 func (m *MaterializedSet) Clone() *MaterializedSet {
 	c := newViews(m.views.Card)
-	for mask, view := range m.views.runs {
-		if view != nil {
-			c.runs[mask] = view.clone()
-		}
-	}
+	copy(c.stored, m.views.stored)
 	return &MaterializedSet{views: c}
 }
 
 // Entries returns the total stored entries across every materialized
-// view — the footprint a clone copies and a budget governor charges.
+// view — the footprint a checkpoint writes and a budget governor charges.
 func (m *MaterializedSet) Entries() int64 {
 	var t int64
-	for mask := range m.views.runs {
+	for mask := range m.views.stored {
 		t += m.views.size(mask)
 	}
 	return t

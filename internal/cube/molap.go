@@ -105,7 +105,7 @@ func BuildMOLAPCtx(ctx context.Context, in *Input, opt Options) (_ *Views, err e
 		if err := acct.gov.AddCells(int64(len(r.keys))); err != nil {
 			return err
 		}
-		out.runs[mask] = r
+		out.stored[mask] = packedView(r)
 		return nil
 	})
 	if err != nil {

@@ -16,10 +16,12 @@ import (
 //	batch  u32 rows | u8 dims | rows × (dims × u32 code | f64 value)
 //
 // A generation past a checkpoint is the checkpoint plus the batches its
-// log chain holds, and recovery folds them all in one AppendRowsCtx
-// call. That is bit for bit the state the writer published batch by
-// batch: the fold adds rows to each view in row order, and a key first
-// seen in the batch starts from +0 either way (see AppendRowsCtx).
+// log chain holds, and recovery folds them all in one fold. That is bit
+// for bit the state the writer published batch by batch: the fold adds
+// rows to each view in row order, continuing each key's sum from its
+// stored one, and a key first seen in the batch starts from +0 either
+// way (see view.fold). Whether the sums sit in a delta or a packed run
+// changes no entry.
 const batchHeaderBytes = 4 + 1
 
 // AppendBatch appends the log record body of a batch of coded rows to
@@ -104,7 +106,7 @@ func (r *replay) batch() ([][]int, []float64) {
 // recoverViews is the one recovery path every reader of a store takes:
 // the newest checkpoint decode accepts (recovering past corrupt ones,
 // see Store.Load), then every batch the logs extending it hold, folded
-// into its stored views in one AppendRowsCtx call. Replay stops at a
+// into its stored views in one fold. Replay stops at a
 // torn or corrupt record; the chain says where, for a writer to cut.
 func recoverViews(ctx context.Context, st *snapshot.Store, name string, decode func(context.Context, io.Reader) (*Views, error)) (*Views, snapshot.Chain, error) {
 	var v *Views
@@ -123,7 +125,7 @@ func recoverViews(ctx context.Context, st *snapshot.Store, name string, decode f
 	}
 	if rp.rows > 0 {
 		rows, vals := rp.batch()
-		if _, err := (&MaterializedSet{views: v}).AppendRowsCtx(ctx, rows, vals); err != nil {
+		if v.stored, _, err = v.fold(ctx, rows, vals); err != nil {
 			return nil, chain, err
 		}
 	}

@@ -6,11 +6,11 @@ import (
 	"slices"
 )
 
-// run is one stored view: its group keys ascending, each key's sum beside
+// run is a sorted key run: group keys ascending, each key's sum beside
 // it. That is the snapshot view section's layout held in memory as it is
-// on disk, so encoding is a loop, decoding a fill, cloning two slice
-// copies, and rolling a view up visits its cells in one fixed order
-// without sorting anything.
+// on disk, so encoding is a loop, decoding a fill, and rolling a view up
+// visits its cells in one fixed order without sorting anything. A run is
+// immutable once built: generations share runs instead of copying them.
 type run struct {
 	keys []uint64
 	sums []float64
@@ -56,28 +56,27 @@ func groupDense(keys []uint64, vals []float64, maxKey uint64) *run {
 	return r
 }
 
-// entry is one (key, value) pair moving through groupSparse's passes.
+// entry is one (key, value) pair moving through radixSort's passes.
 type entry struct {
 	key uint64
 	val float64
 }
 
-// groupSparse radix-sorts the entries one byte digit per pass, least
-// significant first, skipping any digit they all share; each pass is
-// stable, so equal keys keep their input order for the summing sweep.
-func groupSparse(keys []uint64, vals []float64, maxKey uint64) *run {
-	src, dst := make([]entry, len(keys)), make([]entry, len(keys))
+// radixSort sorts src by key, one byte digit per pass, least significant
+// first, skipping any digit every entry shares, with dst (as long as src)
+// as the other buffer; it returns whichever holds the result. Each pass
+// is stable, so equal keys keep their input order.
+func radixSort(src, dst []entry, maxKey uint64) []entry {
 	var count [8][256]int
 	passes := (bits.Len64(maxKey) + 7) / 8
-	for i, k := range keys {
-		src[i] = entry{k, vals[i]}
+	for _, e := range src {
 		for p := 0; p < passes; p++ {
-			count[p][byte(k>>(8*p))]++
+			count[p][byte(e.key>>(8*p))]++
 		}
 	}
 	for p := 0; p < passes; p++ {
 		c := &count[p]
-		if slices.Contains(c[:], len(keys)) {
+		if slices.Contains(c[:], len(src)) {
 			continue // one digit value for every entry: the pass would move none
 		}
 		for b, off := 0, 0; b < len(c); b++ {
@@ -90,6 +89,16 @@ func groupSparse(keys []uint64, vals []float64, maxKey uint64) *run {
 		}
 		src, dst = dst, src
 	}
+	return src
+}
+
+// groupSparse radix-sorts the entries and sums each run of equal keys.
+func groupSparse(keys []uint64, vals []float64, maxKey uint64) *run {
+	src := make([]entry, len(keys))
+	for i, k := range keys {
+		src[i] = entry{k, vals[i]}
+	}
+	src = radixSort(src, make([]entry, len(keys)), maxKey)
 	w := 0 // src[:w] holds the summed runs so far
 	for i := 0; i < len(src); w++ {
 		k, sum := src[i].key, 0.0
@@ -105,39 +114,187 @@ func groupSparse(keys []uint64, vals []float64, maxKey uint64) *run {
 	return r
 }
 
-func (r *run) clone() *run {
-	return &run{keys: slices.Clone(r.keys), sums: slices.Clone(r.sums)}
+// view is one stored view: a packed run overlaid by a delta run — the
+// Cubetree's [RKR97] bulk-update discipline held in memory. The delta
+// holds the full current sum of every key a load touched since the last
+// pack, so the view's entries are the packed run's with the delta's
+// replacing or joining them, and packing is an overlay merge with no
+// arithmetic. Both runs are immutable: a load builds a new delta (and,
+// when it packs, a new packed run) and shares the rest.
+type view struct {
+	packed, delta run
+	size          int // entries across both: the packed run's plus the delta keys it lacks
 }
 
-// merge adds the entries of o, whose keys r does not hold, in one backward
-// pass over the grown slices.
-func (r *run) merge(o *run) {
-	i, j := len(r.keys)-1, len(o.keys)-1
-	r.keys = append(r.keys, o.keys...)
-	r.sums = append(r.sums, o.sums...)
-	for w := len(r.keys) - 1; j >= 0; w-- {
-		if i >= 0 && r.keys[i] > o.keys[j] {
-			r.keys[w], r.sums[w] = r.keys[i], r.sums[i]
-			i--
-		} else {
-			r.keys[w], r.sums[w] = o.keys[j], o.sums[j]
-			j--
+// packedView stores a freshly built run as a view with an empty delta.
+func packedView(r *run) *view { return &view{packed: *r, size: len(r.keys)} }
+
+// cursor walks a view's entries in ascending key order, a delta entry
+// replacing the packed one with its key: the one way a stored view is
+// read, so roll-ups, answers and encodings see one sorted run. It hands
+// the entries out in stretches, each a sub-slice of one run, so a view
+// without a delta is one stretch and read as fast as a plain run.
+type cursor struct {
+	v    *view
+	i, j int // the next packed and delta entries
+}
+
+func (v *view) cursor() cursor { return cursor{v: v} }
+
+// next returns the next stretch of entries — the packed entries below
+// the next delta key, or the delta entries below the next packed key
+// and the one that replaces it — and an empty one past the last. A
+// stretch's end is found by a linear scan: a walk of every entry costs
+// one compare per entry, however the two runs interleave.
+func (c *cursor) next() ([]uint64, []float64) {
+	p, d := &c.v.packed, &c.v.delta
+	pk, dk := p.keys, d.keys
+	i, j := c.i, c.j
+	switch {
+	case j == len(dk):
+		c.i = len(pk)
+		return pk[i:], p.sums[i:]
+	case i == len(pk):
+		c.j = len(dk)
+		return dk[j:], d.sums[j:]
+	case pk[i] < dk[j]:
+		n := i
+		for n < len(pk) && pk[n] < dk[j] {
+			n++
 		}
+		c.i = n
+		return pk[i:n], p.sums[i:n]
+	}
+	n := j
+	for n < len(dk) && dk[n] < pk[i] {
+		n++
+	}
+	if n < len(dk) && dk[n] == pk[i] {
+		n++ // the delta entry replaces the packed one
+		c.i++
+	}
+	c.j = n
+	return dk[j:n], d.sums[j:n]
+}
+
+// fold returns the view that folding the sorted entries of one batch
+// (equal keys in row order, see radixSort) into v gives; v is untouched.
+// One forward merge of the batch with the delta builds the new delta:
+// each batch key's sum continues from the delta's, else from the packed
+// run's, else from +0, adding the key's values in row order — bit for
+// bit `view[key] += val` over the rows. The packed run is only searched,
+// never copied, until the delta reaches √(2·packed·rows) entries: then
+// the new view packs, merging the delta into a new packed run. A delta
+// grows by at most the batch's rows per load, so copying it every load
+// and the packed run once per pack copies the fewest entries per load
+// when the pack comes at that size. It is computed from sizes alone.
+func (v *view) fold(batch []entry) *view {
+	if len(batch) == 0 {
+		return v
+	}
+	p, d := v.packed, v.delta
+	out := run{keys: make([]uint64, len(d.keys)+len(batch)), sums: make([]float64, len(d.keys)+len(batch))}
+	size := v.size
+	// i is the next delta entry, w the next out slot; packed keys below
+	// lo are below every batch key left.
+	i, w, lo := 0, 0, 0
+	for j := 0; j < len(batch); w++ {
+		k := batch[j].key
+		for ; i < len(d.keys) && d.keys[i] < k; i, w = i+1, w+1 {
+			out.keys[w], out.sums[w] = d.keys[i], d.sums[i]
+		}
+		s := 0.0
+		if i < len(d.keys) && d.keys[i] == k {
+			s = d.sums[i]
+			i++
+		} else {
+			at, found := search(p.keys[lo:], k)
+			lo += at
+			if found {
+				s = p.sums[lo]
+			} else {
+				size++
+			}
+		}
+		for ; j < len(batch) && batch[j].key == k; j++ {
+			s += batch[j].val
+		}
+		out.keys[w], out.sums[w] = k, s
+	}
+	copy(out.sums[w:], d.sums[i:])
+	w += copy(out.keys[w:], d.keys[i:])
+	out.keys, out.sums = out.keys[:w], out.sums[:w]
+	next := &view{packed: p, delta: out, size: size}
+	if n := uint64(w); n*n >= 2*uint64(len(p.keys))*uint64(len(batch)) {
+		return next.pack()
+	}
+	return next
+}
+
+// pack overlays the delta on the packed run: a new view whose packed run
+// holds every entry of v, in the cursor's order, and whose delta is
+// empty.
+func (v *view) pack() *view {
+	r := run{keys: make([]uint64, 0, v.size), sums: make([]float64, 0, v.size)}
+	for c := v.cursor(); ; {
+		keys, sums := c.next()
+		if len(keys) == 0 {
+			return &view{packed: r, size: v.size}
+		}
+		r.keys, r.sums = append(r.keys, keys...), append(r.sums, sums...)
 	}
 }
 
-// equal reports whether two runs hold the same keys with sums that same
-// accepts pairwise.
-func (r *run) equal(o *run, same func(a, b float64) bool) bool {
-	if !slices.Equal(r.keys, o.keys) {
+// search returns where k is or would be in the ascending keys, and
+// whether it is there. It gallops from the front, then halves the last
+// stride with a conditional move, so it reads near the front first and
+// costs the log of the distance to k, not of the run: a merge's next key
+// is usually near its last.
+func search(keys []uint64, k uint64) (int, bool) {
+	hi := 1
+	for hi < len(keys) && keys[hi-1] < k {
+		hi *= 2
+	}
+	base, n := hi/2, min(hi, len(keys))-hi/2 // k's place is in [base, base+n]
+	for n > 1 {
+		half := n / 2
+		if keys[base+half] < k {
+			base += half
+		}
+		n -= half
+	}
+	if n == 1 && keys[base] < k {
+		base++
+	}
+	return base, base < len(keys) && keys[base] == k
+}
+
+// equal reports whether two views hold the same entries, keys equal and
+// sums that same accepts pairwise, however each splits them between its
+// packed run and its delta.
+func (v *view) equal(o *view, same func(a, b float64) bool) bool {
+	if v.size != o.size {
 		return false
 	}
-	for i, s := range r.sums {
-		if !same(s, o.sums[i]) {
+	a, b := v.cursor(), o.cursor()
+	var ak, bk []uint64
+	var as, bs []float64
+	for {
+		if len(ak) == 0 {
+			ak, as = a.next()
+		}
+		if len(bk) == 0 {
+			bk, bs = b.next()
+		}
+		n := min(len(ak), len(bk))
+		if n == 0 {
+			return len(ak) == len(bk)
+		}
+		if !slices.Equal(ak[:n], bk[:n]) || !slices.EqualFunc(as[:n], bs[:n], same) {
 			return false
 		}
+		ak, as, bk, bs = ak[n:], as[n:], bk[n:], bs[n:]
 	}
-	return true
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -21,7 +21,8 @@ import (
 //	view (2)  u32 mask | u64 entries | entries × (u64 key | f64 sum)
 //
 // View entries are written in ascending key order — the order a view's
-// run holds them in memory — so encoding the same cube twice yields
+// cursor reads them in memory, however they split between its packed
+// run and its delta — so encoding the same cube twice yields
 // byte-identical files: snapshots diff and dedupe like any other
 // deterministic artifact, and the chaos suite can assert save/load
 // round-trips by comparing bytes. Decoders trust nothing:
@@ -61,13 +62,21 @@ func EncodeViews(ctx context.Context, w io.Writer, v *Views) error {
 	}
 	var payload []byte // reused across views; Section writes it out before returning
 	for _, mask := range v.Masks() {
-		r := v.runs[mask]
-		payload = slices.Grow(payload[:0], viewHeaderBytes+runEntryBytes*len(r.keys))
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(mask))
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(len(r.keys)))
-		for i, k := range r.keys {
-			payload = binary.LittleEndian.AppendUint64(payload, k)
-			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(r.sums[i]))
+		r := v.stored[mask]
+		payload = slices.Grow(payload[:0], viewHeaderBytes+runEntryBytes*r.size)[:viewHeaderBytes+runEntryBytes*r.size]
+		binary.LittleEndian.PutUint32(payload, uint32(mask))
+		binary.LittleEndian.PutUint64(payload[4:], uint64(r.size))
+		entries := payload[viewHeaderBytes:]
+		for c := r.cursor(); ; {
+			keys, sums := c.next()
+			if len(keys) == 0 {
+				break
+			}
+			for i, k := range keys {
+				binary.LittleEndian.PutUint64(entries, k)
+				binary.LittleEndian.PutUint64(entries[8:], math.Float64bits(sums[i]))
+				entries = entries[runEntryBytes:]
+			}
 		}
 		if err := inj.Hit(fault.PointSnapshotSection); err != nil {
 			return err
@@ -139,10 +148,10 @@ func DecodeViews(ctx context.Context, r io.Reader) (*Views, error) {
 				return nil, corruptf("view section of %d bytes", len(payload))
 			}
 			mask := int(binary.LittleEndian.Uint32(payload))
-			if mask >= len(v.runs) {
+			if mask >= len(v.stored) {
 				return nil, corruptf("view mask %d beyond %d dims", mask, len(v.Card))
 			}
-			if v.runs[mask] != nil {
+			if v.stored[mask] != nil {
 				return nil, corruptf("duplicate view mask %d", mask)
 			}
 			// The claimed count is compared with what the bytes can hold
@@ -165,7 +174,7 @@ func DecodeViews(ctx context.Context, r io.Reader) (*Views, error) {
 				r.keys[i] = k
 				r.sums[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[runEntryBytes*i+8:]))
 			}
-			v.runs[mask] = r
+			v.stored[mask] = packedView(r)
 		default:
 			return nil, corruptf("unknown section kind %d", kind)
 		}
@@ -219,7 +228,7 @@ func decodeMaterializedViews(ctx context.Context, r io.Reader) (*Views, error) {
 	if err != nil {
 		return nil, err
 	}
-	if v.runs[len(v.runs)-1] == nil {
+	if v.stored[len(v.stored)-1] == nil {
 		return nil, corruptf("materialized set without its base cuboid")
 	}
 	return v, nil

@@ -395,8 +395,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// maxAppendBody is the largest POST /append body read; a longer one is
+// refused whole with 413.
+const maxAppendBody = 8 << 20
+
 // appendRequest is POST /append's body: coded fact rows plus their
 // measure values, optionally buffered instead of published immediately.
+// decodeAppend reads it: the tags are the keys its fast path reads and
+// what json.Unmarshal, which reads every other body, matches.
 type appendRequest struct {
 	Rows [][]int   `json:"rows"`
 	Vals []float64 `json:"vals"`
@@ -427,13 +433,21 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxAppendBody))
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		if obs.On() {
+			errCounter.Inc()
+		}
+		writeErrorEnvelope(w, http.StatusRequestEntityTooLarge, "too_large",
+			fmt.Sprintf("serve: append body exceeds the %d MiB limit: split the batch", maxAppendBody>>20))
+		return
+	}
 	if err != nil {
 		writeError(w, fmt.Errorf("serve: reading append body: %w", err))
 		return
 	}
-	var req appendRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := decodeAppend(body)
+	if err != nil {
 		writeError(w, fmt.Errorf("serve: append body is not JSON {\"rows\": [[...]], \"vals\": [...]}: %w", err))
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -198,6 +199,32 @@ func TestServeAppendRefusals(t *testing.T) {
 	bare := newTestServer(t, Config{})
 	if w := do(bare.Handler(), "POST", "/append", "{}"); w.Code != http.StatusNotFound {
 		t.Fatalf("append without writer = %d, want 404", w.Code)
+	}
+}
+
+// TestServeAppendTooLarge: a body past the 8 MiB limit is refused whole
+// as too large (413, naming the limit), not cut short and then refused
+// as malformed JSON; a body at the limit is read whole.
+func TestServeAppendTooLarge(t *testing.T) {
+	wr, err := writer.Open(context.Background(), writer.Config{Card: []int{4, 3, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newTestServer(t, Config{Writer: wr}).Handler()
+	ok := appendBody(t, [][]int{{1, 1, 1}}, []float64{1}, false)
+	over := ok + strings.Repeat(" ", maxAppendBody+1-len(ok))
+	w := do(h, "POST", "/append", over)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte append = %d, want 413: %s", len(over), w.Code, w.Body.String())
+	}
+	if e := decodeErr(t, w); e.Code != "too_large" || !strings.Contains(e.Error, "8 MiB") {
+		t.Fatalf("413 envelope = %+v, want code too_large naming the 8 MiB limit", e)
+	}
+	if w := do(h, "POST", "/append", over[:maxAppendBody]); w.Code != http.StatusOK {
+		t.Fatalf("%d-byte append = %d, want 200: %s", maxAppendBody, w.Code, w.Body.String())
+	}
+	if st := wr.Status(); st.Generation != 2 {
+		t.Fatalf("generation %d after one accepted append, want 2", st.Generation)
 	}
 }
 

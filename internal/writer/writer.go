@@ -10,9 +10,10 @@
 //
 //   - appends never restructure: a load folds its batch into the base
 //     cuboid and every registered view incrementally ([RKR97] deltas —
-//     never a rematerialization), staged on a private clone of the
-//     published generation (extendible-array discipline: existing data
-//     is copied, never recomputed);
+//     never a rematerialization), staged on a clone of the published
+//     generation that shares its packed runs and takes its own delta run
+//     per view (cube.MaterializedSet.AppendRowsCtx): a publish copies
+//     the batch's share of each view, not the cube;
 //   - a publish writes the batch, not the dataset: the load's coded
 //     batch is appended to the store's log as one CRC32C-framed record
 //     and fsynced, and only then does the new generation become
