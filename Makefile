@@ -70,15 +70,18 @@ lint-suppressions:
 	fi
 
 # Fuzz smoke: every Fuzz* target for $(FUZZTIME) each, seeded from the
-# committed corpora under */testdata/fuzz/.
+# committed corpora under */testdata/fuzz/. The targets are listed per
+# package by `go test -list`, so a new fuzzer runs here without being
+# named; an empty list fails the target rather than passing vacuously.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz='^FuzzParseInterval$$' -fuzztime=$(FUZZTIME) ./internal/hierarchy
-	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/query
-	$(GO) test -run='^$$' -fuzz='^FuzzGovernorReserve$$' -fuzztime=$(FUZZTIME) ./internal/budget
-	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=$(FUZZTIME) ./internal/snapshot
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeViews$$' -fuzztime=$(FUZZTIME) ./internal/cube
-	$(GO) test -run='^$$' -fuzz='^FuzzReplayLog$$' -fuzztime=$(FUZZTIME) ./internal/cube
-	$(GO) test -run='^$$' -fuzz='^FuzzAppendBody$$' -fuzztime=$(FUZZTIME) ./internal/serve
+	@list="$$($(GO) test -list '^Fuzz' ./...)" || { echo "$$list"; exit 1; }; \
+	targets="$$(echo "$$list" | awk '/^Fuzz/ {t[n++] = $$1; next} /^ok/ {for (i = 0; i < n; i++) print $$2 "," t[i]; n = 0}')"; \
+	if [ -z "$$targets" ]; then echo "fuzz-smoke: no Fuzz targets found"; exit 1; fi; \
+	for pt in $$targets; do \
+		pkg=$${pt%,*}; target=$${pt#*,}; \
+		echo "== $$target ($$pkg)"; \
+		$(GO) test -run='^$$' -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) $$pkg || exit 1; \
+	done
 
 # Chaos: the fault-injection suites (injected errors, panics, torn
 # writes, bit-flips) under each fixed seed, race-checked. The suites

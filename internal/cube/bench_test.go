@@ -96,6 +96,27 @@ func BenchmarkDecodeMaterialized(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeViews is the encode half of the bulk save: the full cube
+// of the raw 100 k facts written as one generation's bytes.
+func BenchmarkEncodeViews(b *testing.B) {
+	retail, _ := benchRetail(b)
+	ctx := context.Background()
+	v, err := cube.BuildROLAPSmallestParentCtx(ctx, retail, cube.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := cube.EncodeViews(ctx, &buf, v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
+}
+
 // BenchmarkBuildSmallestParent is the bulk build on the raw 100 k facts.
 func BenchmarkBuildSmallestParent(b *testing.B) {
 	retail, _ := benchRetail(b)

@@ -177,6 +177,29 @@ func (c *cursor) next() ([]uint64, []float64) {
 	return dk[j:n], d.sums[j:n]
 }
 
+// each calls f with every stretch of v's entries, in ascending key order.
+func (v *view) each(f func(keys []uint64, sums []float64)) {
+	for c := v.cursor(); ; {
+		keys, sums := c.next()
+		if len(keys) == 0 {
+			return
+		}
+		f(keys, sums)
+	}
+}
+
+// chunks calls f with every stretch of v's entries, in ascending key
+// order, cut to at most n entries at a time.
+func (v *view) chunks(n int, f func(keys []uint64, sums []float64)) {
+	v.each(func(keys []uint64, sums []float64) {
+		for len(keys) > n {
+			f(keys[:n], sums[:n])
+			keys, sums = keys[n:], sums[n:]
+		}
+		f(keys, sums)
+	})
+}
+
 // fold returns the view that folding the sorted entries of one batch
 // (equal keys in row order, see radixSort) into v gives; v is untouched.
 // One forward merge of the batch with the delta builds the new delta:
@@ -236,13 +259,10 @@ func (v *view) fold(batch []entry) *view {
 // empty.
 func (v *view) pack() *view {
 	r := run{keys: make([]uint64, 0, v.size), sums: make([]float64, 0, v.size)}
-	for c := v.cursor(); ; {
-		keys, sums := c.next()
-		if len(keys) == 0 {
-			return &view{packed: r, size: v.size}
-		}
+	v.each(func(keys []uint64, sums []float64) {
 		r.keys, r.sums = append(r.keys, keys...), append(r.sums, sums...)
-	}
+	})
+	return &view{packed: r, size: v.size}
 }
 
 // search returns where k is or would be in the ascending keys, and

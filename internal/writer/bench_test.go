@@ -3,6 +3,8 @@ package writer_test
 import (
 	"context"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -14,12 +16,12 @@ import (
 
 // BenchmarkOpenAtLogBound is restart recovery at its worst: the bench
 // dataset's served set (NewRetail(100, 20, 180, 100000, seed 1), views
-// {011,101,110}) behind a log of 115 records × 500 rows, the most the
-// log holds before its bytes reach the checkpoint's and the next publish
-// writes a checkpoint. Each Open decodes the checkpoint and replays the
-// whole log in one fold.
+// {011,101,110}) behind a log of 500-row records, as many as the log
+// holds before its bytes reach the checkpoint's and the next publish
+// writes a checkpoint (see recordsBeforeCheckpoint). Each Open decodes
+// the checkpoint and replays the whole log in one fold.
 func BenchmarkOpenAtLogBound(b *testing.B) {
-	const records = 115
+	records := recordsBeforeCheckpoint(b)
 	ctx := context.Background()
 	st, err := snapshot.OpenStore(b.TempDir())
 	if err != nil {
@@ -51,7 +53,7 @@ func BenchmarkOpenAtLogBound(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if got := w.Generation(); got != 1+records {
+		if got := w.Generation(); got != uint64(1+records) {
 			b.Fatalf("reopened at generation %d, want %d", got, 1+records)
 		}
 		b.StopTimer()
@@ -63,12 +65,13 @@ func BenchmarkOpenAtLogBound(b *testing.B) {
 }
 
 // BenchmarkCheckpointingPublish is the write path's tail on the same
-// dataset: from a fresh checkpoint, 115 publishes of 500 rows grow the
-// log to the checkpoint's size, and the 116th also writes a checkpoint
-// of the whole set. It reports the median ordinary publish (publish-ms)
-// and the checkpointing one (ckpt-ms), each an Append plus its Flush.
+// dataset: from a fresh checkpoint, publishes of 500 rows grow the log to
+// the checkpoint's size, and the one that reaches it also writes a
+// checkpoint of the whole set. It reports the median ordinary publish
+// (publish-ms) and the checkpointing one (ckpt-ms), each an Append plus
+// its Flush.
 func BenchmarkCheckpointingPublish(b *testing.B) {
-	const records = 116
+	records := recordsBeforeCheckpoint(b) + 1
 	ctx := context.Background()
 	var publish, ckpt []float64
 	for i := 0; i < b.N; i++ {
@@ -99,7 +102,7 @@ func BenchmarkCheckpointingPublish(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		if gens, err := st.Generations("retail"); err != nil || !slices.Equal(gens, []uint64{1, 1 + records}) {
+		if gens, err := st.Generations("retail"); err != nil || !slices.Equal(gens, []uint64{1, uint64(1 + records)}) {
 			b.Fatalf("checkpoints %v (%v): want the first and one written by publish %d", gens, err, records)
 		}
 		if err := w.Close(ctx); err != nil {
@@ -109,6 +112,51 @@ func BenchmarkCheckpointingPublish(b *testing.B) {
 	}
 	b.ReportMetric(median(publish), "publish-ms")
 	b.ReportMetric(median(ckpt), "ckpt-ms")
+}
+
+// recordsBeforeCheckpoint is how many of retailLoads' 500-row records
+// the log holds below the first checkpoint's size: the most publishes
+// that write no checkpoint. It is measured on a scratch store, from the
+// checkpoint's file and the log's size after one record and after two —
+// every record of 500 rows is the same size.
+func recordsBeforeCheckpoint(b *testing.B) int {
+	b.Helper()
+	ctx := context.Background()
+	st, err := snapshot.OpenStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, loads := retailLoads(b, st, 2)
+	w, err := writer.Open(ctx, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	size := func(file string) int64 {
+		info, err := os.Stat(filepath.Join(st.Dir(), file))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return info.Size()
+	}
+	ckpt := size("retail.00000001.snap")
+	var logged [2]int64
+	for i, l := range loads {
+		if err := w.Append(ctx, l.rows, l.vals); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := w.Flush(ctx); err != nil {
+			b.Fatal(err)
+		}
+		logged[i] = size("retail.00000001.log")
+	}
+	if err := w.Close(ctx); err != nil {
+		b.Fatal(err)
+	}
+	record := logged[1] - logged[0]
+	if logged[1] >= ckpt {
+		b.Fatalf("two records (%d B) reach the %d B checkpoint", logged[1], ckpt)
+	}
+	return int((ckpt-logged[0]-1)/record) + 1
 }
 
 func median(xs []float64) float64 {
