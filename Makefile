@@ -98,10 +98,11 @@ chaos:
 # injected errors, short writes, bit-flips and panics at
 # writer.append/writer.delta/writer.publish, the log append (log.write)
 # and the checkpoint's snapshot write/rename points, per seed. The
-# suites assert the publish contract: a failed load is never visible
-# and leaves no log record, the previous generation stays
-# authoritative, a logged batch is published exactly once, and bounded
-# retries converge byte-identically to the fault-free state.
+# suites assert the publish contract: a refused append is never
+# visible, leaves no log record and is published by no later load, the
+# previous generation stays authoritative, a logged batch is published
+# exactly once, concurrent appends each publish their own generation,
+# and bounded retries converge byte-identically to the fault-free state.
 chaos-write:
 	@for seed in $(if $(CHAOS_SEED),$(CHAOS_SEED),$(CHAOS_SEEDS)); do \
 		echo "== chaos-write seed $$seed =="; \

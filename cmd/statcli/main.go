@@ -450,11 +450,7 @@ func appendLoad(ctx context.Context, dir, name string, obj *statcube.StatObject,
 	if err := wr.Append(ctx, rows, vals); err != nil {
 		return err
 	}
-	gen, err := wr.Flush(ctx)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "statcli: append: loaded %d rows from %s as %q generation %d\n", len(rows), csvPath, name, gen)
+	fmt.Fprintf(w, "statcli: append: loaded %d rows from %s as %q generation %d\n", len(rows), csvPath, name, wr.Generation())
 	return wr.Close(ctx)
 }
 

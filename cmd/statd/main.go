@@ -85,7 +85,6 @@ func main() {
 	snapshotDir := flag.String("snapshot-dir", "", "snapshot store to watch for generation changes (with -watch) and to publish write-path generations into (with -write)")
 	watch := flag.Duration("watch", 0, "poll -snapshot-dir at this interval and invalidate the cache on a new generation; 0 disables")
 	writePath := flag.Bool("write", false, "mount the write path: POST /append folds batched facts into the dataset's cube and publishes MVCC snapshot generations (durable with -snapshot-dir, in-memory otherwise)")
-	flushRows := flag.Int("flush-rows", 0, "with -write: auto-publish a load once this many appended rows are buffered; 0 publishes on every non-buffered append")
 	qlogPath := flag.String("qlog", "", "append one NDJSON flight record per query to this file")
 	slowMS := flag.Int64("slow-ms", 0, "report queries slower than this many milliseconds on stderr")
 	usage := flag.Usage
@@ -146,12 +145,13 @@ Exit codes:
 		}
 	}
 
-	// The write path: a single-writer MVCC append buffer over the
-	// dataset's cube, published to the snapshot store when one is
-	// configured. OnPublish live-invalidates the result cache the moment
-	// a load becomes reader-visible — no poll latency on the write path
-	// itself (-watch still covers generations published by OTHER
-	// processes, e.g. statcli -append against the same store).
+	// The write path: a single-writer MVCC writer over the dataset's
+	// cube, each /append one load published as a generation, durable in
+	// the snapshot store when one is configured. OnPublish
+	// live-invalidates the result cache the moment a load becomes
+	// reader-visible — no poll latency on the write path itself (-watch
+	// still covers generations published by OTHER processes, e.g.
+	// statcli -append against the same store).
 	var srv *serve.Server
 	var wr *writer.Writer
 	if *writePath {
@@ -161,10 +161,9 @@ Exit codes:
 			os.Exit(exitUsage)
 		}
 		wr, err = writer.Open(ctx, writer.Config{
-			Store:     store,
-			Name:      *demo,
-			Base:      base,
-			FlushRows: *flushRows,
+			Store: store,
+			Name:  *demo,
+			Base:  base,
 			OnPublish: func(gen uint64) {
 				if srv != nil {
 					srv.SetGeneration(gen)
@@ -249,10 +248,10 @@ loop:
 		os.Exit(exitUsage)
 	}
 	if wr != nil {
-		// Publish any buffered rows before exiting — a clean shutdown
-		// never drops an acknowledged append.
+		// Every acknowledged append is already published and durable;
+		// closing only releases the append log and the writer's pin.
 		if err := wr.Close(sctx); err != nil {
-			fmt.Fprintln(os.Stderr, "statd: final flush:", err)
+			fmt.Fprintln(os.Stderr, "statd: closing the write path:", err)
 			os.Exit(exitCode(err))
 		}
 	}

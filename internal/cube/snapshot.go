@@ -115,7 +115,7 @@ func appendPacked(dst []byte, mask int, v *view) []byte {
 		prev, bits = gaps(buf[:], keys, prev)
 		gapBits |= bits
 		if ints {
-			zigBits, ints = zigzags(buf[:], sums, zigBits)
+			zigBits, ints = zigzagBits(sums, zigBits)
 		}
 	})
 	gw, sw := width(gapBits), 8
@@ -183,25 +183,36 @@ func width(x uint64) int {
 
 func validWidth(w int) bool { return w == 1 || w == 2 || w == 4 || w == 8 }
 
-// zigzags writes the sums' zigzag codes to dst, ors them into bits, and
-// reports whether every sum has one of at most four bytes: whether it is
-// an integer in [−2^31, 2^31) that is not −0 (NaN and ±Inf are not). It
-// stops at the first sum without one.
-func zigzags(dst []uint64, sums []float64, bits uint64) (uint64, bool) {
-	dst = dst[:len(sums)]
-	for j, s := range sums {
-		// An s that int64 cannot hold converts to some integer that does
-		// not convert back to s, NaN included.
-		if i := int64(s); uint64(i+1<<31) >= 1<<32 || float64(i) != s || i == 0 && math.Signbit(s) {
-			return bits, false
-		}
-		z := zigzag(s)
-		dst[j], bits = z, bits|z
+// zigzagBits ors the sums' zigzag codes into bits and reports whether
+// every sum has one of at most four bytes: whether it is an integer in
+// [−2^31, 2^31) that is not −0 (NaN and ±Inf are not). One test per
+// sum, without a branch: the sum's bits must equal those of its integer
+// converted back — an s that int64 cannot hold converts to some integer
+// that does not convert back to s, NaN included, and −0 comes back as
+// +0 — and the codes' or must fit four bytes.
+func zigzagBits(sums []float64, bits uint64) (uint64, bool) {
+	var diff uint64
+	for _, s := range sums {
+		i := int64(s)
+		bits |= uint64(i<<1 ^ i>>63)
+		diff |= math.Float64bits(float64(i)) ^ math.Float64bits(s)
 	}
-	return bits, true
+	return bits, diff == 0 && bits < 1<<32
 }
 
-// zigzag is the zigzag code of a sum zigzags accepts; unzigzag gives the
+// integral reports whether zigzagBits accepts every sum, a chunk at a
+// time, so that a float column stops at its first chunk.
+func integral(sums []float64) bool {
+	bits, ints := uint64(0), true
+	for len(sums) > 0 && ints {
+		k := min(len(sums), 256)
+		bits, ints = zigzagBits(sums[:k], bits)
+		sums = sums[k:]
+	}
+	return ints
+}
+
+// zigzag is the zigzag code of a sum zigzagBits accepts; unzigzag gives the
 // sum back bit for bit.
 func zigzag(s float64) uint64 {
 	i := int64(s)
@@ -425,7 +436,7 @@ func decodePacked(acct *accountant, mask int, payload []byte) (*run, error) {
 		for i := range r.sums {
 			r.sums[i] = math.Float64frombits(binary.LittleEndian.Uint64(sums[8*i:]))
 		}
-		if _, ints := zigzags(r.keys, r.sums, 0); ints {
+		if integral(r.sums) {
 			return nil, corruptf("view mask %d stores integer sums as float64", mask)
 		}
 	} else {

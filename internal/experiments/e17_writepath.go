@@ -85,7 +85,7 @@ func E17SustainedAppends() *Report {
 		return r.fail(err)
 	}
 
-	// Sustained fault-free schedule: append + flush per batch, each load
+	// Sustained fault-free schedule: one append per batch, each a load
 	// delta-maintaining all views and publishing the next generation.
 	batchR := make([][][]int, batches)
 	batchV := make([][]float64, batches)
@@ -94,9 +94,7 @@ func E17SustainedAppends() *Report {
 	}
 	tLoads := timeIt(func() {
 		for i := 0; i < batches && err == nil; i++ {
-			if err = wr.Append(ctx, batchR[i], batchV[i]); err == nil {
-				_, err = wr.Flush(ctx)
-			}
+			err = wr.Append(ctx, batchR[i], batchV[i])
 		}
 	})
 	if err != nil {
@@ -175,9 +173,6 @@ func E17SustainedAppends() *Report {
 	}
 	for i := 0; i < batches; i++ {
 		if err := fwr.Append(fctx, batchR[i], batchV[i]); err != nil {
-			return r.fail(err)
-		}
-		if _, err := fwr.Flush(fctx); err != nil {
 			return r.fail(err)
 		}
 	}

@@ -77,10 +77,10 @@ const (
 	// unpopulated (no poisoned partial result) and fail the request
 	// with a typed error.
 	PointCacheFill = "cache.fill"
-	// PointWriterAppend fires at the start of one write-path load, after
-	// the batch is taken from the append buffer — an injected error must
-	// return the batch to the buffer and leave the published generation
-	// untouched.
+	// PointWriterAppend fires at the start of each attempt to load an
+	// appended batch — an injected error must leave the published
+	// generation untouched and no log record; the batch is published by
+	// a retry or by no attempt at all.
 	PointWriterAppend = "writer.append"
 	// PointWriterDelta fires before each view's delta fold during a load —
 	// an injected error must discard the staged generation whole; a

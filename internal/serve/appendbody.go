@@ -6,8 +6,8 @@ import (
 )
 
 // decodeAppend parses a POST /append body into an appendRequest. The
-// body clients send — one object holding "rows", "vals" and "buffer",
-// each spelled exactly so, given at most once and perhaps null (what
+// body clients send — one object holding "rows" and "vals", each
+// spelled exactly so, given at most once and perhaps null (what
 // json.Marshal writes for a nil slice), with integer codes, numeric
 // values and JSON whitespace between tokens — is read in one
 // pass without reflection: the codes go into one slab the rows
@@ -36,7 +36,7 @@ func decodeCanonical(data []byte) (req appendRequest, ok bool) {
 	if !p.next('{') {
 		return req, false
 	}
-	var rows, vals, buffer bool // the fields seen
+	var rows, vals bool // the fields seen
 	if !p.next('}') {
 		for {
 			switch {
@@ -46,9 +46,6 @@ func decodeCanonical(data []byte) (req appendRequest, ok bool) {
 			case !vals && p.key(`"vals"`):
 				vals = true
 				req.Vals, ok = p.vals()
-			case !buffer && p.key(`"buffer"`):
-				buffer = true
-				req.Buffer, ok = p.boolean()
 			default:
 				ok = false
 			}
@@ -215,14 +212,6 @@ func (p *bodyScan) vals() ([]float64, bool) {
 		return err == nil
 	})
 	return vals, ok
-}
-
-// boolean reads true, false or null.
-func (p *bodyScan) boolean() (v, ok bool) {
-	if p.word("true") {
-		return true, true
-	}
-	return false, p.word("false") || p.word("null")
 }
 
 // number passes over a JSON number and returns its literal.

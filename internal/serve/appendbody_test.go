@@ -16,6 +16,9 @@ import (
 var appendBodyCases = []string{
 	// The fast path's shape: any key order, whitespace, empty arrays.
 	`{"rows":[[1,2],[3]],"vals":[1.5,2],"buffer":true}`, ` { "vals" : [ ] , "rows" : [ [ ] ] } `,
+	// The key a client of the retired buffered append sends: ignored, so
+	// the batch is published and durable like any other.
+	`{"rows":[[1,2,0]],"vals":[1],"buffer":true}`,
 	`{"buffer":false,"rows":[]}`, `{"rows":null,"vals":null,"buffer":null}`, `{"buffer":null,"buffer":true}`, `{}`, "{}\n\t\r ", `{"rows":[[0,-0,-1]],"vals":[-0,0.5e-3]}`,
 	// null at every level.
 	`null`, ` null `, `{"rows":null,"vals":null,"buffer":null}`,
@@ -46,7 +49,7 @@ var appendBodyCases = []string{
 }
 
 // checkAppendParity fails unless decodeAppend and json.Unmarshal both
-// refuse body, or both accept it with bit-equal rows, vals and buffer.
+// refuse body, or both accept it with bit-equal rows and vals.
 func checkAppendParity(t *testing.T, body []byte) {
 	t.Helper()
 	var want appendRequest
@@ -62,7 +65,7 @@ func checkAppendParity(t *testing.T, body []byte) {
 
 // sameAppendRequest compares bit for bit, nil apart from empty.
 func sameAppendRequest(a, b appendRequest) bool {
-	if a.Buffer != b.Buffer || (a.Rows == nil) != (b.Rows == nil) || len(a.Rows) != len(b.Rows) ||
+	if (a.Rows == nil) != (b.Rows == nil) || len(a.Rows) != len(b.Rows) ||
 		(a.Vals == nil) != (b.Vals == nil) || len(a.Vals) != len(b.Vals) {
 		return false
 	}
@@ -89,7 +92,7 @@ func randomAppendBodies(t testing.TB, n int) [][]byte {
 	rng := rand.New(rand.NewSource(1))
 	var out [][]byte
 	for i := 0; i < n; i++ {
-		req := appendRequest{Buffer: rng.Intn(2) == 0}
+		var req appendRequest
 		for r := rng.Intn(20); r > 0; r-- {
 			row := make([]int, rng.Intn(5))
 			for d := range row {
@@ -125,7 +128,7 @@ func TestDecodeAppendMatchesUnmarshal(t *testing.T) {
 func TestDecodeAppendFastPath(t *testing.T) {
 	bodies := randomAppendBodies(t, 50)
 	bodies = append(bodies,
-		[]byte(`{"vals":[2.5,-1e-7],"buffer":false,"rows":[[1,2,3],[]]}`),
+		[]byte(`{"vals":[2.5,-1e-7],"rows":[[1,2,3],[]]}`),
 		[]byte(" {\n\t\"rows\" : [ [ 1 , -2 ] ] ,\r\"vals\" : [ 3 ] } \n"))
 	for _, body := range bodies {
 		if _, ok := decodeCanonical(body); !ok {
@@ -213,8 +216,8 @@ func TestDecodeAppendAllocations(t *testing.T) {
 }
 
 // FuzzAppendBody: for any body, decodeAppend and json.Unmarshal into
-// appendRequest agree — both refuse it, or both give bit-equal rows,
-// vals and buffer.
+// appendRequest agree — both refuse it, or both give bit-equal rows and
+// vals.
 func FuzzAppendBody(f *testing.F) {
 	for _, body := range appendBodyCases {
 		f.Add([]byte(body))

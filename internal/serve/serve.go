@@ -400,22 +400,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 const maxAppendBody = 8 << 20
 
 // appendRequest is POST /append's body: coded fact rows plus their
-// measure values, optionally buffered instead of published immediately.
-// decodeAppend reads it: the tags are the keys its fast path reads and
-// what json.Unmarshal, which reads every other body, matches.
+// measure values. decodeAppend reads it: the tags are the keys its fast
+// path reads and what json.Unmarshal, which reads every other body,
+// matches; Unmarshal ignores any other key.
 type appendRequest struct {
 	Rows [][]int   `json:"rows"`
 	Vals []float64 `json:"vals"`
-	// Buffer true appends without publishing — rows wait for the
-	// writer's FlushRows threshold or a later publishing append.
-	Buffer bool `json:"buffer,omitempty"`
 }
 
-// handleAppend is the write path's HTTP face: validate and buffer the
-// batch, publish a new generation (unless the client asked to buffer),
-// and return the writer's status. Admission applies like any request —
-// loads hold a slot so a write burst degrades into clean 429s, not an
-// unbounded load queue.
+// handleAppend is the write path's HTTP face: load the batch as one
+// published, durable generation and return the writer's status, or
+// answer the typed error of a load that published nothing. Admission
+// applies like any request — loads hold a slot so a write burst
+// degrades into clean 429s, not an unbounded load queue.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	//lint:ignore nodeterm feeds only the serve.latency_ns histogram, which no baseline diffs
 	start := time.Now()
@@ -454,12 +451,6 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if err := s.wr.Append(ctx, req.Rows, req.Vals); err != nil {
 		writeError(w, err)
 		return
-	}
-	if !req.Buffer {
-		if _, err := s.wr.Flush(ctx); err != nil {
-			writeError(w, err)
-			return
-		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(s.wr.Status())

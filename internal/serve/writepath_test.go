@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"statcube/internal/fault"
 	"statcube/internal/writer"
 )
 
@@ -101,9 +103,9 @@ func TestServeNegativeCacheSkipsTransientErrors(t *testing.T) {
 }
 
 // appendBody builds a POST /append payload.
-func appendBody(t *testing.T, rows [][]int, vals []float64, buffer bool) string {
+func appendBody(t *testing.T, rows [][]int, vals []float64) string {
 	t.Helper()
-	b, err := json.Marshal(appendRequest{Rows: rows, Vals: vals, Buffer: buffer})
+	b, err := json.Marshal(appendRequest{Rows: rows, Vals: vals})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,9 @@ func appendBody(t *testing.T, rows [][]int, vals []float64, buffer bool) string 
 
 // TestServeAppend: POST /append publishes a generation through the
 // writer, OnPublish live-invalidates the result cache, and /healthz
-// reports the write path's status.
+// reports the write path's status. An append whose load fails answers
+// the typed error and is applied nowhere: the next append publishes its
+// own rows alone.
 func TestServeAppend(t *testing.T) {
 	var s *Server
 	wr, err := writer.Open(context.Background(), writer.Config{
@@ -133,7 +137,7 @@ func TestServeAppend(t *testing.T) {
 		t.Fatal("second query was not a cache hit")
 	}
 
-	w := do(h, "POST", "/append", appendBody(t, [][]int{{1, 2, 1}, {0, 0, 0}}, []float64{10, 5}, false))
+	w := do(h, "POST", "/append", appendBody(t, [][]int{{1, 2, 1}, {0, 0, 0}}, []float64{10, 5}))
 	if w.Code != http.StatusOK {
 		t.Fatalf("append = %d: %s", w.Code, w.Body.String())
 	}
@@ -141,7 +145,7 @@ func TestServeAppend(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Generation != 2 || st.Loads != 1 || st.PendingRows != 0 {
+	if st.Generation != 2 || st.Loads != 1 {
 		t.Fatalf("append status = %+v", st)
 	}
 	if got := s.Generation(); got != 2 {
@@ -151,16 +155,41 @@ func TestServeAppend(t *testing.T) {
 		t.Fatal("publish did not invalidate the result cache")
 	}
 
-	// Buffered append: rows wait, no publish.
-	w = do(h, "POST", "/append", appendBody(t, [][]int{{3, 1, 0}}, []float64{2}, true))
+	// A load that fails answers the typed error, not 200.
+	published := wr.Acquire()
+	defer published.Release()
+	inj := fault.New(fault.Schedule{Seed: 1, Points: []string{fault.PointWriterPublish}, Rate: 1, Mode: fault.Error})
+	req := httptest.NewRequest("POST", "/append", strings.NewReader(appendBody(t, [][]int{{3, 1, 0}}, []float64{2})))
+	failed := httptest.NewRecorder()
+	h.ServeHTTP(failed, req.WithContext(fault.WithInjector(req.Context(), inj)))
+	if failed.Code != http.StatusInternalServerError {
+		t.Fatalf("faulted append = %d, want 500: %s", failed.Code, failed.Body.String())
+	}
+	if e := decodeErr(t, failed); e.Code != "fault" {
+		t.Fatalf("faulted append envelope = %+v, want code fault", e)
+	}
+
+	// The next clean append is the next generation, holding its rows and
+	// none of the refused append's.
+	rows, vals := [][]int{{2, 0, 1}}, []float64{7}
+	w = do(h, "POST", "/append", appendBody(t, rows, vals))
 	if w.Code != http.StatusOK {
-		t.Fatalf("buffered append = %d: %s", w.Code, w.Body.String())
+		t.Fatalf("append after a failed one = %d: %s", w.Code, w.Body.String())
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Generation != 2 || st.PendingRows != 1 {
-		t.Fatalf("buffered status = %+v", st)
+	if st.Generation != 3 || st.Loads != 2 {
+		t.Fatalf("status after a failed and a clean append = %+v, want generation 3 and 2 loads", st)
+	}
+	want := published.Set().Clone()
+	if _, err := want.AppendRowsCtx(context.Background(), rows, vals); err != nil {
+		t.Fatal(err)
+	}
+	now := wr.Acquire()
+	defer now.Release()
+	if now.Generation() != 3 || !now.Set().Identical(want) {
+		t.Fatalf("writer at generation %d does not hold the clean append's rows alone", now.Generation())
 	}
 
 	// healthz carries the writer block.
@@ -171,7 +200,7 @@ func TestServeAppend(t *testing.T) {
 	if err := json.Unmarshal(hw.Body.Bytes(), &hz); err != nil {
 		t.Fatal(err)
 	}
-	if hz.Writer == nil || hz.Writer.Generation != 2 || hz.Writer.PendingRows != 1 {
+	if hz.Writer == nil || hz.Writer.Generation != 3 || hz.Writer.AbortedLoads == 0 {
 		t.Fatalf("healthz writer = %+v", hz.Writer)
 	}
 }
@@ -186,7 +215,7 @@ func TestServeAppendRefusals(t *testing.T) {
 	}
 	s = newTestServer(t, Config{Writer: wr})
 	h := s.Handler()
-	w := do(h, "POST", "/append", appendBody(t, [][]int{{9, 9, 9}}, []float64{1}, false))
+	w := do(h, "POST", "/append", appendBody(t, [][]int{{9, 9, 9}}, []float64{1}))
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("out-of-range append = %d, want 400", w.Code)
 	}
@@ -211,7 +240,7 @@ func TestServeAppendTooLarge(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := newTestServer(t, Config{Writer: wr}).Handler()
-	ok := appendBody(t, [][]int{{1, 1, 1}}, []float64{1}, false)
+	ok := appendBody(t, [][]int{{1, 1, 1}}, []float64{1})
 	over := ok + strings.Repeat(" ", maxAppendBody+1-len(ok))
 	w := do(h, "POST", "/append", over)
 	if w.Code != http.StatusRequestEntityTooLarge {
@@ -259,7 +288,7 @@ func TestServeAppendsNeverBlockQueries(t *testing.T) {
 	}
 	go func() {
 		for i := 0; i < 20; i++ {
-			w := do(h, "POST", "/append", appendBody(t, [][]int{{1, 1, 1}}, []float64{1}, false))
+			w := do(h, "POST", "/append", appendBody(t, [][]int{{1, 1, 1}}, []float64{1}))
 			if w.Code != http.StatusOK {
 				done <- fmt.Errorf("append = %d: %s", w.Code, w.Body.String())
 				return

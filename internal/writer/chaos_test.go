@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,8 +27,8 @@ import (
 // two states — published and byte-identical to its fault-free outcome,
 // or failed with a typed error while the previous generation stays
 // authoritative for readers and on disk. No third state: no partial
-// delta visible, no torn file loadable, no appended row lost or logged
-// twice.
+// delta visible, no torn file loadable, no acknowledged row lost, no
+// refused row published, no row logged twice.
 //
 // Seeds come from the fixed {1, 7, 42} matrix plus CHAOS_SEED (the CI
 // chaos job runs one per matrix entry); replay any failure with
@@ -202,10 +203,7 @@ func TestChaosWriterConverges(t *testing.T) {
 					}
 					for i := range rows {
 						if err := w.Append(ctx, rows[i], vals[i]); err != nil {
-							t.Fatalf("seed %d load %d: append: %v", seed, i, err)
-						}
-						if _, err := w.Flush(ctx); err != nil {
-							t.Fatalf("seed %d load %d: flush did not converge: %v", seed, i, err)
+							t.Fatalf("seed %d load %d: append did not converge: %v", seed, i, err)
 						}
 					}
 					h := w.Acquire()
@@ -227,10 +225,151 @@ func TestChaosWriterConverges(t *testing.T) {
 	}
 }
 
+// TestChaosConcurrentAppends: four clients append eight batches each at
+// once, under error-mode injection at every write hook and no retries.
+// Each append's answer is its own batch's outcome: every acknowledged
+// batch is published as a generation of its own, no refused batch is in
+// any, and the final set — in memory and reopened — is the base with
+// exactly the acknowledged batches folded in, in generation order.
+func TestChaosConcurrentAppends(t *testing.T) {
+	const clients, perClient = 4, 8
+	masks := []int{0b011, 0b101}
+	for _, seed := range chaosSeeds(t) {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			base, _, _ := chaosBatches(99)
+			// Batch id's values are multiples of 1024 but for id added to
+			// its first, so a generation's base total less its
+			// predecessor's names the one batch it published.
+			rng := rand.New(rand.NewSource(int64(seed)))
+			rows := make([][][]int, clients*perClient)
+			vals := make([][]float64, clients*perClient)
+			for id := range rows {
+				rows[id], vals[id] = batch(rng, 10)
+				for i := range vals[id] {
+					vals[id][i] *= 1024
+				}
+				vals[id][0] += float64(id)
+			}
+			st, err := snapshot.OpenStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			var gens []uint64
+			totals := map[uint64]float64{}
+			var w *writer.Writer
+			w, err = writer.Open(context.Background(), writer.Config{
+				Store: st, Name: "facts", Base: base, Masks: masks,
+				MaxRetries: -1, // none: one attempt per append
+				OnPublish: func(gen uint64) {
+					h := w.Acquire()
+					defer h.Release()
+					mu.Lock()
+					defer mu.Unlock()
+					if h.Generation() != gen {
+						t.Errorf("OnPublish(%d) acquired generation %d", gen, h.Generation())
+					}
+					gens = append(gens, gen)
+					totals[gen] = baseTotal(t, h)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := w.Acquire()
+			totals[1] = baseTotal(t, h)
+			h.Release()
+
+			inj := fault.New(fault.Schedule{Seed: seed, Points: writerPoints, Rate: 0.1, Mode: fault.Error, MaxInjections: 16})
+			ctx := fault.WithInjector(context.Background(), inj)
+			errs := make([]error, len(rows))
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for id := c * perClient; id < (c+1)*perClient; id++ {
+						errs[id] = w.Append(ctx, rows[id], vals[id])
+					}
+				}(c)
+			}
+			wg.Wait()
+
+			acked := 0
+			for id, err := range errs {
+				if err == nil {
+					acked++
+				} else if !errors.Is(err, fault.ErrInjected) {
+					t.Fatalf("batch %d: append = %v, want nil or the injected fault", id, err)
+				}
+			}
+			if inj.Injected() == 0 || acked == 0 {
+				t.Fatalf("%d injections, %d acknowledged appends: the schedule tests nothing", inj.Injected(), acked)
+			}
+			t.Logf("%d injections, %d of %d appends acknowledged", inj.Injected(), acked, len(rows))
+			// One generation per acknowledged append, each holding one
+			// acknowledged batch no other generation holds.
+			if len(gens) != acked || w.Generation() != uint64(acked)+1 {
+				t.Fatalf("%d publishes up to generation %d for %d acknowledged appends", len(gens), w.Generation(), acked)
+			}
+			want, err := cube.MaterializeCtx(context.Background(), base, masks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[int]bool{}
+			for i, gen := range gens {
+				if gen != uint64(i)+2 {
+					t.Fatalf("publish %d was generation %d, want %d", i, gen, i+2)
+				}
+				id := int(int64(totals[gen]-totals[gen-1]) % 1024)
+				if id < 0 || id >= len(rows) || errs[id] != nil || seen[id] {
+					t.Fatalf("generation %d folded in batch %d, which was refused or already published", gen, id)
+				}
+				seen[id] = true
+				if _, err := want.AppendRowsCtx(context.Background(), rows[id], vals[id]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h = w.Acquire()
+			same := h.Set().Identical(want)
+			h.Release()
+			if !same {
+				t.Fatal("published set is not the base plus the acknowledged batches")
+			}
+			if err := w.Close(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			w2, err := writer.Open(context.Background(), writer.Config{Store: st, Name: "facts", Card: base.Card, Masks: masks})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2.Close(context.Background())
+			h = w2.Acquire()
+			defer h.Release()
+			if h.Generation() != uint64(acked)+1 || !h.Set().Identical(want) {
+				t.Fatalf("reopened at generation %d (want %d), or on a set that is not the base plus the acknowledged batches", h.Generation(), acked+1)
+			}
+		})
+	}
+}
+
+// baseTotal sums the handle's base cuboid.
+func baseTotal(t *testing.T, h *cube.ReadHandle) float64 {
+	view, _, err := h.Answer(1<<len(h.Set().Card()) - 1)
+	if err != nil {
+		t.Error(err)
+	}
+	total := 0.0
+	for _, v := range view {
+		total += v
+	}
+	return total
+}
+
 // TestChaosFailedLoadInvisible: a load that exhausts its retries leaves
 // no trace a reader can see — the acquired handle's answers don't
-// change, the published generation doesn't advance, the batch stays
-// buffered, and the store still reloads the previous generation. The
+// change, the published generation doesn't advance, and the store still
+// reloads the previous generation. The
 // snapshot.* hooks fire only in the checkpoint a load writes after it
 // has published (this 40-row batch's record outgrows the small cube's
 // checkpoint, so one is due): a failed checkpoint is just as invisible —
@@ -266,16 +405,12 @@ func TestChaosFailedLoadInvisible(t *testing.T) {
 				}
 				inj := fault.New(fault.Schedule{Seed: seed, Points: []string{point}, Rate: 1, Mode: mode})
 				ctx := fault.WithInjector(context.Background(), inj)
-				if err := w.Append(ctx, rows[0], vals[0]); err != nil {
-					t.Fatal(err)
-				}
 				if checkpointPoint(point) {
 					checkpointFailureInvisible(t, w, st, before, rows[0], vals[0], ctx)
 					return
 				}
-				_, err = w.Flush(ctx)
-				if !errors.Is(err, fault.ErrInjected) {
-					t.Fatalf("flush = %v, want injected failure", err)
+				if err := w.Append(ctx, rows[0], vals[0]); !errors.Is(err, fault.ErrInjected) {
+					t.Fatalf("append = %v, want injected failure", err)
 				}
 				if got := w.Generation(); got != beforeGen {
 					t.Fatalf("generation advanced %d -> %d on a failed load", beforeGen, got)
@@ -284,9 +419,6 @@ func TestChaosFailedLoadInvisible(t *testing.T) {
 				defer after.Release()
 				if after.Generation() != beforeGen || !after.Set().Identical(before.Set()) {
 					t.Fatal("failed load changed the reader-visible set")
-				}
-				if got := w.Pending(); got != len(rows[0]) {
-					t.Fatalf("pending = %d after failed load, want %d (no row lost)", got, len(rows[0]))
 				}
 				// Restart-style recovery: the store's newest loadable
 				// generation is still the pre-fault one. A publish-window
@@ -314,7 +446,7 @@ func TestChaosFailedLoadInvisible(t *testing.T) {
 }
 
 // checkpointFailureInvisible is TestChaosFailedLoadInvisible's case for
-// a hook inside the checkpoint: the flush publishes the batch, the
+// a hook inside the checkpoint: the append publishes the batch, the
 // failed checkpoint shows only in Status, and the store reloads the
 // published set through the log with no checkpoint added.
 func checkpointFailureInvisible(t *testing.T, w *writer.Writer, st *snapshot.Store, before *cube.ReadHandle, rows [][]int, vals []float64, ctx context.Context) {
@@ -323,12 +455,12 @@ func checkpointFailureInvisible(t *testing.T, w *writer.Writer, st *snapshot.Sto
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := w.Flush(ctx)
-	if err != nil {
-		t.Fatalf("flush = %v: a failed checkpoint must not fail its published load", err)
+	if err := w.Append(ctx, rows, vals); err != nil {
+		t.Fatalf("append = %v: a failed checkpoint must not fail its published load", err)
 	}
-	if gen != before.Generation()+1 || w.Pending() != 0 {
-		t.Fatalf("flush published generation %d with %d pending, want %d and 0", gen, w.Pending(), before.Generation()+1)
+	gen := w.Generation()
+	if gen != before.Generation()+1 {
+		t.Fatalf("append published generation %d, want %d", gen, before.Generation()+1)
 	}
 	if !strings.Contains(w.Status().LastError, "checkpoint") {
 		t.Fatalf("status.LastError = %q, want the checkpoint failure", w.Status().LastError)
@@ -386,13 +518,10 @@ func TestChaosTornWrite(t *testing.T) {
 				faulty := fault.WithInjector(context.Background(), inj)
 				clean := context.Background()
 				for i := range rows {
-					if err := w.Append(clean, rows[i], vals[i]); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := w.Flush(faulty); err != nil {
-						// Torn write detected at save time: batch is back in
-						// the buffer; publish it with a clean context.
-						if _, err := w.Flush(clean); err != nil {
+					if err := w.Append(faulty, rows[i], vals[i]); err != nil {
+						// Torn write detected at save time: the batch was
+						// not applied, so send it again with a clean context.
+						if err := w.Append(clean, rows[i], vals[i]); err != nil {
 							t.Fatalf("seed %d load %d: clean retry failed: %v", seed, i, err)
 						}
 					}
@@ -443,16 +572,13 @@ func TestChaosPanicPublishWindow(t *testing.T) {
 
 			inj := fault.New(fault.Schedule{Seed: seed, Points: []string{fault.PointWriterPublish}, Rate: 1, Mode: fault.Panic, MaxInjections: 1})
 			ctx := fault.WithInjector(context.Background(), inj)
-			if err := w.Append(ctx, rows[0], vals[0]); err != nil {
-				t.Fatal(err)
-			}
 			func() {
 				defer func() {
 					if recover() == nil {
 						t.Fatal("publish-window panic injection did not fire")
 					}
 				}()
-				_, _ = w.Flush(ctx)
+				_ = w.Append(ctx, rows[0], vals[0])
 			}()
 
 			// "Restart": a brand-new writer on the same store. It must open
@@ -494,9 +620,6 @@ func TestChaosPanicPublishWindow(t *testing.T) {
 				if err := w2.Append(context.Background(), rows[i], vals[i]); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := w2.Flush(context.Background()); err != nil {
-					t.Fatal(err)
-				}
 			}
 			h2 := w2.Acquire()
 			defer h2.Release()
@@ -508,7 +631,7 @@ func TestChaosPanicPublishWindow(t *testing.T) {
 }
 
 // TestChaosBudgetNotRetried: a budget refusal during the delta fold is
-// the caller's error — surfaced once, never retried, batch preserved.
+// the caller's error — surfaced once, never retried, nothing published.
 func TestChaosBudgetNotRetried(t *testing.T) {
 	base, rows, vals := chaosBatches(99)
 	st, err := snapshot.OpenStore(t.TempDir())
@@ -524,14 +647,11 @@ func TestChaosBudgetNotRetried(t *testing.T) {
 	}
 	gov := budget.NewGovernor(budget.Limits{MaxCells: 1})
 	ctx := budget.WithGovernor(context.Background(), gov)
-	if err := w.Append(context.Background(), rows[0], vals[0]); err != nil {
-		t.Fatal(err)
+	if err := w.Append(ctx, rows[0], vals[0]); !errors.Is(err, budget.ErrBudgetExceeded) {
+		t.Fatalf("append = %v, want budget refusal", err)
 	}
-	if _, err := w.Flush(ctx); !errors.Is(err, budget.ErrBudgetExceeded) {
-		t.Fatalf("flush = %v, want budget refusal", err)
-	}
-	if st := w.Status(); st.Retries != 0 || st.PendingRows != len(rows[0]) {
-		t.Fatalf("status = %+v: budget refusal must not retry or drop rows", st)
+	if st := w.Status(); st.Retries != 0 || st.Generation != 1 {
+		t.Fatalf("status = %+v: budget refusal must not retry or publish", st)
 	}
 }
 
@@ -554,13 +674,10 @@ func logWriter(t *testing.T) (*writer.Writer, *snapshot.Store, [][][]int, [][]fl
 	return w, st, rows, vals
 }
 
-// publish appends and flushes one batch and returns the published set.
+// publish appends one batch and returns the published set.
 func publish(t *testing.T, ctx context.Context, w *writer.Writer, rows [][]int, vals []float64) *cube.MaterializedSet {
 	t.Helper()
 	if err := w.Append(ctx, rows, vals); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
 	h := w.Acquire()
@@ -617,22 +734,18 @@ func TestChaosLogWrite(t *testing.T) {
 			sr, sv := small(rows, 2), small(vals, 2)
 			publish(t, clean, w, sr[0], sv[0])
 			// A torn record fails the append and is cut back off: the
-			// generation does not advance and the batch waits.
+			// generation does not advance and the batch is not applied.
 			inj := fault.New(fault.Schedule{Seed: seed, Points: []string{fault.PointLogWrite}, Rate: 1, Mode: fault.ShortWrite, MaxInjections: 1})
 			r, v := sr[1], sv[1]
-			if err := w.Append(clean, r, v); err != nil {
-				t.Fatal(err)
+			if err := w.Append(fault.WithInjector(clean, inj), r, v); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("append = %v, want the torn write", err)
 			}
-			if _, err := w.Flush(fault.WithInjector(clean, inj)); !errors.Is(err, fault.ErrInjected) {
-				t.Fatalf("flush = %v, want the torn write", err)
+			if w.Generation() != 2 {
+				t.Fatalf("generation %d after a torn record, want 2", w.Generation())
 			}
-			if w.Generation() != 2 || w.Pending() != len(r) {
-				t.Fatalf("generation %d, %d pending after a torn record; want 2 and %d", w.Generation(), w.Pending(), len(r))
-			}
-			// The retry's record follows the valid prefix.
-			if _, err := w.Flush(clean); err != nil {
-				t.Fatal(err)
-			}
+			// The client sends it again; its record follows the valid
+			// prefix.
+			publish(t, clean, w, r, v)
 			s3 := publish(t, clean, w, sr[2], sv[2])
 			requireRecovers(t, st, 4, s3)
 			if chain, n := logTail(t, st); chain.Tail != nil || n != 3 {
@@ -710,16 +823,13 @@ func TestChaosLogWrite(t *testing.T) {
 			s2 := publish(t, clean, w, sr[0], sv[0])
 			inj := fault.New(fault.Schedule{Seed: seed, Points: []string{fault.PointWriterPublish}, Rate: 1, Mode: fault.Panic, MaxInjections: 1})
 			r, v := sr[1], sv[1]
-			if err := w.Append(clean, r, v); err != nil {
-				t.Fatal(err)
-			}
 			func() {
 				defer func() {
 					if recover() == nil {
 						t.Fatal("publish-window panic did not fire")
 					}
 				}()
-				_, _ = w.Flush(fault.WithInjector(clean, inj))
+				_ = w.Append(fault.WithInjector(clean, inj), r, v)
 			}()
 			// The record was durable before the crash: it replays, once.
 			staged := s2.Clone()

@@ -1,6 +1,6 @@
-// Package writer is the engine's production write path: batched fact
-// appends folded into a materialized cube by delta maintenance, each
-// completed load published as the next generation, which concurrent
+// Package writer is the engine's production write path: each appended
+// batch of facts is one load, folded into a materialized cube by delta
+// maintenance and published as the next generation, which concurrent
 // readers pin for the lifetime of a query — MVCC reader/writer isolation
 // built on internal/snapshot's versioned store.
 //
@@ -25,7 +25,8 @@
 //
 // The publish protocol, one load at a time:
 //
-//  1. take the buffered batch (writer.append fires);
+//  1. validate the appended batch; each load attempt starts at
+//     writer.append;
 //  2. clone the published set and fold the batch in (writer.delta);
 //  3. append the batch's record to the live log and fsync it (log.write)
 //     — the commit point: from here a crash replays the batch on the
@@ -44,9 +45,11 @@
 // to its previous length. A fault the process survives between the
 // commit point and the swap withdraws the record the same way, so the
 // batch is never logged twice; a record that cannot be withdrawn is
-// committed and published. Either way a batch is published exactly
-// once, and a failed load returns its batch to the buffer for the
-// bounded retry. Open recovers through cube.RecoverMaterialized — the
+// committed and published. Either way a batch is published at most
+// once, and Append's answer says which: nil once it is published and
+// durable, an error when no attempt of the bounded retry published it —
+// then the batch is gone, and only the caller can send it again. Open
+// recovers through cube.RecoverMaterialized — the
 // newest good checkpoint plus its logs, folded in one call — and the
 // first record after it cuts any torn or corrupt log tail.
 //
@@ -66,7 +69,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,7 +89,6 @@ import (
 //	writer.aborted_loads  load attempts that failed (each either
 //	                      retried or surfaced as a typed error)
 //	writer.publish_ns     wall time per published load (staging → visible)
-//	writer.pending_rows   rows buffered awaiting the next load
 //	writer.checkpoints    checkpoints written after a publish
 //	writer.checkpoint_failures  checkpoints that failed (the next load
 //	                      retries; the log keeps the generation durable)
@@ -97,7 +98,6 @@ var (
 	retriesCounter = obs.Default().Counter("writer.retries")
 	abortedLoads   = obs.Default().Counter("writer.aborted_loads")
 	publishHist    = obs.Default().Histogram("writer.publish_ns")
-	pendingGauge   = obs.Default().Gauge("writer.pending_rows")
 	ckptCounter    = obs.Default().Counter("writer.checkpoints")
 	ckptFailures   = obs.Default().Counter("writer.checkpoint_failures")
 )
@@ -120,12 +120,6 @@ type Config struct {
 	// Masks lists the view masks to materialize and delta-maintain
 	// beyond the always-present base cuboid.
 	Masks []int
-	// MaxPending caps buffered rows; Append refuses beyond it (default
-	// 1<<20).
-	MaxPending int
-	// FlushRows, when positive, auto-publishes a load as soon as the
-	// buffer reaches this many rows; 0 means loads happen only on Flush.
-	FlushRows int
 	// MaxRetries is how many times a failed load attempt is retried
 	// before the error surfaces (default 3; negative means none).
 	MaxRetries int
@@ -146,18 +140,17 @@ type generation struct {
 	set *cube.MaterializedSet
 }
 
-// Writer is the engine's single logical writer: Append buffers batches,
-// Flush folds them into the next generation, Acquire hands out pinned
-// read handles. All methods are safe for concurrent use; loads
-// themselves are serialized (there is one write path), while Acquire
-// never waits on a load.
+// Writer is the engine's single logical writer: Append folds a batch
+// into the next generation and publishes it, Acquire hands out pinned
+// read handles. All methods are safe for concurrent use; loads are
+// serialized (there is one write path, and concurrent Appends each
+// publish their own generation in turn), while Acquire never waits on a
+// load.
 type Writer struct {
 	store      *snapshot.Store
 	name       string
 	card       []int
 	masks      []int
-	maxPending int
-	flushRows  int
 	maxRetries int
 	backoff    time.Duration
 	sleep      func(time.Duration)
@@ -170,9 +163,6 @@ type Writer struct {
 	pinMu sync.Mutex
 
 	loadMu sync.Mutex // serializes loads
-	bufMu  sync.Mutex // guards the append buffer
-	rows   [][]int
-	vals   []float64
 
 	// The append log, nil without a store, and the newest checkpoint's
 	// size, which the log grows to before the next checkpoint. stale is
@@ -218,15 +208,10 @@ func Open(ctx context.Context, cfg Config) (*Writer, error) {
 		name:       cfg.Name,
 		card:       append([]int(nil), card...),
 		masks:      append([]int(nil), cfg.Masks...),
-		maxPending: cfg.MaxPending,
-		flushRows:  cfg.FlushRows,
 		maxRetries: cfg.MaxRetries,
 		backoff:    cfg.Backoff,
 		sleep:      cfg.Sleep,
 		onPublish:  cfg.OnPublish,
-	}
-	if w.maxPending <= 0 {
-		w.maxPending = 1 << 20
 	}
 	if w.maxRetries == 0 {
 		w.maxRetries = 3
@@ -281,15 +266,14 @@ func Open(ctx context.Context, cfg Config) (*Writer, error) {
 	return w, nil
 }
 
-// Close flushes any buffered rows and drops the writer's own pin on the
-// current generation. Outstanding read handles keep their pins.
-func (w *Writer) Close(ctx context.Context) error {
-	_, err := w.Flush(ctx)
+// Close closes the append log and drops the writer's own pin on the
+// current generation; it publishes nothing, since every acknowledged
+// Append already has. Outstanding read handles keep their pins.
+func (w *Writer) Close(context.Context) error {
+	var err error
 	w.loadMu.Lock()
 	if w.log != nil {
-		if cerr := w.log.Close(); err == nil {
-			err = cerr
-		}
+		err = w.log.Close()
 	}
 	w.loadMu.Unlock()
 	w.pinMu.Lock()
@@ -325,83 +309,31 @@ func (w *Writer) Acquire() *cube.ReadHandle {
 	return cube.NewReadHandle(g.set, g.gen, release)
 }
 
-// Append validates and buffers a batch of coded fact rows. The rows are
-// copied into one code slab the buffered rows share — the caller's
-// slices stay the caller's. When the buffer reaches FlushRows the load
-// runs inline (the appender pays for the publish, a natural
-// backpressure); otherwise rows wait for Flush.
-func (w *Writer) Append(ctx context.Context, rows [][]int, vals []float64) error {
-	in := &cube.Input{Card: w.card, Rows: rows, Vals: vals}
-	if err := in.Validate(); err != nil {
-		return err
-	}
-	dims := len(w.card)
-	slab := make([]int, len(rows)*dims)
-	for i, row := range rows {
-		copy(slab[i*dims:], row)
-	}
-	w.bufMu.Lock()
-	if len(w.rows)+len(rows) > w.maxPending {
-		n := len(w.rows)
-		w.bufMu.Unlock()
-		return fmt.Errorf("writer: append buffer full (%d pending + %d new > %d): flush or raise MaxPending", n, len(rows), w.maxPending)
-	}
-	w.rows = slices.Grow(w.rows, len(rows))
-	for i := range rows {
-		w.rows = append(w.rows, slab[i*dims:(i+1)*dims:(i+1)*dims])
-	}
-	w.vals = append(w.vals, vals...)
-	pending := len(w.rows)
-	w.bufMu.Unlock()
-	if obs.On() {
-		pendingGauge.Set(float64(pending))
-	}
-	if w.flushRows > 0 && pending >= w.flushRows {
-		_, err := w.Flush(ctx)
-		return err
-	}
-	return nil
-}
-
-// Pending returns the buffered row count.
-func (w *Writer) Pending() int {
-	w.bufMu.Lock()
-	defer w.bufMu.Unlock()
-	return len(w.rows)
-}
-
-// Flush folds every buffered row into the cube as one load and
+// Append loads a batch of coded fact rows: it validates the batch, then
+// folds it into a clone of the published generation, logs it and
 // publishes the result as the next generation, retrying failed attempts
 // with bounded exponential backoff, then writes a checkpoint if one is
-// due. On success it returns the published generation (the current one
-// when the buffer was empty). On final failure the batch returns to the
-// buffer — no appended row is ever silently dropped, and none of its
-// failed attempts left a record — and the typed error surfaces. Budget
-// refusals and cancellations are the caller's errors and are not
-// retried.
-func (w *Writer) Flush(ctx context.Context) (uint64, error) {
+// due. It returns nil only once the batch's generation is published and
+// durable. An error means no attempt published the batch: it is in no
+// generation and no log record, nothing holds it for later, and
+// sending it again applies it once. Budget refusals and cancellations
+// are the caller's errors and are not retried. An empty batch publishes
+// nothing. The rows are read during the call only — the caller's slices
+// stay the caller's. Loads are serialized: Append waits for the load
+// in progress, Acquire never does.
+func (w *Writer) Append(ctx context.Context, rows [][]int, vals []float64) error {
+	in := &cube.Input{Card: w.card, Rows: rows, Vals: vals}
+	if err := in.Validate(); err != nil || len(rows) == 0 {
+		return err
+	}
 	w.loadMu.Lock()
 	defer w.loadMu.Unlock()
-
-	w.bufMu.Lock()
-	rows, vals := w.rows, w.vals
-	w.rows, w.vals = nil, nil
-	w.bufMu.Unlock()
-	if len(rows) == 0 {
-		return w.Generation(), nil
-	}
-	if obs.On() {
-		pendingGauge.Set(0)
-	}
-
-	var gen uint64
-	var err error
 	for attempt := 0; ; attempt++ {
-		gen, err = w.load(ctx, rows, vals)
+		err := w.load(ctx, rows, vals)
 		if err == nil {
 			w.setLastErr(nil)
 			w.checkpointIfDue(ctx)
-			return gen, nil
+			return nil
 		}
 		w.aborted.Add(1)
 		if obs.On() {
@@ -409,7 +341,7 @@ func (w *Writer) Flush(ctx context.Context) (uint64, error) {
 		}
 		w.setLastErr(err)
 		if attempt >= w.maxRetries || !retryable(err) {
-			break
+			return err
 		}
 		w.retries.Add(1)
 		if obs.On() {
@@ -417,18 +349,11 @@ func (w *Writer) Flush(ctx context.Context) (uint64, error) {
 		}
 		w.sleep(w.backoff << uint(attempt))
 	}
-	// Return the batch to the front of the buffer: the previous
-	// generation stays authoritative and a later Flush retries the load.
-	w.bufMu.Lock()
-	w.rows = append(rows, w.rows...)
-	w.vals = append(vals, w.vals...)
-	pending := len(w.rows)
-	w.bufMu.Unlock()
-	if obs.On() {
-		pendingGauge.Set(float64(pending))
-	}
-	return 0, err
 }
+
+// Flush returns the published generation; every acknowledged Append has
+// already published its batch.
+func (w *Writer) Flush(context.Context) (uint64, error) { return w.Generation(), nil }
 
 // retryable separates environmental failures (injected faults, torn
 // writes, IO errors) — worth a backoff and another attempt — from the
@@ -442,7 +367,7 @@ func retryable(err error) bool {
 // batch, log it durably, publish. Every failure path discards the
 // staging clone whole and leaves no record — the published generation
 // is immutable and untouched.
-func (w *Writer) load(ctx context.Context, rows [][]int, vals []float64) (uint64, error) {
+func (w *Writer) load(ctx context.Context, rows [][]int, vals []float64) error {
 	//lint:ignore nodeterm feeds the writer.publish_ns histogram and the load flight's wall time; benchdiff diffs neither
 	start := time.Now()
 	inj := fault.From(ctx)
@@ -500,7 +425,7 @@ func (w *Writer) load(ctx context.Context, rows [][]int, vals []float64) (uint64
 	if err == nil && w.onPublish != nil {
 		w.onPublish(gen)
 	}
-	return gen, err
+	return err
 }
 
 // logBatch appends one batch's record to the live log. The first record
@@ -605,7 +530,6 @@ type Status struct {
 	Retries      int64  `json:"retries"`
 	AbortedLoads int64  `json:"aborted_loads"`
 	DeltaCells   int64  `json:"delta_cells"`
-	PendingRows  int    `json:"pending_rows"`
 	LastError    string `json:"last_error,omitempty"`
 }
 
@@ -620,7 +544,6 @@ func (w *Writer) Status() Status {
 		Retries:      w.retries.Load(),
 		AbortedLoads: w.aborted.Load(),
 		DeltaCells:   w.cells.Load(),
-		PendingRows:  w.Pending(),
 		LastError:    lastErr,
 	}
 }

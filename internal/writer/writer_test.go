@@ -150,51 +150,53 @@ func TestAppendFlushMatchesRematerialization(t *testing.T) {
 	}
 }
 
-// TestAutoFlush: reaching FlushRows publishes without an explicit Flush.
-func TestAutoFlush(t *testing.T) {
-	ctx := context.Background()
-	w, _ := openTestWriter(t, writer.Config{Card: []int{4, 3, 2}, FlushRows: 50})
-	rng := rand.New(rand.NewSource(4))
-	rows, vals := batch(rng, 49)
-	if err := w.Append(ctx, rows, vals); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Generation(); got != 1 {
-		t.Fatalf("generation = %d before threshold, want 1", got)
-	}
-	rows, vals = batch(rng, 1)
-	if err := w.Append(ctx, rows, vals); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Generation(); got != 2 {
-		t.Fatalf("generation = %d after threshold, want 2", got)
-	}
-	if got := w.Pending(); got != 0 {
-		t.Fatalf("pending = %d after auto-flush, want 0", got)
-	}
-}
-
-// TestAppendValidation: bad rows are refused before buffering, and the
-// buffer cap surfaces as a typed refusal, not a drop.
+// TestAppendValidation: bad rows are refused before any load attempt —
+// nothing published, nothing retried.
 func TestAppendValidation(t *testing.T) {
 	ctx := context.Background()
-	w, _ := openTestWriter(t, writer.Config{Card: []int{4, 3, 2}, MaxPending: 10})
+	w, _ := openTestWriter(t, writer.Config{Card: []int{4, 3, 2}})
 	if err := w.Append(ctx, [][]int{{9, 0, 0}}, []float64{1}); err == nil {
 		t.Fatal("out-of-range code accepted")
 	}
 	if err := w.Append(ctx, [][]int{{1, 0}}, []float64{1}); err == nil {
 		t.Fatal("short row accepted")
 	}
-	rng := rand.New(rand.NewSource(5))
-	rows, vals := batch(rng, 10)
+	if err := w.Append(ctx, [][]int{{1, 0, 0}}, nil); err == nil {
+		t.Fatal("row without a value accepted")
+	}
+	if st := w.Status(); st.Generation != 1 || st.AbortedLoads != 0 || st.Retries != 0 {
+		t.Fatalf("status = %+v after refused appends, want generation 1 and no load attempts", st)
+	}
+}
+
+// TestAppendKeepsNoCallerSlice: the caller's slices stay the caller's —
+// rewriting them after Append returns changes no published cell.
+func TestAppendKeepsNoCallerSlice(t *testing.T) {
+	ctx := context.Background()
+	in := testInput(t, 100, 4)
+	masks := []int{0b011}
+	w, st := openTestWriter(t, writer.Config{Base: in, Masks: masks})
+	rows, vals := batch(rand.New(rand.NewSource(5)), 30)
+	want, err := cube.MaterializeCtx(ctx, in, masks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := want.AppendRowsCtx(ctx, rows, vals); err != nil {
+		t.Fatal(err)
+	}
 	if err := w.Append(ctx, rows, vals); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(ctx, [][]int{{0, 0, 0}}, []float64{1}); err == nil {
-		t.Fatal("append beyond MaxPending accepted")
+	for i := range rows {
+		rows[i][0], rows[i][1], vals[i] = 3-rows[i][0], 2-rows[i][1], -vals[i]
 	}
-	if got := w.Pending(); got != 10 {
-		t.Fatalf("pending = %d after refused append, want 10", got)
+	h := w.Acquire()
+	defer h.Release()
+	if h.Generation() != 2 || !h.Set().Identical(want) {
+		t.Fatalf("generation %d after rewriting the appended slices: the published set changed", h.Generation())
+	}
+	if loaded, gen, err := cube.LoadMaterialized(ctx, st, "facts"); err != nil || gen != 2 || !loaded.Identical(want) {
+		t.Fatalf("store holds generation %d (err %v), or a set that is not the appended batch's", gen, err)
 	}
 }
 
@@ -284,10 +286,20 @@ func TestMVCCHandleIsolation(t *testing.T) {
 	}
 }
 
-// TestFlushFailureKeepsBatch: when every attempt fails, the previous
-// generation stays authoritative, the batch returns to the buffer, and
-// a later fault-free Flush publishes it.
-func TestFlushFailureKeepsBatch(t *testing.T) {
+// appendBatch is a client's whole append: Append, then Flush for the
+// generation the batch was published as.
+func appendBatch(ctx context.Context, w *writer.Writer, rows [][]int, vals []float64) (uint64, error) {
+	if err := w.Append(ctx, rows, vals); err != nil {
+		return 0, err
+	}
+	return w.Flush(ctx)
+}
+
+// TestFailedAppendNeverPublished: an append whose every attempt fails
+// answers the error and leaves nothing behind — no generation, no log
+// record, no row held for later. The next append publishes its own
+// batch alone, in memory and in the store.
+func TestFailedAppendNeverPublished(t *testing.T) {
 	in := testInput(t, 100, 8)
 	w, store := openTestWriter(t, writer.Config{Base: in, MaxRetries: 2, Backoff: time.Nanosecond})
 	before := w.Acquire()
@@ -297,18 +309,11 @@ func TestFlushFailureKeepsBatch(t *testing.T) {
 	ctx := fault.WithInjector(context.Background(), inj)
 	rng := rand.New(rand.NewSource(9))
 	rows, vals := batch(rng, 30)
-	if err := w.Append(ctx, rows, vals); err != nil {
-		t.Fatal(err)
-	}
-	_, err := w.Flush(ctx)
-	if !errors.Is(err, fault.ErrInjected) {
+	if _, err := appendBatch(ctx, w, rows, vals); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want injected", err)
 	}
 	if got := w.Generation(); got != 1 {
 		t.Fatalf("generation = %d after failed load, want 1", got)
-	}
-	if got := w.Pending(); got != 30 {
-		t.Fatalf("pending = %d after failed load, want the batch back", got)
 	}
 	st := w.Status()
 	if st.AbortedLoads != 3 || st.Retries != 2 {
@@ -317,25 +322,29 @@ func TestFlushFailureKeepsBatch(t *testing.T) {
 	if st.LastError == "" {
 		t.Fatal("status.LastError empty after failed load")
 	}
-
 	// Each publish-window fault withdrew the record its attempt had
-	// logged, so the store holds no trace of the batch: the recovery
-	// flush publishes it as generation 2, and a restart finds it there
-	// exactly once.
+	// logged, so the store holds no trace of the batch.
 	if loaded, gen, err := cube.LoadMaterialized(context.Background(), store, "facts"); err != nil || gen != 1 || !loaded.Identical(before.Set()) {
 		t.Fatalf("store after failed loads: generation %d, err %v; want generation 1 unchanged", gen, err)
 	}
-	gen, err := w.Flush(context.Background())
-	if err != nil {
-		t.Fatal(err)
+
+	// A different batch, fault-free: generation 2 holds it and nothing
+	// of the refused one.
+	rows2, vals2 := batch(rng, 20)
+	if gen, err := appendBatch(context.Background(), w, rows2, vals2); err != nil || gen != 2 {
+		t.Fatalf("second append = (%d, %v), want (2, nil)", gen, err)
 	}
-	if gen != 2 || w.Pending() != 0 {
-		t.Fatalf("recovery flush: gen=%d pending=%d, want 2 and 0", gen, w.Pending())
+	want := before.Set().Clone()
+	if _, err := want.AppendRowsCtx(context.Background(), rows2, vals2); err != nil {
+		t.Fatal(err)
 	}
 	h := w.Acquire()
 	defer h.Release()
-	if loaded, lgen, err := cube.LoadMaterialized(context.Background(), store, "facts"); err != nil || lgen != 2 || !loaded.Identical(h.Set()) {
-		t.Fatalf("store after recovery flush: generation %d, err %v; want generation 2, the published set", lgen, err)
+	if h.Generation() != 2 || !h.Set().Identical(want) {
+		t.Fatalf("generation %d: the published set is not the base plus the second batch alone", h.Generation())
+	}
+	if loaded, lgen, err := cube.LoadMaterialized(context.Background(), store, "facts"); err != nil || lgen != 2 || !loaded.Identical(want) {
+		t.Fatalf("store after the second append: generation %d, err %v; want generation 2 holding the second batch alone", lgen, err)
 	}
 	if w.Status().LastError != "" {
 		t.Fatal("status.LastError not cleared by successful load")
@@ -343,27 +352,29 @@ func TestFlushFailureKeepsBatch(t *testing.T) {
 }
 
 // TestFlushDoesNotRetryCancellation: the caller's canceled context is
-// not an environmental failure — one attempt, no backoff loop.
+// not an environmental failure — one attempt, no backoff loop, nothing
+// published.
 func TestFlushDoesNotRetryCancellation(t *testing.T) {
 	w, _ := openTestWriter(t, writer.Config{Card: []int{4, 3, 2}, MaxRetries: 5, Backoff: time.Nanosecond})
 	rng := rand.New(rand.NewSource(10))
 	rows, vals := batch(rng, 10)
-	if err := w.Append(context.Background(), rows, vals); err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := w.Flush(ctx); err == nil {
-		t.Fatal("flush on canceled context succeeded")
+	if err := w.Append(ctx, rows, vals); err == nil {
+		t.Fatal("append on canceled context succeeded")
 	}
-	if st := w.Status(); st.Retries != 0 {
-		t.Fatalf("retries = %d for a canceled flush, want 0", st.Retries)
+	if st := w.Status(); st.Retries != 0 || st.Generation != 1 {
+		t.Fatalf("status = %+v for a canceled append, want no retries and generation 1", st)
 	}
 }
 
-// TestEmptyFlushIsNoop: flushing an empty buffer publishes nothing.
+// TestEmptyFlushIsNoop: an empty append and a flush publish nothing;
+// the flush answers the current generation.
 func TestEmptyFlushIsNoop(t *testing.T) {
 	w, st := openTestWriter(t, writer.Config{Card: []int{4, 3, 2}})
+	if err := w.Append(context.Background(), nil, nil); err != nil {
+		t.Fatalf("empty append = %v", err)
+	}
 	gen, err := w.Flush(context.Background())
 	if err != nil || gen != 1 {
 		t.Fatalf("empty flush = (%d, %v), want (1, nil)", gen, err)
@@ -565,33 +576,6 @@ func TestSavedGenerationBytesMatchPublished(t *testing.T) {
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Fatal("published and stored sets encode to different bytes")
 		}
-	}
-}
-
-// TestAppendCopiesIntoOneSlab: Append copies a batch's codes into one
-// slab the buffered rows share, not one slice per row.
-func TestAppendCopiesIntoOneSlab(t *testing.T) {
-	ctx := context.Background()
-	w, err := writer.Open(ctx, writer.Config{Card: []int{4, 3, 2}, MaxPending: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, vals := batch(rand.New(rand.NewSource(15)), 500)
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := w.Append(ctx, rows, vals); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// The slab, plus the buffer's amortized growth (rows and values).
-	if allocs > 4 {
-		t.Fatalf("Append of %d rows made %v allocations, want the slab and the buffer's growth", len(rows), allocs)
-	}
-	gen, err := w.Flush(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen != 2 || w.Pending() != 0 {
-		t.Fatalf("flush = generation %d, %d pending", gen, w.Pending())
 	}
 }
 
