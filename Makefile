@@ -110,8 +110,9 @@ chaos-write:
 	done
 
 # Bench regression: the E9/E16 micro-benchmarks, the evaluator's retail
-# benchmark and the cube layer's bulk-build and publish kernels (sanity,
-# 1 iteration), plus the full experiment suite's deterministic counters
+# benchmark, the cube layer's bulk-build and publish kernels and the load
+# path's kernels (core's bulk ingest, the retail generator and its coded
+# export) (sanity, 1 iteration), plus the full experiment suite's deterministic counters
 # diffed against BENCH_BASELINE.json.
 # Fails only on a counter that differs from the baseline (exact;
 # parallel.* counters follow GOMAXPROCS and are skipped — see
@@ -120,6 +121,8 @@ bench:
 	$(GO) test -bench='E9|E16' -benchtime=1x -count=3 -run='^$$' .
 	$(GO) test -bench=EvalRetail -benchtime=1x -run='^$$' ./internal/query
 	$(GO) test -bench='BuildSmallestParent|Publish' -benchtime=1x -run='^$$' ./internal/cube
+	$(GO) test -bench=ObserveRows -benchtime=1x -run='^$$' ./internal/core
+	$(GO) test -bench='NewRetail|CubeInputFromObject' -benchtime=1x -run='^$$' ./internal/workload
 	$(GO) run ./cmd/cubebench -stats-json > $(BENCH_OUT)
 	bash scripts/serve_smoke.sh bench >> $(BENCH_OUT)
 	$(GO) run ./scripts/benchdiff.go -baseline BENCH_BASELINE.json -current $(BENCH_OUT)

@@ -568,14 +568,17 @@ func loadCSV(path, dims, measureSpec string) (*statcube.StatObject, error) {
 	if !ok && m.Func != statcube.Count {
 		return nil, fmt.Errorf("measure column %q not in header %v", m.Name, header)
 	}
-	// First pass: collect rows and dimension values.
-	var rows [][]string
-	valueSets := make([]map[string]bool, len(dimNames))
+	// One pass codes each row: a dimension's values take ordinals in order
+	// of first appearance, which becomes their classification order.
+	var codes []int    // len(dimNames) ordinals per row
+	var vals []float64 // the measure column, unless the measure counts rows
+	var valErr error   // the first bad measure value, reported once the schema stands
+	code := make([]map[string]int, len(dimNames))
 	valueOrder := make([][]statcube.Value, len(dimNames))
-	for i := range valueSets {
-		valueSets[i] = map[string]bool{}
+	for i := range code {
+		code[i] = map[string]int{}
 	}
-	for {
+	for ri := 0; ; ri++ {
 		rec, err := rd.Read()
 		if errors.Is(err, io.EOF) {
 			break
@@ -583,13 +586,22 @@ func loadCSV(path, dims, measureSpec string) (*statcube.StatObject, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, rec)
 		for i, d := range dimNames {
 			v := strings.TrimSpace(rec[colIdx[d]])
-			if !valueSets[i][v] {
-				valueSets[i][v] = true
+			c, ok := code[i][v]
+			if !ok {
+				c = len(valueOrder[i])
+				code[i][v] = c
 				valueOrder[i] = append(valueOrder[i], v)
 			}
+			codes = append(codes, c)
+		}
+		if m.Func != statcube.Count {
+			x, err := strconv.ParseFloat(strings.TrimSpace(rec[mIdx]), 64)
+			if err != nil && valErr == nil {
+				valErr = fmt.Errorf("row %d: bad measure value %q", ri+2, rec[mIdx])
+			}
+			vals = append(vals, x)
 		}
 	}
 	var sdims []statcube.Dimension
@@ -604,22 +616,20 @@ func loadCSV(path, dims, measureSpec string) (*statcube.StatObject, error) {
 	if err != nil {
 		return nil, err
 	}
-	for ri, rec := range rows {
-		coords := map[string]statcube.Value{}
-		for _, d := range dimNames {
-			coords[d] = strings.TrimSpace(rec[colIdx[d]])
-		}
-		obs := map[string]float64{}
-		if m.Func != statcube.Count {
-			x, err := strconv.ParseFloat(strings.TrimSpace(rec[mIdx]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("row %d: bad measure value %q", ri+2, rec[mIdx])
-			}
-			obs[m.Name] = x
-		}
-		if err := obj.Observe(coords, obs); err != nil {
-			return nil, fmt.Errorf("row %d: %w", ri+2, err)
-		}
+	if valErr != nil {
+		return nil, valErr
+	}
+	nd := len(dimNames)
+	rows := make([][]int, len(codes)/nd)
+	for r := range rows {
+		rows[r] = codes[r*nd : (r+1)*nd : (r+1)*nd]
+	}
+	var obs map[string][]float64
+	if m.Func != statcube.Count {
+		obs = map[string][]float64{m.Name: vals}
+	}
+	if err := obj.ObserveRows(rows, obs); err != nil {
+		return nil, err
 	}
 	return obj, nil
 }

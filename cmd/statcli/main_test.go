@@ -118,6 +118,53 @@ func TestLoadCSV(t *testing.T) {
 	}
 }
 
+// TestLoadCSVMatchesObserve: the coded CSV load orders each dimension's
+// values by first appearance and builds, cell for cell, the object one
+// Observe per row builds; a bad value is reported by its row.
+func TestLoadCSVMatchesObserve(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sales.csv")
+	csv := "region,product,amount\n" +
+		"west, pear ,10\nwest,apple,2.5\neast,pear,-4\n north ,fig,1e3\neast,apple,7\nwest,pear,0.1\n"
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	obj, err := loadCSV(path, "product,region", "amount:avg:vpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for _, d := range obj.Schema().Dimensions() {
+		order = append(order, strings.Join(d.Class.LeafLevel().Values, " "))
+	}
+	if got := strings.Join(order, " | "); got != "pear apple fig | west east north" {
+		t.Errorf("leaf order = %q", got)
+	}
+	ref, err := statcube.New(obj.Schema(), obj.Measures())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range [][3]string{
+		{"pear", "west", "10"}, {"apple", "west", "2.5"}, {"pear", "east", "-4"},
+		{"fig", "north", "1e3"}, {"apple", "east", "7"}, {"pear", "west", "0.1"},
+	} {
+		x, _ := strconv.ParseFloat(row[2], 64)
+		if err := ref.Observe(map[string]statcube.Value{"product": row[0], "region": row[1]}, map[string]float64{"amount": x}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got, want []string
+	obj.ForEach(func(c []statcube.Value, v []float64) bool { got = append(got, fmt.Sprint(c, v)); return true })
+	ref.ForEach(func(c []statcube.Value, v []float64) bool { want = append(want, fmt.Sprint(c, v)); return true })
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("cells:\n%v\nwant\n%v", got, want)
+	}
+	bad := filepath.Join(t.TempDir(), "bad.csv")
+	_ = os.WriteFile(bad, []byte("product,amount\nx,1\ny,2\nx,oops\nz,nope\n"), 0o644)
+	if _, err := loadCSV(bad, "product", "amount:sum:flow"); err == nil || !strings.Contains(err.Error(), `row 4: bad measure value "oops"`) {
+		t.Errorf("bad value: %v", err)
+	}
+}
+
 // TestExitCodes: every failure class maps to its documented exit code,
 // and wrapping does not confuse the classification.
 func TestExitCodes(t *testing.T) {

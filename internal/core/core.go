@@ -39,6 +39,7 @@ var (
 	ErrDuplicateMeasure = errors.New("core: duplicate measure name")
 	ErrNoMeasures       = errors.New("core: no measures")
 	ErrCoordMissing     = errors.New("core: missing coordinate for dimension")
+	ErrCoordRange       = errors.New("core: bad coordinates")
 )
 
 // StatObject is a statistical object: a multidimensional dataset of
@@ -172,32 +173,30 @@ func (o *StatObject) Observe(by map[string]Value, obs map[string]float64) error 
 	return o.ObserveAt(coords, obs)
 }
 
-// ObserveAt is Observe with pre-resolved ordinal coordinates.
+// ObserveAt is Observe with pre-resolved ordinal coordinates. A wrong
+// coordinate count or an ordinal outside its dimension is refused with
+// ErrCoordRange, an unknown measure name with ErrUnknownMeasure; either
+// leaves the object unchanged.
 func (o *StatObject) ObserveAt(coords []int, obs map[string]float64) error {
-	slots := make([]float64, o.nslots)
-	touched := make([]bool, len(o.measures))
-	for i, m := range o.measures {
-		m.identity(slots[o.offsets[i] : o.offsets[i]+m.slots()])
-		if x, ok := obs[m.Name]; ok {
-			m.observe(slots[o.offsets[i]:o.offsets[i]+m.slots()], x)
-			touched[i] = true
-		} else if m.Func == Count {
-			m.observe(slots[o.offsets[i]:o.offsets[i]+m.slots()], 0)
-			touched[i] = true
-		}
-	}
 	for name := range obs {
 		if _, ok := o.byName[name]; !ok {
 			return fmt.Errorf("%w: %q", ErrUnknownMeasure, name)
 		}
 	}
-	o.store.Merge(coords, slots, o.identitySlots, func(dst, src []float64) {
-		for i, m := range o.measures {
-			if touched[i] {
-				m.merge(dst[o.offsets[i]:o.offsets[i]+m.slots()], src[o.offsets[i]:o.offsets[i]+m.slots()])
-			}
+	k, err := o.store.checkedKey(coords)
+	if err != nil {
+		return err
+	}
+	acc, ok := o.store.find(k)
+	if !ok {
+		acc = o.store.add(k)
+		o.identitySlots(acc)
+	}
+	for i, m := range o.measures {
+		if x, ok := obs[m.Name]; ok || m.Func == Count {
+			m.observe(acc[o.offsets[i]:o.offsets[i]+m.slots()], x)
 		}
-	})
+	}
 	return nil
 }
 
@@ -287,12 +286,19 @@ func (o *StatObject) CellValue(by map[string]Value, measure string) (float64, bo
 // reported value of each measure (in measure order). Iteration stops if fn
 // returns false.
 func (o *StatObject) ForEach(fn func(coords []Value, vals []float64) bool) {
+	o.ForEachAt(func(coords []int, vals []float64) bool { return fn(o.Values(coords), vals) })
+}
+
+// ForEachAt is ForEach with each cell's leaf ordinals, one per dimension
+// in schema order, in place of its values: the coded walk, in ascending
+// linearized order. The callback must not retain coords or vals.
+func (o *StatObject) ForEachAt(fn func(coords []int, vals []float64) bool) {
 	vals := make([]float64, len(o.measures))
 	o.store.ForEach(func(coords []int, slots []float64) bool {
 		for i, m := range o.measures {
 			vals[i] = m.value(slots[o.offsets[i] : o.offsets[i]+m.slots()])
 		}
-		return fn(o.Values(coords), vals)
+		return fn(coords, vals)
 	})
 }
 

@@ -22,7 +22,10 @@ import (
 // present key updates it in place; a new key is appended to the tail.
 // ForEach first folds the tail into the run with one sort of the tail and
 // one linear merge, then walks the run, so an object built once sorts
-// once and every later pass over it is a straight scan.
+// once and every later pass over it is a straight scan. A bulk load
+// (StatObject.ObserveRows) bypasses the tail: it radix-sorts its batch
+// and writes an empty store's run directly, or merges its new keys into
+// a settled run in one pass.
 //
 // Reads (Get, ForEach, Cells) may run concurrently with each other, so
 // one built object can serve many readers; writes must not run
@@ -80,16 +83,28 @@ func NewMapStore(shape []int, slots int) *MapStore {
 	return s
 }
 
-func (s *MapStore) key(coords []int) uint64 {
+// checkedKey linearizes coords, refusing a wrong coordinate count or an
+// ordinal outside its dimension with ErrCoordRange.
+func (s *MapStore) checkedKey(coords []int) (uint64, error) {
 	if len(coords) != len(s.shape) {
-		panic(fmt.Sprintf("core: %d coordinates for %d dimensions", len(coords), len(s.shape)))
+		return 0, fmt.Errorf("%w: %d coordinates for %d dimensions", ErrCoordRange, len(coords), len(s.shape))
 	}
 	var k uint64
 	for i, c := range coords {
 		if c < 0 || c >= s.shape[i] {
-			panic(fmt.Sprintf("core: coordinate %d out of range [0,%d) in dimension %d", c, s.shape[i], i))
+			return 0, fmt.Errorf("%w: coordinate %d outside [0,%d) in dimension %d", ErrCoordRange, c, s.shape[i], i)
 		}
 		k += uint64(c) * s.strides[i]
+	}
+	return k, nil
+}
+
+// key is checkedKey for the operators' own coordinates, which are in
+// range by construction: a bad one is a bug, and panics.
+func (s *MapStore) key(coords []int) uint64 {
+	k, err := s.checkedKey(coords)
+	if err != nil {
+		panic(err)
 	}
 	return k
 }
@@ -130,9 +145,8 @@ func (s *MapStore) add(k uint64) []float64 {
 }
 
 // settle folds the tail into the run: the tail's positions sorted by key,
-// then one backward merge into the grown run, the way cube.run merges a
-// batch's new keys. It is a no-op on an empty tail, so once a built
-// object is settled its readers only take and release the lock.
+// then mergeTail. It is a no-op on an empty tail, so once a built object
+// is settled its readers only take and release the lock.
 func (s *MapStore) settle() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -144,18 +158,31 @@ func (s *MapStore) settle() {
 		order[j] = int32(j)
 	}
 	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(s.tailKeys[a], s.tailKeys[b]) })
-	sl := s.slots
+	s.mergeTail(order)
+}
+
+// mergeTail folds the tail, none of whose keys the run holds, into the
+// run with one backward merge into the grown run, the way cube.run
+// merges a batch's new keys. order lists the tail's positions in key
+// order; nil means the tail was written in key order, as ObserveRows
+// writes it. The tail is left empty.
+func (s *MapStore) mergeTail(order []int32) {
+	sl, n := s.slots, len(s.tailKeys)
 	i := len(s.keys) - 1
-	s.keys = slices.Grow(s.keys, len(order))[:len(s.keys)+len(order)]
-	s.vals = slices.Grow(s.vals, len(order)*sl)[:len(s.vals)+len(order)*sl]
-	for w, j := len(s.keys)-1, len(order)-1; j >= 0; w-- {
-		if t := order[j]; i >= 0 && s.keys[i] > s.tailKeys[t] {
+	s.keys = slices.Grow(s.keys, n)[:len(s.keys)+n]
+	s.vals = slices.Grow(s.vals, n*sl)[:len(s.vals)+n*sl]
+	for w, j := len(s.keys)-1, n-1; j >= 0; w-- {
+		t := j
+		if order != nil {
+			t = int(order[j])
+		}
+		if i >= 0 && s.keys[i] > s.tailKeys[t] {
 			s.keys[w] = s.keys[i]
 			copy(s.vals[w*sl:(w+1)*sl], s.vals[i*sl:(i+1)*sl])
 			i--
 		} else {
 			s.keys[w] = s.tailKeys[t]
-			copy(s.vals[w*sl:(w+1)*sl], s.tailVals[int(t)*sl:(int(t)+1)*sl])
+			copy(s.vals[w*sl:(w+1)*sl], s.tailVals[t*sl:(t+1)*sl])
 			j--
 		}
 	}

@@ -48,9 +48,11 @@ func MacroFromMicro(micro *relstore.Relation, sch *schema.Graph, measures []core
 		}
 		dimIdx[i] = ci
 	}
+	nd, n := len(dims), micro.NumRows()
 	type mcol struct {
 		measure string
-		col     int // -1: count rows
+		col     int       // -1: count rows
+		vals    []float64 // the column's values, in row order
 	}
 	var mcols []mcol
 	for _, m := range measures {
@@ -62,35 +64,50 @@ func MacroFromMicro(micro *relstore.Relation, sch *schema.Graph, measures []core
 			if m.Func != core.Count {
 				return nil, fmt.Errorf("metadata: only count measures may map to no column (measure %q)", m.Name)
 			}
-			mcols = append(mcols, mcol{m.Name, -1})
+			mcols = append(mcols, mcol{m.Name, -1, nil})
 			continue
 		}
 		ci, err := micro.ColIndex(colName)
 		if err != nil {
 			return nil, fmt.Errorf("%w: measure column %q", ErrColumnMapping, colName)
 		}
-		mcols = append(mcols, mcol{m.Name, ci})
+		mcols = append(mcols, mcol{m.Name, ci, make([]float64, 0, n)})
 	}
+	// Code each row once through the classifications' leaf ordinals, then
+	// fold the whole relation as one batch.
+	codes := make([]int, 0, nd*n)
 	var ingestErr error
 	micro.Scan(func(row relstore.Row) bool {
-		coords := map[string]core.Value{}
 		for i, d := range dims {
-			coords[d.Name] = row[dimIdx[i]].Str()
-		}
-		obs := map[string]float64{}
-		for _, mc := range mcols {
-			if mc.col >= 0 {
-				obs[mc.measure] = row[mc.col].Float()
+			c, err := d.Class.ValueOrdinal(0, row[dimIdx[i]].Str())
+			if err != nil {
+				ingestErr = err
+				return false
 			}
+			codes = append(codes, c)
 		}
-		if err := obj.Observe(coords, obs); err != nil {
-			ingestErr = err
-			return false
+		for j := range mcols {
+			if mc := &mcols[j]; mc.col >= 0 {
+				mc.vals = append(mc.vals, row[mc.col].Float())
+			}
 		}
 		return true
 	})
 	if ingestErr != nil {
 		return nil, ingestErr
+	}
+	rows := make([][]int, n)
+	for r := range rows {
+		rows[r] = codes[r*nd : (r+1)*nd : (r+1)*nd]
+	}
+	obs := map[string][]float64{}
+	for _, mc := range mcols {
+		if mc.col >= 0 {
+			obs[mc.measure] = mc.vals
+		}
+	}
+	if err := obj.ObserveRows(rows, obs); err != nil {
+		return nil, err
 	}
 	return obj, nil
 }

@@ -229,7 +229,10 @@ func NewRetail(nProducts, nStores, nDays, nTx int, seed int64) (*Retail, error) 
 	if err != nil {
 		return nil, err
 	}
-	r.Input = &cube.Input{Card: []int{nProducts, nStores, nDays}, Rows: make([][]int, 0, nTx), Vals: make([]float64, 0, nTx)}
+	// The facts, drawn in the generator's fixed order, coded into rows cut
+	// from one slab, then loaded as one batch.
+	r.Input = &cube.Input{Card: []int{nProducts, nStores, nDays}, Rows: make([][]int, nTx), Vals: make([]float64, nTx)}
+	slab := make([]int, 3*nTx)
 	var zipf *rand.Zipf
 	if nProducts > 1 {
 		zipf = rand.NewZipf(rng, 1.2, 1, uint64(nProducts-1))
@@ -241,12 +244,13 @@ func NewRetail(nProducts, nStores, nDays, nTx int, seed int64) (*Retail, error) 
 		}
 		s := rng.Intn(nStores)
 		d := rng.Intn(nDays)
-		amount := float64(1 + rng.Intn(200))
-		r.Input.Rows = append(r.Input.Rows, []int{p, s, d})
-		r.Input.Vals = append(r.Input.Vals, amount)
-		if err := r.Object.ObserveAt([]int{p, s, d}, map[string]float64{"quantity sold": amount}); err != nil {
-			return nil, err
-		}
+		row := slab[3*i : 3*i+3 : 3*i+3]
+		row[0], row[1], row[2] = p, s, d
+		r.Input.Rows[i] = row
+		r.Input.Vals[i] = float64(1 + rng.Intn(200))
+	}
+	if err := r.Object.ObserveRows(r.Input.Rows, map[string][]float64{"quantity sold": r.Input.Vals}); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -349,43 +353,25 @@ func NewHMO(nPhysicians, nVisits int, multiFraction float64, seed int64) (*HMO, 
 
 // CubeInputFromObject codes a statistical object's cells into a cube
 // fact table: each dimension's leaf values index in classification
-// order, one row per stored cell, the first measure as the value. The
-// CLIs use it to snapshot an object as a cube and to code appended
-// facts through the same dictionary, so offline loads and the daemon's
-// write path share one lineage.
+// order — the object's own ordinals — one row per stored cell, the first
+// measure as the value. The CLIs use it to snapshot an object as a cube
+// and to code appended facts through the same dictionary, so offline
+// loads and the daemon's write path share one lineage.
 func CubeInputFromObject(obj *core.StatObject) (*cube.Input, error) {
-	dims := obj.Schema().Dimensions()
-	if len(dims) == 0 {
+	card := obj.Schema().Shape()
+	if len(card) == 0 {
 		return nil, fmt.Errorf("workload: object has no dimensions to snapshot")
 	}
-	n := obj.Cells()
-	in := &cube.Input{Card: make([]int, len(dims)), Rows: make([][]int, 0, n), Vals: make([]float64, 0, n)}
-	code := make([]map[core.Value]int, len(dims))
-	for i, d := range dims {
-		vals := d.Class.LeafLevel().Values
-		in.Card[i] = len(vals)
-		code[i] = make(map[core.Value]int, len(vals))
-		for j, v := range vals {
-			code[i][v] = j
-		}
-	}
-	var ferr error
-	obj.ForEach(func(coords []core.Value, vals []float64) bool {
-		row := make([]int, len(dims))
-		for i := range dims {
-			c, ok := code[i][coords[i]]
-			if !ok {
-				ferr = fmt.Errorf("workload: cell value %q not at dimension %s's leaf level", coords[i], dims[i].Name)
-				return false
-			}
-			row[i] = c
-		}
+	d, n := len(card), obj.Cells()
+	in := &cube.Input{Card: card, Rows: make([][]int, 0, n), Vals: make([]float64, 0, n)}
+	slab := make([]int, d*n)
+	obj.ForEachAt(func(coords []int, vals []float64) bool {
+		lo := d * len(in.Rows)
+		row := slab[lo : lo+d : lo+d]
+		copy(row, coords)
 		in.Rows = append(in.Rows, row)
 		in.Vals = append(in.Vals, vals[0])
 		return true
 	})
-	if ferr != nil {
-		return nil, ferr
-	}
 	return in, in.Validate()
 }
