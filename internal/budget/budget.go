@@ -271,7 +271,7 @@ type Ticker struct {
 	//lint:ignore ctxfirst Ticker is a loop-local poll amortizer created and dropped inside one call frame; storing ctx is its whole point
 	ctx   context.Context
 	every int
-	n     int
+	left  int // Ticks until the next poll; 0 polls on this one
 }
 
 // NewTicker returns a ticker polling ctx every `every` Ticks (values < 1
@@ -284,16 +284,19 @@ func NewTicker(ctx context.Context, every int) *Ticker {
 }
 
 // Tick counts one unit of work and polls the context when the amortization
-// window rolls over.
+// window rolls over: a countdown, so the hot loop pays a decrement and a
+// compare, not a divide. A failed poll leaves the countdown at zero, so
+// every later Tick polls again.
 func (t *Ticker) Tick() error {
 	if t.ctx == nil {
 		return nil
 	}
-	if t.n%t.every == 0 {
+	if t.left == 0 {
 		if err := Check(t.ctx); err != nil {
 			return err
 		}
+		t.left = t.every
 	}
-	t.n++
+	t.left--
 	return nil
 }

@@ -144,6 +144,72 @@ func TestContextPlumbing(t *testing.T) {
 	}
 }
 
+// pollCtx counts its Err calls and fails every one once failing is set. A
+// failed Check calls Err twice (once more through context.Cause), so a
+// test reads "it polled" as "the count moved".
+type pollCtx struct {
+	context.Context
+	polls   int
+	failing bool
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.failing {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestTickerSchedule pins when a Ticker polls: on the first Tick, then on
+// every `every`-th after it — call 0, every, 2·every, … — and, once a poll
+// has failed, on every later Tick until one succeeds.
+func TestTickerSchedule(t *testing.T) {
+	for _, every := range []int{1, 2, 7, DefaultTickEvery} {
+		ctx := &pollCtx{Context: context.Background()}
+		tick := NewTicker(ctx, every)
+		if every == DefaultTickEvery {
+			tick = NewTicker(ctx, 0)
+		}
+		calls := 3*every + 1
+		for i := 0; i < calls; i++ {
+			before := ctx.polls
+			if err := tick.Tick(); err != nil {
+				t.Fatalf("every %d, call %d: %v", every, i, err)
+			}
+			if polled, want := ctx.polls > before, i%every == 0; polled != want {
+				t.Fatalf("every %d, call %d: polled %v, want %v", every, i, polled, want)
+			}
+		}
+		// The window after call 3·every runs out at call 4·every: the
+		// calls before it pass without a poll, that one fails, and so
+		// does every call after it, each polling.
+		ctx.failing = true
+		for i := calls; i < 4*every; i++ {
+			if err := tick.Tick(); err != nil {
+				t.Fatalf("every %d, call %d: %v before the window ran out", every, i, err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			before := ctx.polls
+			if err := tick.Tick(); !errors.Is(err, ErrCanceled) || ctx.polls == before {
+				t.Fatalf("every %d, failing call %d: err %v, %d Err calls", every, i, err, ctx.polls-before)
+			}
+		}
+		// A poll that succeeds again opens a fresh window.
+		ctx.failing = false
+		before := ctx.polls
+		for i := 0; i < every; i++ {
+			if err := tick.Tick(); err != nil {
+				t.Fatalf("every %d, recovered call %d: %v", every, i, err)
+			}
+		}
+		if ctx.polls != before+1 {
+			t.Fatalf("every %d: %d Err calls in the window after recovery, want 1", every, ctx.polls-before)
+		}
+	}
+}
+
 func TestTicker(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	tick := NewTicker(ctx, 10)

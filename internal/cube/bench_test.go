@@ -13,7 +13,7 @@ import (
 // The write-path and build kernels on the bench dataset (bench/gen.go:
 // NewRetail(100, 20, 180, 100000, seed 1); the served set is its base
 // cells with views {011,101,110}), with allocations reported: the per-PR
-// trajectory of these three is recorded in CHANGES.md.
+// trajectory of these is recorded in CHANGES.md.
 
 var benchMasks = []int{0b011, 0b101, 0b110}
 
@@ -125,6 +125,21 @@ func BenchmarkBuildSmallestParent(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cube.BuildROLAPSmallestParentCtx(ctx, retail, cube.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMaterialize is the served set's build: the base cells and
+// views {011,101,110} materialized from the served base, what
+// writer.Open and statd -write pay at boot.
+func BenchmarkMaterialize(b *testing.B) {
+	_, served := benchRetail(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cube.MaterializeCtx(ctx, served, benchMasks); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -38,14 +38,8 @@ type Input struct {
 // the dimensionality is capped well before that blows up, and every view
 // key must fit in 64 bits.
 func (in *Input) Validate() error {
-	if len(in.Card) > 16 {
-		return fmt.Errorf("cube: %d dimensions means 2^%d views; refusing", len(in.Card), len(in.Card))
-	}
-	if !keysFit(in.Card) {
-		return fmt.Errorf("cube: cardinalities %v span more than 2^64 keys", in.Card)
-	}
-	if len(in.Rows) != len(in.Vals) {
-		return fmt.Errorf("cube: %d rows, %d values", len(in.Rows), len(in.Vals))
+	if err := in.validateHeader(); err != nil {
+		return err
 	}
 	for ri, row := range in.Rows {
 		if len(row) != len(in.Card) {
@@ -58,6 +52,56 @@ func (in *Input) Validate() error {
 		}
 	}
 	return nil
+}
+
+// validateHeader is Validate's O(1) part: the dimension cap, the key
+// width and the row count against the value count.
+func (in *Input) validateHeader() error {
+	if len(in.Card) > 16 {
+		return fmt.Errorf("cube: %d dimensions means 2^%d views; refusing", len(in.Card), len(in.Card))
+	}
+	if !keysFit(in.Card) {
+		return fmt.Errorf("cube: cardinalities %v span more than 2^64 keys", in.Card)
+	}
+	if len(in.Rows) != len(in.Vals) {
+		return fmt.Errorf("cube: %d rows, %d values", len(in.Rows), len(in.Vals))
+	}
+	return nil
+}
+
+// baseKeys is the smallest-parent builds' one pass over the rows: after
+// Validate's O(1) checks it checks each row while linearizing it into its
+// base-cuboid key, polling ctx once per budget.DefaultTickEvery rows. At
+// the first bad row it returns Validate's error, which names that row,
+// since every row before it passed; so a bad input fails before any view
+// is built. A canceled pass is recorded as a build abort.
+func (in *Input) baseKeys(ctx context.Context) ([]uint64, error) {
+	if err := in.validateHeader(); err != nil {
+		return nil, err
+	}
+	card := in.Card
+	keys := make([]uint64, len(in.Rows))
+	for lo := 0; lo < len(in.Rows); lo += budget.DefaultTickEvery {
+		if err := budget.Check(ctx); err != nil {
+			recordBuildAbort(err)
+			return nil, err
+		}
+		seg := in.Rows[lo:min(lo+budget.DefaultTickEvery, len(in.Rows))]
+		for i, row := range seg {
+			if len(row) != len(card) {
+				return nil, in.Validate()
+			}
+			var k uint64
+			for d, c := range row {
+				if uint(c) >= uint(card[d]) {
+					return nil, in.Validate()
+				}
+				k = k*uint64(card[d]) + uint64(c)
+			}
+			keys[lo+i] = k
+		}
+	}
+	return keys, nil
 }
 
 // Views holds every computed view: per mask, the view's linearized group
@@ -87,29 +131,80 @@ func groupKey(row []int, dims []int, card []int) uint64 {
 	return k
 }
 
-// rekey returns the map from a view's keys over the dims in mask to a
-// coarser view's keys over the dims in child (child ⊆ mask): the finer
+// rekeyer maps a view's keys over the dims in one mask to a coarser
+// view's keys over the dims in a child mask (child ⊆ mask): the finer
 // key's digits are peeled off last dim first, and each child dim's digit
-// lands at its place value in the child key.
-func rekey(card []int, mask, child int) func(k uint64) uint64 {
-	var radix, place []uint64 // per dim of mask, last first; place 0 sums it out
-	for d, pv := len(card)-1, uint64(1); d >= 0; d-- {
-		if mask&(1<<uint(d)) == 0 {
+// lands at its place value in the child key. It is the one roll-up key
+// map: a build's aggregation from a parent, an answer from an ancestor and
+// MOLAP's child positions all use it.
+//
+// A dim of cardinality 1 has only the digit 0 and is skipped (one of
+// cardinality 0 admits no key). Adjacent parent dims that are both kept,
+// or both summed out, are peeled as one step whose radix is the product
+// of their cardinalities: kept neighbours stay neighbours in the child
+// key. The last step takes what the key has left, with no division. When
+// every parent key is below 2^32 the other steps divide by multiplying
+// with a precomputed reciprocal (Lemire, Kaser and Kurz's fastdiv, exact
+// for 32-bit dividends and divisors); wider keys divide exactly.
+type rekeyer struct {
+	steps  []rekeyStep // least significant first; the last takes the rest of the key
+	narrow bool        // every parent key < 2^32: divide by magic
+}
+
+type rekeyStep struct {
+	radix uint64 // ∏ card over the step's dims; unused by the last step
+	place uint64 // the step's place value in the child key; 0 sums it out
+	magic uint64 // ⌈2^64 / radix⌉, the narrow reciprocal
+}
+
+func newRekeyer(card []int, mask, child int) rekeyer {
+	r := rekeyer{narrow: maxKey(maskDims(mask, len(card)), card) < 1<<32}
+	pv, kept := uint64(1), false // the next child place value; whether the open step keeps its digits
+	for d := len(card) - 1; d >= 0; d-- {
+		if mask&(1<<uint(d)) == 0 || card[d] <= 1 {
 			continue
 		}
-		radix, place = append(radix, uint64(card[d])), append(place, 0)
-		if child&(1<<uint(d)) != 0 {
-			place[len(place)-1], pv = pv, pv*uint64(card[d])
+		c, keep := uint64(card[d]), child&(1<<uint(d)) != 0
+		if len(r.steps) > 0 && keep == kept {
+			r.steps[len(r.steps)-1].radix *= c
+		} else {
+			s := rekeyStep{radix: c}
+			if keep {
+				s.place = pv
+			}
+			r.steps, kept = append(r.steps, s), keep
+		}
+		if keep {
+			pv *= c
 		}
 	}
-	return func(k uint64) uint64 {
-		var ck uint64
-		for i, c := range radix {
-			ck += k % c * place[i]
-			k /= c
-		}
-		return ck
+	if len(r.steps) == 0 {
+		r.steps = []rekeyStep{{}} // no digit reaches the child: every key maps to 0
 	}
+	// Every step below the last has a dim of cardinality ≥ 2 above it, so
+	// its radix is at most half the parent's key count: at most 2^63, and
+	// at most 2^31 when the keys are narrow.
+	for i := range r.steps[:len(r.steps)-1] {
+		r.steps[i].magic = ^uint64(0)/r.steps[i].radix + 1
+	}
+	return r
+}
+
+// key maps one parent key to its child key.
+func (r *rekeyer) key(k uint64) uint64 {
+	var ck uint64
+	last := len(r.steps) - 1
+	for _, s := range r.steps[:last] {
+		var q uint64
+		if r.narrow {
+			q, _ = bits.Mul64(s.magic, k)
+		} else {
+			q = k / s.radix
+		}
+		ck += (k - q*s.radix) * s.place
+		k = q
+	}
+	return ck + k*r.steps[last].place
 }
 
 // maxKey is groupKey of the largest code of every dim in dims: the
@@ -363,18 +458,19 @@ func BuildROLAPNaiveCtx(ctx context.Context, in *Input, opt Options) (_ *Views, 
 // time, ledger peaks and typed outcome.
 func BuildROLAPSmallestParentCtx(ctx context.Context, in *Input, opt Options) (_ *Views, err error) {
 	defer recordBuildFlight(ctx, "rolap_sp", qlog.Start(), in, opt, nil, &err)
-	if err := in.Validate(); err != nil {
+	keys, err := in.baseKeys(ctx)
+	if err != nil {
 		return nil, err
 	}
-	return walkRuns(ctx, in, opt.stage(ctx, "cube.rolap_sp", len(in.Rows)), everyMask)
+	return walkRuns(ctx, in, keys, opt.stage(ctx, "cube.rolap_sp", len(in.Rows)), everyMask)
 }
 
 // walkRuns computes the wanted views of in (the base cuboid always): the
-// base grouped from the rows, every other view rolled up from its
-// smallest computed ancestor, each by the group kernel. It is the whole
-// of the smallest-parent ROLAP build and of MaterializeCtx, which differ
-// only in the masks they want.
-func walkRuns(ctx context.Context, in *Input, st parallel.Stage, wanted func(mask int) bool) (*Views, error) {
+// base grouped from its keys (baseKeys), every other view rolled up from
+// its smallest computed ancestor, each by the group kernel. It is the
+// whole of the smallest-parent ROLAP build and of MaterializeCtx, which
+// differ only in the masks they want.
+func walkRuns(ctx context.Context, in *Input, baseKeys []uint64, st parallel.Stage, wanted func(mask int) bool) (*Views, error) {
 	n := len(in.Card)
 	out := newViews(in.Card)
 	acct := newAccountant(ctx)
@@ -384,16 +480,7 @@ func walkRuns(ctx context.Context, in *Input, st parallel.Stage, wanted func(mas
 		if parent >= 0 {
 			r = aggregateFromParent(out, parent, mask)
 		} else {
-			dims := maskDims(mask, n)
-			keys := make([]uint64, len(in.Rows))
-			tick := budget.NewTicker(ctx, 0)
-			for ri, row := range in.Rows {
-				if err := tick.Tick(); err != nil {
-					return err
-				}
-				keys[ri] = groupKey(row, dims, in.Card)
-			}
-			r = group(keys, in.Vals, maxKey(dims, in.Card))
+			r = group(baseKeys, in.Vals, maxKey(maskDims(mask, n), in.Card))
 		}
 		if err := acct.chargeView(len(r.keys)); err != nil {
 			return err
@@ -474,17 +561,17 @@ func smallestAncestor(mask int, candidates []int, size func(mask int) int64) (be
 }
 
 // aggregateFromParent rolls a parent view a build computed up into the
-// child's group-by (see rekey). A view a build computes is packed, with
+// child's group-by (see rekeyer). A view a build computes is packed, with
 // no delta, so the parent run is walked as stored, in ascending key
 // order, and each child key accumulates its float sum in one fixed order
 // — the determinism the byte-identical parallel/sequential guarantee
 // rests on.
 func aggregateFromParent(v *Views, parent, child int) *run {
 	p := v.stored[parent].packed
-	childKey := rekey(v.Card, parent, child)
+	rk := newRekeyer(v.Card, parent, child)
 	keys := make([]uint64, len(p.keys))
 	for i, k := range p.keys {
-		keys[i] = childKey(k)
+		keys[i] = rk.key(k)
 	}
 	return group(keys, p.sums, maxKey(maskDims(child, len(v.Card)), v.Card))
 }

@@ -5,8 +5,11 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"statcube/internal/obs"
 )
 
 // viewsOf builds a Views by hand: one map per mask, nil for a view that
@@ -60,6 +63,64 @@ func TestInputValidate(t *testing.T) {
 	in = &Input{Card: []int{2}, Rows: [][]int{{5}}, Vals: []float64{1}}
 	if err := in.Validate(); err == nil {
 		t.Error("out-of-range code should fail")
+	}
+}
+
+// TestBuildsValidateLikeValidate: the smallest-parent build and
+// MaterializeCtx check their input inside their one pass over the rows,
+// and each bad input shape must still fail them with exactly Validate's
+// error — the first bad row's, ahead of a bad view mask — with no views
+// and no build abort recorded.
+func TestBuildsValidateLikeValidate(t *testing.T) {
+	good := func() *Input { return randomInput([]int{3, 4, 5}, 9000, 4) }
+	shapes := map[string]func() *Input{
+		"17 dims":           func() *Input { return &Input{Card: make([]int, 17)} },
+		"keys past 2^64":    func() *Input { return &Input{Card: []int{1 << 32, 1 << 32, 2}} },
+		"rows without vals": func() *Input { in := good(); in.Vals = in.Vals[:100]; return in },
+		"first row short":   func() *Input { in := good(); in.Rows[0] = in.Rows[0][:2]; return in },
+		"nil row":           func() *Input { in := good(); in.Rows[17] = nil; return in },
+		"long row, 2nd segment": func() *Input {
+			in := good()
+			in.Rows[5000] = append(in.Rows[5000], 0)
+			return in
+		},
+		"negative code, last row": func() *Input { in := good(); in.Rows[8999][1] = -1; return in },
+		"code at card, segment edge": func() *Input {
+			in := good()
+			in.Rows[4096][2] = 5
+			return in
+		},
+		"two bad rows": func() *Input {
+			in := good()
+			in.Rows[7][0], in.Rows[3] = 3, in.Rows[3][:1]
+			return in
+		},
+	}
+	counters := func() [2]int64 {
+		c := obs.Default().Snapshot().Counters
+		return [2]int64{c["cube.builds_canceled"], c["cube.builds_denied"]}
+	}
+	ctx := context.Background()
+	for name, shape := range shapes {
+		want := shape().Validate()
+		if want == nil {
+			t.Fatalf("%s: Validate accepts it", name)
+		}
+		before := counters()
+		v, err := BuildROLAPSmallestParentCtx(ctx, shape(), Options{})
+		if err == nil || err.Error() != want.Error() || v != nil {
+			t.Errorf("%s: smallest-parent build gave (%v, %v), want Validate's %q", name, v != nil, err, want)
+		}
+		m, err := MaterializeCtx(ctx, shape(), []int{1, 1 << 20})
+		if err == nil || err.Error() != want.Error() || m != nil {
+			t.Errorf("%s: MaterializeCtx gave (%v, %v), want Validate's %q", name, m != nil, err, want)
+		}
+		if after := counters(); after != before {
+			t.Errorf("%s: build aborts (canceled, denied) went %v → %v", name, before, after)
+		}
+	}
+	if _, err := MaterializeCtx(ctx, good(), []int{1, 1 << 20}); err == nil || !strings.Contains(err.Error(), "view mask") {
+		t.Errorf("a good input with a bad mask: %v, want the mask refused", err)
 	}
 }
 

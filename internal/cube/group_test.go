@@ -2,6 +2,7 @@ package cube
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -27,12 +28,15 @@ func foldThenSort(keys []uint64, vals []float64) *run {
 }
 
 // groupCase is one input shape: n entries whose keys are drawn from
-// distinct candidates at most maxKey.
+// distinct candidates at most maxKey, optionally half of them on block
+// edges, and optionally sorted ascending (values kept in draw order).
 type groupCase struct {
 	name     string
 	n        int
 	distinct int // candidate keys; 0 means every draw is fresh
 	maxKey   uint64
+	edges    bool // draw every other key from the block edges b·4096−1, b·4096
+	sorted   bool
 }
 
 // drawGroupInput draws a case's entries: keys from the candidates (always
@@ -45,6 +49,10 @@ func drawGroupInput(c groupCase, rng *rand.Rand) ([]uint64, []float64) {
 		}
 		return uint64(rng.Int63n(int64(c.maxKey) + 1))
 	}
+	var edges []uint64
+	for b := uint64(blockSize); c.edges && b <= c.maxKey; b += blockSize {
+		edges = append(edges, b-1, b)
+	}
 	cand := []uint64{0, c.maxKey}
 	for len(cand) < c.distinct {
 		cand = append(cand, randKey())
@@ -52,9 +60,12 @@ func drawGroupInput(c groupCase, rng *rand.Rand) ([]uint64, []float64) {
 	keys := make([]uint64, c.n)
 	vals := make([]float64, c.n)
 	for i := range keys {
-		if c.distinct > 0 {
+		switch {
+		case len(edges) > 0 && i%2 == 0:
+			keys[i] = edges[rng.Intn(len(edges))]
+		case c.distinct > 0:
 			keys[i] = cand[rng.Intn(min(len(cand), c.distinct))]
-		} else {
+		default:
 			keys[i] = randKey()
 		}
 		switch rng.Intn(5) {
@@ -66,69 +77,219 @@ func drawGroupInput(c groupCase, rng *rand.Rand) ([]uint64, []float64) {
 			vals[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
 		}
 	}
+	if c.sorted {
+		slices.Sort(keys)
+	}
 	return keys, vals
 }
 
-// TestGroupMatchesMapFold: the kernel returns bit for bit the keys and
-// sums of a map fold then a sort, on both of its branches — reached by
-// the inputs' shape — for seeds 1, 7 and 42.
-func TestGroupMatchesMapFold(t *testing.T) {
-	cases := []groupCase{
-		{"no entries", 0, 0, 1000},
-		{"no entries, 2^64 keys", 0, 0, math.MaxUint64},
-		{"one entry", 1, 0, 1 << 40},
-		{"one key", 500, 1, 0},
-		{"one key of many", 500, 1, 1 << 50},
-		{"small key space", 2000, 0, 255},
-		{"small key space, repeated", 3000, 7, 1000},
-		{"key space near entries", 1000, 0, 3999},
-		{"wide key space", 1000, 0, 1 << 20},
-		{"keys above 2^32", 1500, 0, 1<<44 + 12345},
-		{"keys above 2^32, repeated", 4000, 9, 1 << 60},
-		{"full 64-bit keys", 2000, 0, math.MaxUint64},
-		{"full 64-bit keys, repeated", 2000, 40, math.MaxUint64},
+// groupBranch names the branch group takes on keys, by the rules it
+// dispatches on.
+func groupBranch(keys []uint64, maxKey uint64) string {
+	switch _, sorted := ascending(keys); {
+	case sorted:
+		return "sorted"
+	case maxKey/denseSpan >= uint64(len(keys)):
+		return "radix"
+	case maxKey < blockSize:
+		return "one block"
 	}
-	var dense, sparse int
+	return "blocks"
+}
+
+// checkGroup runs group on one input and fails unless it leaves the input
+// alone and returns bit for bit the map fold's keys and sums, sized
+// exactly.
+func checkGroup(t *testing.T, name string, keys []uint64, vals []float64, maxKey uint64) {
+	t.Helper()
+	want := foldThenSort(keys, vals)
+	inKeys, inVals := slices.Clone(keys), slices.Clone(vals)
+	got := group(keys, vals, maxKey)
+	if !slices.Equal(keys, inKeys) || !slices.EqualFunc(vals, inVals, sameBits) {
+		t.Fatalf("%s: group wrote to its input", name)
+	}
+	if len(got.keys) != len(got.sums) || cap(got.keys) != len(got.keys) || cap(got.sums) != len(got.sums) {
+		t.Fatalf("%s: %d keys (cap %d), %d sums (cap %d): not sized exactly",
+			name, len(got.keys), cap(got.keys), len(got.sums), cap(got.sums))
+	}
+	if !packedView(got).equal(packedView(want), sameBits) {
+		t.Fatalf("%s: %d keys differ from the map fold's %d, or a sum's bits do",
+			name, len(got.keys), len(want.keys))
+	}
+}
+
+// TestGroupMatchesMapFold: the kernel returns bit for bit the keys and
+// sums of a map fold then a sort, on every one of its branches — reached
+// by the inputs' shape and counted — for seeds 1, 7 and 42.
+func TestGroupMatchesMapFold(t *testing.T) {
+	cases := []struct {
+		groupCase
+		branch string // the branch the case's shape reaches
+	}{
+		{groupCase{name: "no entries", n: 0, maxKey: 1000}, "sorted"},
+		{groupCase{name: "no entries, 2^64 keys", n: 0, maxKey: math.MaxUint64}, "sorted"},
+		{groupCase{name: "one entry", n: 1, maxKey: 1 << 40}, "sorted"},
+		{groupCase{name: "one key", n: 500, distinct: 1, maxKey: 0}, "sorted"},
+		{groupCase{name: "one key of many", n: 500, distinct: 1, maxKey: 1 << 50}, "sorted"},
+		{groupCase{name: "sorted, dense", n: 5000, maxKey: 9999, sorted: true}, "sorted"},
+		{groupCase{name: "sorted, repeated", n: 3000, distinct: 50, maxKey: 1 << 40, sorted: true}, "sorted"},
+		{groupCase{name: "sorted, full 64-bit keys", n: 2000, distinct: 300, maxKey: math.MaxUint64, sorted: true}, "sorted"},
+		{groupCase{name: "small key space", n: 2000, maxKey: 255}, "one block"},
+		{groupCase{name: "small key space, repeated", n: 3000, distinct: 7, maxKey: 1000}, "one block"},
+		{groupCase{name: "key space near entries", n: 1000, maxKey: 3999}, "one block"},
+		{groupCase{name: "one full block", n: blockSize / 2, maxKey: blockSize - 1, edges: true}, "one block"},
+		{groupCase{name: "two blocks, the second one key wide", n: blockSize / 2, maxKey: blockSize, edges: true}, "blocks"},
+		{groupCase{name: "many blocks, edge keys", n: 3 * blockSize, maxKey: 9*blockSize - 1, edges: true}, "blocks"},
+		{groupCase{name: "many blocks, repeated", n: 3 * blockSize, distinct: 900, maxKey: 5*blockSize + 17, edges: true}, "blocks"},
+		{groupCase{name: "many blocks", n: 30000, maxKey: 100_000}, "blocks"},
+		{groupCase{name: "wide key space", n: 1000, maxKey: 1 << 20}, "radix"},
+		{groupCase{name: "keys above 2^32", n: 1500, maxKey: 1<<44 + 12345}, "radix"},
+		{groupCase{name: "keys above 2^32, repeated", n: 4000, distinct: 9, maxKey: 1 << 60}, "radix"},
+		{groupCase{name: "full 64-bit keys", n: 2000, maxKey: math.MaxUint64}, "radix"},
+		{groupCase{name: "full 64-bit keys, repeated", n: 2000, distinct: 40, maxKey: math.MaxUint64}, "radix"},
+	}
+	reached := map[string]int{}
 	for _, seed := range []int64{1, 7, 42} {
 		rng := rand.New(rand.NewSource(seed))
 		for _, c := range cases {
-			keys, vals := drawGroupInput(c, rng)
-			if c.maxKey/denseSpan < uint64(len(keys)) {
-				dense++
-			} else {
-				sparse++
+			keys, vals := drawGroupInput(c.groupCase, rng)
+			name := fmt.Sprintf("seed %d, %s", seed, c.name)
+			if got := groupBranch(keys, c.maxKey); got != c.branch {
+				t.Fatalf("%s: reaches the %s branch, want %s", name, got, c.branch)
 			}
-			want := foldThenSort(keys, vals)
-			inKeys, inVals := slices.Clone(keys), slices.Clone(vals)
-			got := group(keys, vals, c.maxKey)
-			if !slices.Equal(keys, inKeys) || !slices.EqualFunc(vals, inVals, sameBits) {
-				t.Fatalf("seed %d, %s: group wrote to its input", seed, c.name)
-			}
-			if len(got.keys) != len(got.sums) {
-				t.Fatalf("seed %d, %s: %d keys, %d sums", seed, c.name, len(got.keys), len(got.sums))
-			}
-			if !packedView(got).equal(packedView(want), sameBits) {
-				t.Fatalf("seed %d, %s: %d keys differ from the map fold's %d, or a sum's bits do",
-					seed, c.name, len(got.keys), len(want.keys))
-			}
+			reached[c.branch]++
+			checkGroup(t, name, keys, vals, c.maxKey)
 		}
 	}
-	if dense == 0 || sparse == 0 {
-		t.Fatalf("shapes reached the dense branch %d times and the sparse one %d times; both must be covered", dense, sparse)
+	for _, b := range []string{"sorted", "one block", "blocks", "radix"} {
+		if reached[b] == 0 {
+			t.Errorf("no case reached the %s branch (reached: %v); every branch must be covered", b, reached)
+		}
 	}
 }
 
 // TestGroupNegativeZero: a key whose values are all -0.0 sums to +0, as
-// `m[k] += -0.0` on an absent key does, on both branches.
+// `m[k] += -0.0` on an absent key does, on every branch — and a block's
+// accumulator, cleared as it is read, hands the next block +0 too.
 func TestGroupNegativeZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	for _, maxKey := range []uint64{3, math.MaxUint64} {
-		r := group([]uint64{2, 2, 1}, []float64{negZero, negZero, negZero}, maxKey)
+	var edges []uint64 // blockSize+1, blockSize, blockSize−1, 1, 0 over and over: never sorted
+	for len(edges) < blockSize/2 {
+		edges = append(edges, blockSize+1, blockSize, blockSize-1, 1, 0)
+	}
+	cases := []struct {
+		branch string
+		keys   []uint64
+		maxKey uint64
+	}{
+		{"sorted", []uint64{1, 2, 2}, 3},
+		{"one block", []uint64{2, 2, 1}, 3},
+		{"blocks", edges, blockSize + 1},
+		{"radix", []uint64{2, 2, 1}, math.MaxUint64},
+	}
+	for _, c := range cases {
+		if got := groupBranch(c.keys, c.maxKey); got != c.branch {
+			t.Fatalf("case for %s reaches %s", c.branch, got)
+		}
+		vals := make([]float64, len(c.keys))
+		for i := range vals {
+			vals[i] = negZero
+		}
+		r := group(c.keys, vals, c.maxKey)
 		for i, s := range r.sums {
 			if math.Float64bits(s) != 0 {
-				t.Errorf("maxKey %d: key %d sums to %v (bits %#x), want +0", maxKey, r.keys[i], s, math.Float64bits(s))
+				t.Errorf("%s: key %d sums to %v (bits %#x), want +0", c.branch, r.keys[i], s, math.Float64bits(s))
 			}
 		}
+		checkGroup(t, c.branch, c.keys, vals, c.maxKey)
+	}
+}
+
+// rekeyRef is the roll-up key map digit by digit: decode the parent key
+// into one code per dim of mask, last dim first, then linearize the
+// child's dims with groupKey.
+func rekeyRef(card []int, mask, child int, k uint64) uint64 {
+	row := make([]int, len(card))
+	for d := len(card) - 1; d >= 0; d-- {
+		if mask&(1<<uint(d)) != 0 {
+			c := uint64(card[d])
+			row[d], k = int(k%c), k/c
+		}
+	}
+	return groupKey(row, maskDims(child, len(card)), card)
+}
+
+// TestRekeyerMatchesDigits: for every (parent, child ⊆ parent) mask pair
+// over random cardinalities — 1s among them, key spaces below and above
+// 2^32 up to exactly 2^64 — the rekeyer maps keys at both ends of the
+// parent's range and drawn from inside it exactly as rekeyRef does, on
+// its narrow (reciprocal) path and its wide (exact division) one.
+func TestRekeyerMatchesDigits(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	fixed := [][]int{
+		{1 << 16, 1 << 16, 1 << 16, 1 << 16}, // keys to 2^64−1
+		{1 << 32, 1, 1 << 32},                // keys to 2^64−1 through a card-1 dim
+		{1 << 16, 1 << 16},                   // keys to 2^32−1: the last narrow space
+		{1<<16 + 1, 1 << 16},                 // just past it: wide
+		{65535, 65537, 1},                    // 2^32−1 keys, both factors odd
+		{1, 1, 1},
+		{100, 20, 180},
+	}
+	var narrow, wide, pairs int
+	for trial := 0; trial < 300; trial++ {
+		var card []int
+		if trial < len(fixed) {
+			card = fixed[trial]
+		} else {
+			card = make([]int, 1+rng.Intn(6))
+			for d := range card {
+				switch rng.Intn(4) {
+				case 0:
+					card[d] = 1
+				case 1:
+					card[d] = 2 + rng.Intn(9)
+				case 2:
+					card[d] = 2 + rng.Intn(5000)
+				default:
+					card[d] = 2 + rng.Intn(1<<20)
+				}
+			}
+			if !keysFit(card) {
+				continue
+			}
+		}
+		n := len(card)
+		for mask := 0; mask < 1<<uint(n); mask++ {
+			hi := maxKey(maskDims(mask, n), card)
+			keys := []uint64{0, hi, hi / 2, hi - min(hi, 1)}
+			for i := 0; i < 20; i++ {
+				k := rng.Uint64()
+				if hi < math.MaxUint64 {
+					k %= hi + 1
+				}
+				keys = append(keys, k)
+			}
+			for child := mask; ; child = (child - 1) & mask {
+				rk := newRekeyer(card, mask, child)
+				if rk.narrow {
+					narrow++
+				} else {
+					wide++
+				}
+				pairs++
+				for _, k := range keys {
+					if got, want := rk.key(k), rekeyRef(card, mask, child, k); got != want {
+						t.Fatalf("card %v, %b → %b: key %d maps to %d, want %d", card, mask, child, k, got, want)
+					}
+				}
+				if child == 0 {
+					break
+				}
+			}
+		}
+	}
+	if narrow == 0 || wide == 0 {
+		t.Fatalf("%d narrow and %d wide rekeyers over %d pairs: both paths must be covered", narrow, wide, pairs)
 	}
 }
 

@@ -36,7 +36,8 @@ type MaterializedSet struct {
 // materialization like the full-cube builders.
 func MaterializeCtx(ctx context.Context, in *Input, masks []int) (_ *MaterializedSet, err error) {
 	defer recordBuildFlight(ctx, "materialize", qlog.Start(), in, Options{}, nil, &err)
-	if err := in.Validate(); err != nil {
+	keys, err := in.baseKeys(ctx)
+	if err != nil {
 		return nil, err
 	}
 	want := make([]bool, 1<<uint(len(in.Card)))
@@ -46,7 +47,7 @@ func MaterializeCtx(ctx context.Context, in *Input, masks []int) (_ *Materialize
 		}
 		want[mask] = true
 	}
-	v, err := walkRuns(ctx, in, Options{}.stage(ctx, "cube.materialize", len(in.Rows)), func(mask int) bool { return want[mask] })
+	v, err := walkRuns(ctx, in, keys, Options{}.stage(ctx, "cube.materialize", len(in.Rows)), func(mask int) bool { return want[mask] })
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +72,7 @@ func (m *MaterializedSet) Answer(mask int) (map[uint64]float64, int64, error) {
 	m.scanCost.Add(cost)
 	recordAnswer(false, cost)
 	// Fold the parent's entries, ascending, straight into the caller's map.
-	childKey := rekey(m.views.Card, parent, mask)
+	rk := newRekeyer(m.views.Card, parent, mask)
 	size := int(cost)
 	if mk := maxKey(maskDims(mask, len(m.views.Card)), m.views.Card); mk < uint64(size) {
 		size = int(mk) + 1
@@ -83,7 +84,7 @@ func (m *MaterializedSet) Answer(mask int) (map[uint64]float64, int64, error) {
 			return out, cost, nil
 		}
 		for i, k := range keys {
-			out[childKey(k)] += sums[i]
+			out[rk.key(k)] += sums[i]
 		}
 	}
 }

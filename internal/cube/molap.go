@@ -160,10 +160,10 @@ func (a *dense) add(row []int, v float64) {
 // its child position by dropping the summed-out dimensions' digits.
 func (a *dense) rollup(childMask int) *dense {
 	child := newDenseView(a.card, childMask)
-	childPos := rekey(a.card, a.mask, childMask)
+	rk := newRekeyer(a.card, a.mask, childMask)
 	for p, present := range a.present {
 		if present {
-			cp := childPos(uint64(p))
+			cp := rk.key(uint64(p))
 			child.vals[cp] += a.vals[p]
 			child.present[cp] = true
 		}

@@ -340,7 +340,7 @@ func DecodeViews(ctx context.Context, r io.Reader) (*Views, error) {
 		}
 		// One check of the last key bounds them all, the keys ascending:
 		// a key beyond the view's key space would be folded into a wrong
-		// cell by every roll-up (see rekey), not refused.
+		// cell by every roll-up (see rekeyer), not refused.
 		if n := len(r.keys); n > 0 && r.keys[n-1] > maxKey(maskDims(mask, len(v.Card)), v.Card) {
 			return nil, corruptf("view mask %d key %d beyond its key space", mask, r.keys[n-1])
 		}
