@@ -110,18 +110,20 @@ chaos-write:
 	done
 
 # Bench regression: the E9/E16 micro-benchmarks, the evaluator's retail
-# benchmark, the cube layer's bulk-build, materialize and publish
-# kernels and the load path's kernels (core's bulk ingest, the retail
-# generator and its coded export) (sanity, 1 iteration), plus the full
-# experiment suite's deterministic counters diffed against
-# BENCH_BASELINE.json.
+# benchmark, the cube layer's bulk-build, materialize, publish and
+# checkpoint encode/decode kernels, restart recovery (from a checkpoint
+# alone and behind a full log) and the load path's kernels (core's bulk
+# ingest, the retail generator and its coded export) (sanity, 1
+# iteration), plus the full experiment suite's deterministic counters
+# diffed against BENCH_BASELINE.json.
 # Fails only on a counter that differs from the baseline (exact;
 # parallel.* counters follow GOMAXPROCS and are skipped — see
 # scripts/benchdiff.go); wall-clock time is gated by `make ledger`.
 bench:
 	$(GO) test -bench='E9|E16' -benchtime=1x -count=3 -run='^$$' .
 	$(GO) test -bench=EvalRetail -benchtime=1x -run='^$$' ./internal/query
-	$(GO) test -bench='BuildSmallestParent|Materialize$$|Publish' -benchtime=1x -run='^$$' ./internal/cube
+	$(GO) test -bench='BuildSmallestParent|Materialize$$|Publish|DecodeMaterialized|EncodeViews' -benchtime=1x -run='^$$' ./internal/cube
+	$(GO) test -bench='OpenCheckpoint|OpenAtLogBound' -benchtime=1x -run='^$$' ./internal/writer
 	$(GO) test -bench=ObserveRows -benchtime=1x -run='^$$' ./internal/core
 	$(GO) test -bench='NewRetail|CubeInputFromObject' -benchtime=1x -run='^$$' ./internal/workload
 	$(GO) run ./cmd/cubebench -stats-json > $(BENCH_OUT)

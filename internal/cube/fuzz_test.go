@@ -83,6 +83,21 @@ func FuzzDecodeViews(f *testing.F) {
 	f.Add(meta, pview(1, 1, 1, 8, 0, floats(1<<40)...), []byte{}, byte(packed))
 	f.Add(meta, pview(1, 1, 1, 4, 0, le32(math.MaxUint32)...), []byte{}, byte(packed))
 	f.Add(meta, pview(1, 1, 1, 4, 0, le32(1<<16-1)...), []byte{}, byte(packed))
+
+	// Each width's edges: gaps 255/256, 65 535/65 536 and 2^32−1/2^32,
+	// zigzag codes 255/256 and 65 535/65 536, and keys ending at 2^64−1
+	// under fullMeta, or wrapping to 0 there: on the gap after the last
+	// key, at 8 bytes one gap on its own, and 8-byte gaps that fit 1.
+	f.Add(wrapMeta, pview(7, 3, 1, 1, 0, 0, 255, 2, 2, 2), pview(6, 3, 2, 1, 0, append(le16(256, 65535), 2, 2, 2)...), byte(allPacked))
+	f.Add(wrapMeta, pview(7, 3, 4, 1, 0, append(le32(65536, 1<<32-1), 2, 2, 2)...), pview(6, 2, 8, 1, 0, append(le64(1<<32), 2, 2)...), byte(allPacked))
+	f.Add(wrapMeta, pview(7, 2, 1, 1, 0, 0, 255, 254), pview(6, 2, 1, 2, 0, append([]byte{0}, le16(256, 65535)...)...), byte(allPacked))
+	f.Add(wrapMeta, pview(7, 2, 1, 4, 0, append([]byte{0}, le32(65536, 1<<32-1)...)...), []byte{}, byte(packed))
+	f.Add(fullMeta, pview(15, 3, 1, 1, math.MaxUint64-2, 0, 0, 2, 2, 2), []byte{}, byte(packed))
+	f.Add(fullMeta, pview(15, 3, 1, 1, math.MaxUint64-2, 0, 1, 2, 2, 2), []byte{}, byte(packed))
+	f.Add(fullMeta, pview(15, 3, 8, 1, 5, append(le64(1<<32, math.MaxUint64-1<<32-7), 2, 2, 2)...), []byte{}, byte(packed))
+	f.Add(fullMeta, pview(15, 3, 8, 1, 5, append(le64(1<<32, math.MaxUint64-1<<32-6), 2, 2, 2)...), []byte{}, byte(packed))
+	f.Add(fullMeta, pview(15, 3, 8, 1, math.MaxUint64-1, append(le64(0, 0), 2, 2, 2)...), []byte{}, byte(packed))
+	f.Add(fullMeta, pview(7, 2, 1, 1, 1<<48-2, 0, 2, 2), pview(11, 2, 1, 1, 1<<48-2, 1, 2, 2), byte(allPacked)) // 2^48−1 fits mask 7, 2^48 does not fit mask 11
 	f.Fuzz(func(t *testing.T, meta, a, b []byte, kinds byte) {
 		views := []section{{legacyOrPacked(kinds, 0), a}}
 		if len(b) > 0 {
@@ -144,6 +159,14 @@ func le64(xs ...uint64) []byte {
 	var b []byte
 	for _, x := range xs {
 		b = binary.LittleEndian.AppendUint64(b, x)
+	}
+	return b
+}
+
+func le16(xs ...uint16) []byte {
+	var b []byte
+	for _, x := range xs {
+		b = binary.LittleEndian.AppendUint16(b, x)
 	}
 	return b
 }

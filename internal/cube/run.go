@@ -299,18 +299,6 @@ func (v *view) each(f func(keys []uint64, sums []float64)) {
 	}
 }
 
-// chunks calls f with every stretch of v's entries, in ascending key
-// order, cut to at most n entries at a time.
-func (v *view) chunks(n int, f func(keys []uint64, sums []float64)) {
-	v.each(func(keys []uint64, sums []float64) {
-		for len(keys) > n {
-			f(keys[:n], sums[:n])
-			keys, sums = keys[n:], sums[n:]
-		}
-		f(keys, sums)
-	})
-}
-
 // fold returns the view that folding the sorted entries of one batch
 // (equal keys in row order, see radixSort) into v gives; v is untouched.
 // One forward merge of the batch with the delta builds the new delta:

@@ -97,11 +97,10 @@ func EncodeViews(ctx context.Context, w io.Writer, v *Views) error {
 }
 
 // appendPacked appends the packed section of the view v at mask to dst.
-// It reads the entries twice, a chunk at a time, through a small buffer
-// of words: once to find the narrowest widths, once to write the gaps
-// and sums through fixed-width loops.
+// It reads the entries twice: once for the two columns' ors, which give
+// the narrowest widths, writing nothing, and once to write each gap and
+// sum straight into the section through fixed-width loops.
 func appendPacked(dst []byte, mask int, v *view) []byte {
-	var buf [256]uint64
 	n := v.size
 	var first uint64
 	if c := v.cursor(); n > 0 {
@@ -110,9 +109,9 @@ func appendPacked(dst []byte, mask int, v *view) []byte {
 	}
 	var gapBits, zigBits uint64
 	ints, prev := true, first-1 // the first key's gap is then 0, which ors in nothing
-	v.chunks(len(buf), func(keys []uint64, sums []float64) {
+	v.each(func(keys []uint64, sums []float64) {
 		var bits uint64
-		prev, bits = gaps(buf[:], keys, prev)
+		prev, bits = orGaps(keys, prev)
 		gapBits |= bits
 		if ints {
 			zigBits, ints = zigzagBits(sums, zigBits)
@@ -129,39 +128,89 @@ func appendPacked(dst []byte, mask int, v *view) []byte {
 	at := len(dst)
 	dst = slices.Grow(dst, packedBytes(n, gw, sw))[:at+packedBytes(n, gw, sw)]
 	gapCol, sumCol := dst[at:at+max(n-1, 0)*gw], dst[at+max(n-1, 0)*gw:]
-	prev, skip := first-1, 1 // the first key, in the first chunk, has no gap in the column
-	v.chunks(len(buf), func(keys []uint64, sums []float64) {
-		prev, _ = gaps(buf[:], keys, prev)
-		g := buf[skip:len(keys)]
-		skip = 0
-		pack(gapCol, g, gw)
-		gapCol = gapCol[len(g)*gw:]
+	prev, skip := first, 1 // the first key, in the first stretch, has no gap in the column
+	v.each(func(keys []uint64, sums []float64) {
+		gapCol = putGaps(gapCol, keys[skip:], prev, gw)
+		prev, skip = keys[len(keys)-1], 0
 		if ints {
-			for i, x := range sums {
-				buf[i] = zigzag(x)
-			}
-			pack(sumCol, buf[:len(sums)], sw)
+			sumCol = putZigzags(sumCol, sums, sw)
 		} else {
-			for i, x := range sums {
-				binary.LittleEndian.PutUint64(sumCol[8*i:], math.Float64bits(x))
-			}
+			sumCol = putFloats(sumCol, sums)
 		}
-		sumCol = sumCol[len(sums)*sw:]
 	})
 	return dst
 }
 
-// gaps writes to dst each key's gap to the key before it, minus one —
-// prev is the key before keys[0] — and returns the last key and the
-// gaps' bitwise or.
-func gaps(dst, keys []uint64, prev uint64) (uint64, uint64) {
+// orGaps returns the last key and the bitwise or of each key's gap to
+// the key before it, minus one; prev is the key before keys[0].
+func orGaps(keys []uint64, prev uint64) (uint64, uint64) {
 	var bits uint64
-	dst = dst[:len(keys)]
-	for i, k := range keys {
-		g := k - prev - 1
-		dst[i], bits, prev = g, bits|g, k
+	for _, k := range keys {
+		bits, prev = bits|(k-prev-1), k
 	}
 	return prev, bits
+}
+
+// putGaps writes each key's gap to the key before it, minus one — prev is
+// the key before keys[0] — to col, w bytes a gap, and returns the rest
+// of col.
+func putGaps(col []byte, keys []uint64, prev uint64, w int) []byte {
+	out, rest := col[:w*len(keys)], col[w*len(keys):]
+	switch w {
+	case 1:
+		out = out[:len(keys)]
+		for i, k := range keys {
+			out[i], prev = byte(k-prev-1), k
+		}
+	case 2:
+		for i, k := range keys {
+			binary.LittleEndian.PutUint16(out[2*i:], uint16(k-prev-1))
+			prev = k
+		}
+	case 4:
+		for i, k := range keys {
+			binary.LittleEndian.PutUint32(out[4*i:], uint32(k-prev-1))
+			prev = k
+		}
+	default:
+		for i, k := range keys {
+			binary.LittleEndian.PutUint64(out[8*i:], k-prev-1)
+			prev = k
+		}
+	}
+	return rest
+}
+
+// putZigzags writes the sums' zigzag codes to col, w bytes a code, and
+// returns the rest of col; every sum must be one zigzagBits accepts.
+func putZigzags(col []byte, sums []float64, w int) []byte {
+	out, rest := col[:w*len(sums)], col[w*len(sums):]
+	switch w {
+	case 1:
+		out = out[:len(sums)]
+		for i, s := range sums {
+			out[i] = byte(zigzag(s))
+		}
+	case 2:
+		for i, s := range sums {
+			binary.LittleEndian.PutUint16(out[2*i:], uint16(zigzag(s)))
+		}
+	default:
+		for i, s := range sums {
+			binary.LittleEndian.PutUint32(out[4*i:], uint32(zigzag(s)))
+		}
+	}
+	return rest
+}
+
+// putFloats writes the sums' float64 bits to col and returns the rest of
+// col.
+func putFloats(col []byte, sums []float64) []byte {
+	out, rest := col[:8*len(sums)], col[8*len(sums):]
+	for i, s := range sums {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(s))
+	}
+	return rest
 }
 
 // packedBytes is what a packed section of n entries holds past its
@@ -186,30 +235,25 @@ func validWidth(w int) bool { return w == 1 || w == 2 || w == 4 || w == 8 }
 // zigzagBits ors the sums' zigzag codes into bits and reports whether
 // every sum has one of at most four bytes: whether it is an integer in
 // [−2^31, 2^31) that is not −0 (NaN and ±Inf are not). One test per
-// sum, without a branch: the sum's bits must equal those of its integer
-// converted back — an s that int64 cannot hold converts to some integer
-// that does not convert back to s, NaN included, and −0 comes back as
-// +0 — and the codes' or must fit four bytes.
+// sum, without a branch, a chunk of 256 sums at a time, so that a float
+// column stops at its first chunk: the sum's bits must equal those of
+// its integer converted back — an s that int64 cannot hold converts to
+// some integer that does not convert back to s, NaN included, and −0
+// comes back as +0 — and the codes' or must fit four bytes.
 func zigzagBits(sums []float64, bits uint64) (uint64, bool) {
-	var diff uint64
-	for _, s := range sums {
-		i := int64(s)
-		bits |= uint64(i<<1 ^ i>>63)
-		diff |= math.Float64bits(float64(i)) ^ math.Float64bits(s)
+	for len(sums) > 0 {
+		var diff uint64
+		for _, s := range sums[:min(len(sums), 256)] {
+			i := int64(s)
+			bits |= uint64(i<<1 ^ i>>63)
+			diff |= math.Float64bits(float64(i)) ^ math.Float64bits(s)
+		}
+		if diff != 0 || bits >= 1<<32 {
+			return bits, false
+		}
+		sums = sums[min(len(sums), 256):]
 	}
-	return bits, diff == 0 && bits < 1<<32
-}
-
-// integral reports whether zigzagBits accepts every sum, a chunk at a
-// time, so that a float column stops at its first chunk.
-func integral(sums []float64) bool {
-	bits, ints := uint64(0), true
-	for len(sums) > 0 && ints {
-		k := min(len(sums), 256)
-		bits, ints = zigzagBits(sums[:k], bits)
-		sums = sums[k:]
-	}
-	return ints
+	return bits, true
 }
 
 // zigzag is the zigzag code of a sum zigzagBits accepts; unzigzag gives the
@@ -221,60 +265,128 @@ func zigzag(s float64) uint64 {
 
 func unzigzag(z uint64) float64 { return float64(int64(z>>1) ^ -int64(z&1)) }
 
-// pack writes words to out little-endian, w bytes each, one fixed-width
-// loop per width.
-func pack(out []byte, words []uint64, w int) {
-	switch w {
-	case 1:
-		out = out[:len(words)]
-		for i, x := range words {
-			out[i] = byte(x)
-		}
-	case 2:
-		for i, x := range words {
-			binary.LittleEndian.PutUint16(out[2*i:], uint16(x))
-		}
-	case 4:
-		for i, x := range words {
-			binary.LittleEndian.PutUint32(out[4*i:], uint32(x))
-		}
-	default:
-		for i, x := range words {
-			binary.LittleEndian.PutUint64(out[8*i:], x)
-		}
-	}
-}
+// The 2- and 4-byte decode loops below, and the 8-byte sum loop, read a
+// column four entries a block through fixed-size array views of the
+// column and the run: one length check a block, no bounds check an
+// entry, and the block's four loads independent of each other. Fewer
+// than four entries are left to each loop's indexed tail. The 1-byte
+// loops range over the column, which leaves no bounds check either; the
+// 8-byte gap loop, which checks every key for a wrap, is indexed.
 
-// unpack is pack's inverse: it reads len(dst) little-endian words of w
-// bytes from src into dst, one fixed-width loop per width, and returns
-// their bitwise or — the words fit w bytes narrowest exactly when the
-// or's width is w.
-func unpack(dst []uint64, src []byte, w int) uint64 {
+// decodeSums fills sums from a packed sum column of w bytes a sum — raw
+// float64 bits at 8, zigzag codes below — in one pass, and returns the
+// zigzag codes' or (0 at 8): the codes fit w bytes narrowest exactly
+// when the or's width is w.
+func decodeSums(sums []float64, col []byte, w int) uint64 {
 	var bits uint64
-	src = src[:w*len(dst)]
+	col = col[:w*len(sums)]
 	switch w {
 	case 1:
-		for i := range dst {
-			x := uint64(src[i])
-			dst[i], bits = x, bits|x
+		col = col[:len(sums)]
+		for i, b := range col {
+			z := uint64(b)
+			sums[i], bits = unzigzag(z), bits|z
 		}
 	case 2:
-		for i := range dst {
-			x := uint64(binary.LittleEndian.Uint16(src[2*i:]))
-			dst[i], bits = x, bits|x
+		for ; len(sums) >= 4; col, sums = col[8:], sums[4:] {
+			c, d := (*[8]byte)(col), (*[4]float64)(sums)
+			z0, z1 := uint64(binary.LittleEndian.Uint16(c[0:])), uint64(binary.LittleEndian.Uint16(c[2:]))
+			z2, z3 := uint64(binary.LittleEndian.Uint16(c[4:])), uint64(binary.LittleEndian.Uint16(c[6:]))
+			d[0], d[1], d[2], d[3] = unzigzag(z0), unzigzag(z1), unzigzag(z2), unzigzag(z3)
+			bits |= z0 | z1 | z2 | z3
+		}
+		for i := range sums {
+			z := uint64(binary.LittleEndian.Uint16(col[2*i:]))
+			sums[i], bits = unzigzag(z), bits|z
 		}
 	case 4:
-		for i := range dst {
-			x := uint64(binary.LittleEndian.Uint32(src[4*i:]))
-			dst[i], bits = x, bits|x
+		for ; len(sums) >= 4; col, sums = col[16:], sums[4:] {
+			c, d := (*[16]byte)(col), (*[4]float64)(sums)
+			z0, z1 := uint64(binary.LittleEndian.Uint32(c[0:])), uint64(binary.LittleEndian.Uint32(c[4:]))
+			z2, z3 := uint64(binary.LittleEndian.Uint32(c[8:])), uint64(binary.LittleEndian.Uint32(c[12:]))
+			d[0], d[1], d[2], d[3] = unzigzag(z0), unzigzag(z1), unzigzag(z2), unzigzag(z3)
+			bits |= z0 | z1 | z2 | z3
+		}
+		for i := range sums {
+			z := uint64(binary.LittleEndian.Uint32(col[4*i:]))
+			sums[i], bits = unzigzag(z), bits|z
 		}
 	default:
-		for i := range dst {
-			x := binary.LittleEndian.Uint64(src[8*i:])
-			dst[i], bits = x, bits|x
+		for ; len(sums) >= 4; col, sums = col[32:], sums[4:] {
+			c, d := (*[32]byte)(col), (*[4]float64)(sums)
+			d[0] = math.Float64frombits(binary.LittleEndian.Uint64(c[0:]))
+			d[1] = math.Float64frombits(binary.LittleEndian.Uint64(c[8:]))
+			d[2] = math.Float64frombits(binary.LittleEndian.Uint64(c[16:]))
+			d[3] = math.Float64frombits(binary.LittleEndian.Uint64(c[24:]))
+		}
+		for i := range sums {
+			sums[i] = math.Float64frombits(binary.LittleEndian.Uint64(col[8*i:]))
 		}
 	}
 	return bits
+}
+
+// decodeKeys fills keys, at least one, from the first key and a packed
+// gap column of w bytes a gap in one pass: each key is the one before it
+// plus its gap plus one, a running sum held in a register. It returns
+// the gaps' or, and at w = 8 whether a key wrapped past 2^64 — a gap of
+// 2^32 or more can wrap on its own, so that width checks every key;
+// narrower gaps wrap at most once (see decodePacked).
+func decodeKeys(keys []uint64, col []byte, w int, first uint64) (bits uint64, wrapped bool) {
+	k := first
+	keys[0], keys = k, keys[1:]
+	col = col[:w*len(keys)]
+	switch w {
+	case 1:
+		col = col[:len(keys)]
+		for i, b := range col {
+			g := uint64(b)
+			k += g + 1
+			keys[i], bits = k, bits|g
+		}
+	case 2:
+		for ; len(keys) >= 4; col, keys = col[8:], keys[4:] {
+			c, d := (*[8]byte)(col), (*[4]uint64)(keys)
+			g0, g1 := uint64(binary.LittleEndian.Uint16(c[0:])), uint64(binary.LittleEndian.Uint16(c[2:]))
+			g2, g3 := uint64(binary.LittleEndian.Uint16(c[4:])), uint64(binary.LittleEndian.Uint16(c[6:]))
+			d[0] = k + g0 + 1
+			d[1] = d[0] + g1 + 1
+			d[2] = d[1] + g2 + 1
+			d[3] = d[2] + g3 + 1
+			k, bits = d[3], bits|g0|g1|g2|g3
+		}
+		for i := range keys {
+			g := uint64(binary.LittleEndian.Uint16(col[2*i:]))
+			k += g + 1
+			keys[i], bits = k, bits|g
+		}
+	case 4:
+		for ; len(keys) >= 4; col, keys = col[16:], keys[4:] {
+			c, d := (*[16]byte)(col), (*[4]uint64)(keys)
+			g0, g1 := uint64(binary.LittleEndian.Uint32(c[0:])), uint64(binary.LittleEndian.Uint32(c[4:]))
+			g2, g3 := uint64(binary.LittleEndian.Uint32(c[8:])), uint64(binary.LittleEndian.Uint32(c[12:]))
+			d[0] = k + g0 + 1
+			d[1] = d[0] + g1 + 1
+			d[2] = d[1] + g2 + 1
+			d[3] = d[2] + g3 + 1
+			k, bits = d[3], bits|g0|g1|g2|g3
+		}
+		for i := range keys {
+			g := uint64(binary.LittleEndian.Uint32(col[4*i:]))
+			k += g + 1
+			keys[i], bits = k, bits|g
+		}
+	default:
+		for i := range keys {
+			g := binary.LittleEndian.Uint64(col[8*i:])
+			if g >= math.MaxUint64-k {
+				wrapped = true
+			}
+			k += g + 1
+			keys[i], bits = k, bits|g
+		}
+	}
+	return bits, wrapped
 }
 
 // corruptf builds a payload-level corruption error matching ErrCorrupt.
@@ -405,7 +517,9 @@ func decodeLegacy(acct *accountant, mask int, payload []byte) (*run, error) {
 // fills the section, a zero first key when empty, and keys that do not
 // wrap. The widths and the count are checked before anything is charged
 // or allocated; a section of L bytes holds at most (L−21)/2 entries, so
-// the run it allocates is under 8L bytes.
+// the run it allocates is under 8L bytes. Each column then goes into the
+// run in one pass that also ors its values for the width check: the sums
+// first, then the keys.
 func decodePacked(acct *accountant, mask int, payload []byte) (*run, error) {
 	if len(payload) < packedHeaderBytes {
 		return nil, corruptf("packed view section of %d bytes", len(payload))
@@ -431,45 +545,25 @@ func decodePacked(acct *accountant, mask int, payload []byte) (*run, error) {
 	}
 	r := &run{keys: make([]uint64, n), sums: make([]float64, n)}
 	gaps, sums := body[:max(n-1, 0)*gw], body[max(n-1, 0)*gw:]
-	// The keys are the zigzag codes' scratch until the gaps fill them.
+	zigBits := decodeSums(r.sums, sums, sw)
 	if sw == 8 {
-		for i := range r.sums {
-			r.sums[i] = math.Float64frombits(binary.LittleEndian.Uint64(sums[8*i:]))
-		}
-		if integral(r.sums) {
+		if _, ints := zigzagBits(r.sums, 0); ints {
 			return nil, corruptf("view mask %d stores integer sums as float64", mask)
 		}
-	} else {
-		if width(unpack(r.keys, sums, sw)) != sw {
-			return nil, corruptf("view mask %d sum width %d is not the narrowest", mask, sw)
-		}
-		for i, z := range r.keys {
-			r.sums[i] = unzigzag(z)
-		}
+	} else if width(zigBits) != sw {
+		return nil, corruptf("view mask %d sum width %d is not the narrowest", mask, sw)
 	}
 	if n == 0 {
 		return r, nil
 	}
-	if width(unpack(r.keys[1:], gaps, gw)) != gw {
+	gapBits, wrapped := decodeKeys(r.keys, gaps, gw, first)
+	if width(gapBits) != gw {
 		return nil, corruptf("view mask %d gap width %d is not the narrowest", mask, gw)
 	}
-	r.keys[0] = first
-	if gw == 8 {
-		// A gap of 2^32 or more can wrap past 2^64 on its own.
-		for i := 1; i < n; i++ {
-			if r.keys[i] >= math.MaxUint64-r.keys[i-1] {
-				return nil, corruptf("view mask %d keys wrap", mask)
-			}
-			r.keys[i] += r.keys[i-1] + 1
-		}
-		return r, nil
-	}
-	for i := 1; i < n; i++ {
-		r.keys[i] += r.keys[i-1] + 1
-	}
-	// Gaps under 2^32 in a section under 2^32 bytes add up to less than
-	// 2^64: the keys wrap at most once, and then end below the first.
-	if r.keys[n-1] < first {
+	// decodeKeys checks 8-byte gaps key by key. Narrower gaps, under 2^32
+	// in a section under 2^32 bytes, add up to less than 2^64: the keys
+	// wrap at most once, and then end below the first.
+	if wrapped || r.keys[n-1] < first {
 		return nil, corruptf("view mask %d keys wrap", mask)
 	}
 	return r, nil

@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"time"
 
 	"statcube/internal/cube"
 	"statcube/internal/marray"
+	"statcube/internal/stats"
 	"statcube/internal/workload"
 )
 
@@ -257,11 +260,32 @@ func E8ExtendibleArrays() *Report {
 	return r
 }
 
+// e9Builds is how many times E9 times each builder.
+const e9Builds = 5
+
+// medianBuild times build e9Builds times, each after a runtime.GC() so
+// that no build pays for collecting the garbage of the one before it,
+// and returns the median; the first error stops it.
+func medianBuild(build func() error) (time.Duration, error) {
+	times := make([]float64, e9Builds)
+	for i := range times {
+		runtime.GC()
+		var err error
+		times[i] = float64(timeIt(func() { err = build() }))
+		if err != nil {
+			return 0, err
+		}
+	}
+	med, err := stats.Percentile(times, 50)
+	return time.Duration(med), err
+}
+
 // E9MolapVsRolap — Section 6.6 [ZDN97]: array-based (MOLAP) cube
-// computation against two relational (ROLAP) plans. MOLAP beats the
-// per-group-by hash plan on dense cubes; the sort-based smallest-parent plan, whose
-// grouping kernel sums a small key range in a dense scratch array much as
-// MOLAP does, keeps up with or runs ahead of this simplified in-memory MOLAP.
+// computation against two relational (ROLAP) plans, each build timed as
+// the median of e9Builds. MOLAP beats the per-group-by hash plan on dense
+// cubes; the sort-based smallest-parent plan, whose grouping kernel sums
+// a small key range in a dense scratch array much as MOLAP does, keeps
+// up with or runs ahead of this simplified in-memory MOLAP.
 func E9MolapVsRolap() *Report {
 	ctx := context.Background()
 	r := &Report{
@@ -284,15 +308,15 @@ func E9MolapVsRolap() *Report {
 		}
 		in := retail.Input
 		var naive, sp, molap *cube.Views
-		tNaive := timeIt(func() { naive, err = cube.BuildROLAPNaiveCtx(ctx, in, cube.Options{}) })
+		tNaive, err := medianBuild(func() (err error) { naive, err = cube.BuildROLAPNaiveCtx(ctx, in, cube.Options{}); return err })
 		if err != nil {
 			return r.fail(err)
 		}
-		tSP := timeIt(func() { sp, err = cube.BuildROLAPSmallestParentCtx(ctx, in, cube.Options{}) })
+		tSP, err := medianBuild(func() (err error) { sp, err = cube.BuildROLAPSmallestParentCtx(ctx, in, cube.Options{}); return err })
 		if err != nil {
 			return r.fail(err)
 		}
-		tMolap := timeIt(func() { molap, err = cube.BuildMOLAPCtx(ctx, in, cube.Options{}) })
+		tMolap, err := medianBuild(func() (err error) { molap, err = cube.BuildMOLAPCtx(ctx, in, cube.Options{}); return err })
 		if err != nil {
 			return r.fail(err)
 		}

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -376,12 +377,15 @@ func (s *Store) Load(ctx context.Context, name string, read func(io.Reader) erro
 	return 0, firstCorrupt
 }
 
-// loadGen opens one generation file and applies read.
+// loadGen opens one generation file and applies read to it through a
+// buffer, so that a section's small reads — its frame header and its
+// CRC — cost no read call of their own; a payload larger than the
+// buffer is read straight into the decoder's slice.
 func (s *Store) loadGen(name string, gen uint64, read func(io.Reader) error) error {
 	f, err := os.Open(s.genPath(name, gen))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return read(f)
+	return read(bufio.NewReader(f))
 }

@@ -64,6 +64,42 @@ func BenchmarkOpenAtLogBound(b *testing.B) {
 	}
 }
 
+// BenchmarkOpenCheckpoint is restart recovery from a checkpoint alone:
+// the bench dataset's served set saved as generation 1, with no log
+// records behind it, as the ledger's recover_s times it. Each Open lists
+// the store, decodes the checkpoint and finds its log empty.
+func BenchmarkOpenCheckpoint(b *testing.B) {
+	ctx := context.Background()
+	st, err := snapshot.OpenStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, _ := retailLoads(b, st, 0)
+	w, err := writer.Open(ctx, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Close(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, err := writer.Open(ctx, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := w.Generation(); got != 1 {
+			b.Fatalf("reopened at generation %d, want 1", got)
+		}
+		b.StopTimer()
+		if err := w.Close(ctx); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
 // BenchmarkCheckpointingPublish is the write path's tail on the same
 // dataset: from a fresh checkpoint, publishes of 500 rows grow the log to
 // the checkpoint's size, and the one that reaches it also writes a
