@@ -112,9 +112,9 @@ chaos-write:
 # Bench regression: the E9/E16 micro-benchmarks, the evaluator's retail
 # benchmark, the cube layer's bulk-build, materialize, publish and
 # checkpoint encode/decode kernels, restart recovery (from a checkpoint
-# alone and behind a full log) and the load path's kernels (core's bulk
-# ingest, the retail generator and its coded export) (sanity, 1
-# iteration), plus the full experiment suite's deterministic counters
+# alone and behind a full log), the load path's kernels (core's bulk
+# ingest, the retail generator and its coded export) and the key sort
+# core and cube share (sanity, 1 iteration), plus the full experiment suite's deterministic counters
 # diffed against BENCH_BASELINE.json.
 # Fails only on a counter that differs from the baseline (exact;
 # parallel.* counters follow GOMAXPROCS and are skipped — see
@@ -125,6 +125,7 @@ bench:
 	$(GO) test -bench='BuildSmallestParent|Materialize$$|Publish|DecodeMaterialized|EncodeViews' -benchtime=1x -run='^$$' ./internal/cube
 	$(GO) test -bench='OpenCheckpoint|OpenAtLogBound' -benchtime=1x -run='^$$' ./internal/writer
 	$(GO) test -bench=ObserveRows -benchtime=1x -run='^$$' ./internal/core
+	$(GO) test -bench=Sort -benchtime=1x -run='^$$' ./internal/keyspace
 	$(GO) test -bench='NewRetail|CubeInputFromObject' -benchtime=1x -run='^$$' ./internal/workload
 	$(GO) run ./cmd/cubebench -stats-json > $(BENCH_OUT)
 	bash scripts/serve_smoke.sh bench >> $(BENCH_OUT)

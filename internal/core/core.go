@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"statcube/internal/hierarchy"
+	"statcube/internal/keyspace"
 	"statcube/internal/schema"
 )
 
@@ -70,7 +71,7 @@ func New(sch *schema.Graph, measures []Measure) (*StatObject, error) {
 		return nil, ErrNoMeasures
 	}
 	shape := sch.Shape()
-	if !keysFit(shape) {
+	if !keyspace.Fit(shape) {
 		return nil, fmt.Errorf("core: cross product of shape %v exceeds 2^64 cells", shape)
 	}
 	o := &StatObject{

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
-	"slices"
+
+	"statcube/internal/keyspace"
 )
 
 // ObserveRows folds a batch of raw observations into the object, the
@@ -38,20 +38,18 @@ func (o *StatObject) ObserveRows(coords [][]int, obs map[string][]float64) error
 		return nil
 	}
 	s := o.store
-	src := make([]rowKey, len(coords))
-	var maxKey uint64
+	src := make([]keyspace.Entry[int], len(coords)) // (key, row)
 	for r, c := range coords {
 		k, err := s.checkedKey(c)
 		if err != nil {
 			return fmt.Errorf("row %d: %w", r, err)
 		}
-		src[r] = rowKey{k, r}
-		maxKey = max(maxKey, k)
+		src[r] = keyspace.Entry[int]{Key: k, Val: r}
 	}
-	sorted := sortRowKeys(src, make([]rowKey, len(src)), maxKey)
+	sorted := keyspace.Sort(src, make([]keyspace.Entry[int], len(src)), keyspace.Max(s.dims, s.shape))
 	distinct := 1
 	for p := 1; p < len(sorted); p++ {
-		if sorted[p].key != sorted[p-1].key {
+		if sorted[p].Key != sorted[p-1].Key {
 			distinct++
 		}
 	}
@@ -64,8 +62,8 @@ func (o *StatObject) ObserveRows(coords [][]int, obs map[string][]float64) error
 	vals := make([]float64, 0, distinct*sl)
 	lo := 0 // run keys below lo are below every key still to fold
 	for p := 0; p < len(sorted); {
-		k := sorted[p].key
-		j, found := slices.BinarySearch(s.keys[lo:], k)
+		k := sorted[p].Key
+		j, found := keyspace.Search(s.keys[lo:], k)
 		lo += j
 		var acc []float64
 		if found {
@@ -76,8 +74,8 @@ func (o *StatObject) ObserveRows(coords [][]int, obs map[string][]float64) error
 			acc = vals[len(vals)-sl:]
 			o.identitySlots(acc)
 		}
-		for ; p < len(sorted) && sorted[p].key == k; p++ {
-			r := sorted[p].row
+		for ; p < len(sorted) && sorted[p].Key == k; p++ {
+			r := sorted[p].Val
 			for i, m := range o.measures {
 				if col := cols[i]; col != nil {
 					m.observe(acc[o.offsets[i]:o.offsets[i]+m.slots()], col[r])
@@ -98,41 +96,4 @@ func (o *StatObject) ObserveRows(coords [][]int, obs map[string][]float64) error
 		s.mu.Unlock()
 	}
 	return nil
-}
-
-// rowKey is one batch row's cell key and its position in the batch.
-type rowKey struct {
-	key uint64
-	row int
-}
-
-// sortRowKeys sorts src by key, one byte digit per pass, least
-// significant first, skipping any digit every row shares, with dst (as
-// long as src) as the other buffer; it returns whichever holds the
-// result. Each pass is stable, so equal keys keep their row order — the
-// order ObserveAt would fold them in.
-func sortRowKeys(src, dst []rowKey, maxKey uint64) []rowKey {
-	var count [8][256]int
-	passes := (bits.Len64(maxKey) + 7) / 8
-	for _, e := range src {
-		for p := 0; p < passes; p++ {
-			count[p][byte(e.key>>(8*p))]++
-		}
-	}
-	for p := 0; p < passes; p++ {
-		c := &count[p]
-		if slices.Contains(c[:], len(src)) {
-			continue // one digit value for every row: the pass would move none
-		}
-		for b, off := 0, 0; b < len(c); b++ {
-			c[b], off = off, off+c[b]
-		}
-		for _, e := range src {
-			d := byte(e.key >> (8 * p))
-			dst[c[d]] = e
-			c[d]++
-		}
-		src, dst = dst, src
-	}
-	return src
 }

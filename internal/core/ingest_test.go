@@ -181,7 +181,7 @@ func TestObserveRefusesBadCoordinates(t *testing.T) {
 // keyCoords is the cell coordinates of key k in s.
 func keyCoords(s *MapStore, k uint64) []int {
 	coords := make([]int, len(s.shape))
-	s.unkey(k, coords)
+	s.dec.Decode(k, coords)
 	return coords
 }
 

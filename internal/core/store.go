@@ -1,20 +1,20 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sync"
+
+	"statcube/internal/keyspace"
 )
 
 // MapStore holds a statistical object's cells, the one physical
 // organization the conceptual operators run over: the linearized cell
 // positions of Section 6.2 kept in key order. Coordinates are leaf-level
 // value ordinals, one per dimension, in schema order; a cell's key is
-// their row-major linearization. Slots are the flattened measure
-// accumulators (see Measure.slots).
+// their row-major linearization (keyspace.Key). Slots are the flattened
+// measure accumulators (see Measure.slots).
 //
 // The cells live in a run — keys ascending, slots floats per key beside
 // them, the layout of a stored cube view — plus an unsorted tail that
@@ -31,9 +31,10 @@ import (
 // one built object can serve many readers; writes must not run
 // concurrently with anything.
 type MapStore struct {
-	shape   []int
-	strides []uint64
-	slots   int
+	shape []int
+	dims  []int // every dimension, in order: the key is over all of them
+	dec   keyspace.Decoder
+	slots int
 
 	// mu guards the tail and the fold that empties it into the run.
 	mu   sync.Mutex
@@ -46,41 +47,15 @@ type MapStore struct {
 	tailIdx  map[uint64]int32
 }
 
-// keysFit reports whether every linearized key over shape fits in 64 bits:
-// the largest, every coordinate at its maximum, does exactly when the cross
-// product is at most 2^64 cells.
-func keysFit(shape []int) bool {
-	var k uint64
-	for _, n := range shape {
-		if n <= 0 {
-			return true // an empty dimension holds no cell
-		}
-		hi, lo := bits.Mul64(k, uint64(n))
-		lo, carry := bits.Add64(lo, uint64(n-1), 0)
-		if hi != 0 || carry != 0 {
-			return false
-		}
-		k = lo
-	}
-	return true
-}
-
 // NewMapStore creates an empty MapStore for the given shape and slot count.
-// The shape's cross product must pass keysFit, which New checks.
+// The shape's cross product must pass keyspace.Fit, which New checks.
 func NewMapStore(shape []int, slots int) *MapStore {
-	s := &MapStore{
-		shape:   append([]int(nil), shape...),
-		strides: make([]uint64, len(shape)),
-		slots:   slots,
+	n := len(shape)
+	buf := append(make([]int, 0, 2*n), shape...) // the shape's copy, then dims: one allocation
+	for d := range n {
+		buf = append(buf, d)
 	}
-	// Row-major strides: the linearization of Section 6.2, whose order is
-	// the run's order.
-	stride := uint64(1)
-	for i := len(shape) - 1; i >= 0; i-- {
-		s.strides[i] = stride
-		stride *= uint64(shape[i])
-	}
-	return s
+	return &MapStore{shape: buf[:n:n], dims: buf[n:], dec: keyspace.NewDecoder(shape), slots: slots}
 }
 
 // checkedKey linearizes coords, refusing a wrong coordinate count or an
@@ -89,12 +64,9 @@ func (s *MapStore) checkedKey(coords []int) (uint64, error) {
 	if len(coords) != len(s.shape) {
 		return 0, fmt.Errorf("%w: %d coordinates for %d dimensions", ErrCoordRange, len(coords), len(s.shape))
 	}
-	var k uint64
-	for i, c := range coords {
-		if c < 0 || c >= s.shape[i] {
-			return 0, fmt.Errorf("%w: coordinate %d outside [0,%d) in dimension %d", ErrCoordRange, c, s.shape[i], i)
-		}
-		k += uint64(c) * s.strides[i]
+	k, d := keyspace.Key(coords, s.dims, s.shape)
+	if d >= 0 {
+		return 0, fmt.Errorf("%w: coordinate %d outside [0,%d) in dimension %d", ErrCoordRange, coords[d], s.shape[d], d)
 	}
 	return k, nil
 }
@@ -107,12 +79,6 @@ func (s *MapStore) key(coords []int) uint64 {
 		panic(err)
 	}
 	return k
-}
-
-func (s *MapStore) unkey(k uint64, coords []int) {
-	for i := range s.shape {
-		coords[i] = int(k / s.strides[i] % uint64(s.shape[i]))
-	}
 }
 
 // find returns the stored slots of key k, in place: from the run by binary
@@ -144,29 +110,34 @@ func (s *MapStore) add(k uint64) []float64 {
 	return s.tailVals[n-s.slots : n : n]
 }
 
-// settle folds the tail into the run: the tail's positions sorted by key,
-// then mergeTail. It is a no-op on an empty tail, so once a built object
-// is settled its readers only take and release the lock.
+// settle folds the tail into the run: its (key, position) pairs sorted
+// by key, unless it was written in key order, then mergeTail. It is a
+// no-op on an empty tail, so once a built object is settled its readers
+// only take and release the lock.
 func (s *MapStore) settle() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.tailKeys) == 0 {
+	n := len(s.tailKeys)
+	if n == 0 {
 		return
 	}
-	order := make([]int32, len(s.tailKeys))
-	for j := range order {
-		order[j] = int32(j)
+	if slices.IsSorted(s.tailKeys) {
+		s.mergeTail(nil)
+		return
 	}
-	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(s.tailKeys[a], s.tailKeys[b]) })
-	s.mergeTail(order)
+	buf := make([]keyspace.Entry[int32], 2*n) // the pairs and the sort's other buffer
+	for j, k := range s.tailKeys {
+		buf[j] = keyspace.Entry[int32]{Key: k, Val: int32(j)}
+	}
+	s.mergeTail(keyspace.Sort(buf[:n], buf[n:], keyspace.Max(s.dims, s.shape)))
 }
 
 // mergeTail folds the tail, none of whose keys the run holds, into the
-// run with one backward merge into the grown run, the way cube.run
-// merges a batch's new keys. order lists the tail's positions in key
-// order; nil means the tail was written in key order, as ObserveRows
-// writes it. The tail is left empty.
-func (s *MapStore) mergeTail(order []int32) {
+// run with one backward merge into the grown run: each slot from the top
+// down takes the larger of the run's and the tail's highest keys left, so
+// no entry moves twice. order lists the tail's positions in key order;
+// nil means the tail is in key order already. The tail is left empty.
+func (s *MapStore) mergeTail(order []keyspace.Entry[int32]) {
 	sl, n := s.slots, len(s.tailKeys)
 	i := len(s.keys) - 1
 	s.keys = slices.Grow(s.keys, n)[:len(s.keys)+n]
@@ -174,7 +145,7 @@ func (s *MapStore) mergeTail(order []int32) {
 	for w, j := len(s.keys)-1, n-1; j >= 0; w-- {
 		t := j
 		if order != nil {
-			t = int(order[j])
+			t = int(order[j].Val)
 		}
 		if i >= 0 && s.keys[i] > s.tailKeys[t] {
 			s.keys[w] = s.keys[i]
@@ -233,7 +204,7 @@ func (s *MapStore) ForEach(fn func(coords []int, slots []float64) bool) {
 	coords := make([]int, len(s.shape))
 	sl := s.slots
 	for i, k := range s.keys {
-		s.unkey(k, coords)
+		s.dec.Decode(k, coords)
 		if !fn(coords, s.vals[i*sl:(i+1)*sl:(i+1)*sl]) {
 			return
 		}

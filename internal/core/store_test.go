@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"statcube/internal/keyspace"
 )
 
 func TestMapStoreBasics(t *testing.T) {
@@ -156,7 +158,8 @@ func TestMapStoreMergeAndForEach(t *testing.T) {
 	}
 }
 
-// Property: round-tripping any coordinate through key/unkey is identity.
+// Property: round-tripping any coordinate through Put and ForEach (the
+// key and its decode) is identity.
 func TestQuickMapStoreKeyRoundTrip(t *testing.T) {
 	f := func(rawShape [3]uint8, rawCoords [3]uint16) bool {
 		shape := make([]int, 3)
@@ -176,6 +179,56 @@ func TestQuickMapStoreKeyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMapStoreKeyRoundTripAcross2To32: key spaces of 2^32−1, 2^32,
+// 2^32+1 and exactly 2^64 keys, some through a dimension of cardinality 1,
+// round-trip every corner cell through Put and ForEach, on the decode's
+// narrow (reciprocal) path and its wide (exact division) one, each named
+// by the rule the decoder picks it by.
+func TestMapStoreKeyRoundTripAcross2To32(t *testing.T) {
+	shapes := [][]int{
+		{65535, 65537},                       // 2^32−1 keys, both factors odd
+		{1 << 16, 1, 1 << 16},                // 2^32 keys, to 2^32−1: the last narrow space
+		{641, 6700417},                       // 2^32+1 keys: the first wide one
+		{1 << 16, 1 << 16, 1 << 16, 1 << 16}, // 2^64 keys
+		{3, 1, 1 << 20},
+		{1, 1},
+	}
+	var narrow, wide int
+	for _, shape := range shapes {
+		s := NewMapStore(shape, 1)
+		if keyspace.Max(s.dims, shape) < 1<<32 { // the decoder's rule for its reciprocal path
+			narrow++
+		} else {
+			wide++
+		}
+		var corners [][]int
+		for c := 0; c < 1<<len(shape); c++ {
+			coords := make([]int, len(shape))
+			for d, n := range shape {
+				if c&(1<<d) != 0 {
+					coords[d] = n - 1
+				}
+			}
+			corners = append(corners, coords)
+			s.Put(coords, []float64{float64(c)})
+		}
+		seen := 0
+		s.ForEach(func(coords []int, slots []float64) bool {
+			if want := corners[int(slots[0])]; !slices.Equal(coords, want) {
+				t.Errorf("shape %v: cell %v comes back at %v", shape, want, coords)
+			}
+			seen++
+			return true
+		})
+		if seen != s.Cells() {
+			t.Errorf("shape %v: ForEach visited %d of %d cells", shape, seen, s.Cells())
+		}
+	}
+	if narrow == 0 || wide == 0 {
+		t.Fatalf("%d narrow and %d wide decodes: both paths must be covered", narrow, wide)
 	}
 }
 

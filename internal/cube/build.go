@@ -8,6 +8,7 @@ import (
 
 	"statcube/internal/budget"
 	"statcube/internal/fault"
+	"statcube/internal/keyspace"
 	"statcube/internal/obs"
 	"statcube/internal/parallel"
 	"statcube/internal/qlog"
@@ -41,14 +42,13 @@ func (in *Input) Validate() error {
 	if err := in.validateHeader(); err != nil {
 		return err
 	}
+	all := maskDims(1<<uint(len(in.Card))-1, len(in.Card))
 	for ri, row := range in.Rows {
 		if len(row) != len(in.Card) {
 			return fmt.Errorf("cube: row %d has %d dims, want %d", ri, len(row), len(in.Card))
 		}
-		for d, c := range row {
-			if c < 0 || c >= in.Card[d] {
-				return fmt.Errorf("cube: row %d dim %d code %d out of [0,%d)", ri, d, c, in.Card[d])
-			}
+		if _, d := keyspace.Key(row, all, in.Card); d >= 0 {
+			return fmt.Errorf("cube: row %d dim %d code %d out of [0,%d)", ri, d, row[d], in.Card[d])
 		}
 	}
 	return nil
@@ -60,7 +60,7 @@ func (in *Input) validateHeader() error {
 	if len(in.Card) > 16 {
 		return fmt.Errorf("cube: %d dimensions means 2^%d views; refusing", len(in.Card), len(in.Card))
 	}
-	if !keysFit(in.Card) {
+	if !keyspace.Fit(in.Card) {
 		return fmt.Errorf("cube: cardinalities %v span more than 2^64 keys", in.Card)
 	}
 	if len(in.Rows) != len(in.Vals) {
@@ -80,6 +80,7 @@ func (in *Input) baseKeys(ctx context.Context) ([]uint64, error) {
 		return nil, err
 	}
 	card := in.Card
+	all := maskDims(1<<uint(len(card))-1, len(card))
 	keys := make([]uint64, len(in.Rows))
 	for lo := 0; lo < len(in.Rows); lo += budget.DefaultTickEvery {
 		if err := budget.Check(ctx); err != nil {
@@ -91,12 +92,9 @@ func (in *Input) baseKeys(ctx context.Context) ([]uint64, error) {
 			if len(row) != len(card) {
 				return nil, in.Validate()
 			}
-			var k uint64
-			for d, c := range row {
-				if uint(c) >= uint(card[d]) {
-					return nil, in.Validate()
-				}
-				k = k*uint64(card[d]) + uint64(c)
+			k, bad := keyspace.Key(row, all, card)
+			if bad >= 0 {
+				return nil, in.Validate()
 			}
 			keys[lo+i] = k
 		}
@@ -120,121 +118,6 @@ func maskDims(mask, n int) []int {
 		}
 	}
 	return dims
-}
-
-// groupKey linearizes the masked coordinates of a row.
-func groupKey(row []int, dims []int, card []int) uint64 {
-	var k uint64
-	for _, d := range dims {
-		k = k*uint64(card[d]) + uint64(row[d])
-	}
-	return k
-}
-
-// rekeyer maps a view's keys over the dims in one mask to a coarser
-// view's keys over the dims in a child mask (child ⊆ mask): the finer
-// key's digits are peeled off last dim first, and each child dim's digit
-// lands at its place value in the child key. It is the one roll-up key
-// map: a build's aggregation from a parent, an answer from an ancestor and
-// MOLAP's child positions all use it.
-//
-// A dim of cardinality 1 has only the digit 0 and is skipped (one of
-// cardinality 0 admits no key). Adjacent parent dims that are both kept,
-// or both summed out, are peeled as one step whose radix is the product
-// of their cardinalities: kept neighbours stay neighbours in the child
-// key. The last step takes what the key has left, with no division. When
-// every parent key is below 2^32 the other steps divide by multiplying
-// with a precomputed reciprocal (Lemire, Kaser and Kurz's fastdiv, exact
-// for 32-bit dividends and divisors); wider keys divide exactly.
-type rekeyer struct {
-	steps  []rekeyStep // least significant first; the last takes the rest of the key
-	narrow bool        // every parent key < 2^32: divide by magic
-}
-
-type rekeyStep struct {
-	radix uint64 // ∏ card over the step's dims; unused by the last step
-	place uint64 // the step's place value in the child key; 0 sums it out
-	magic uint64 // ⌈2^64 / radix⌉, the narrow reciprocal
-}
-
-func newRekeyer(card []int, mask, child int) rekeyer {
-	r := rekeyer{narrow: maxKey(maskDims(mask, len(card)), card) < 1<<32}
-	pv, kept := uint64(1), false // the next child place value; whether the open step keeps its digits
-	for d := len(card) - 1; d >= 0; d-- {
-		if mask&(1<<uint(d)) == 0 || card[d] <= 1 {
-			continue
-		}
-		c, keep := uint64(card[d]), child&(1<<uint(d)) != 0
-		if len(r.steps) > 0 && keep == kept {
-			r.steps[len(r.steps)-1].radix *= c
-		} else {
-			s := rekeyStep{radix: c}
-			if keep {
-				s.place = pv
-			}
-			r.steps, kept = append(r.steps, s), keep
-		}
-		if keep {
-			pv *= c
-		}
-	}
-	if len(r.steps) == 0 {
-		r.steps = []rekeyStep{{}} // no digit reaches the child: every key maps to 0
-	}
-	// Every step below the last has a dim of cardinality ≥ 2 above it, so
-	// its radix is at most half the parent's key count: at most 2^63, and
-	// at most 2^31 when the keys are narrow.
-	for i := range r.steps[:len(r.steps)-1] {
-		r.steps[i].magic = ^uint64(0)/r.steps[i].radix + 1
-	}
-	return r
-}
-
-// key maps one parent key to its child key.
-func (r *rekeyer) key(k uint64) uint64 {
-	var ck uint64
-	last := len(r.steps) - 1
-	for _, s := range r.steps[:last] {
-		var q uint64
-		if r.narrow {
-			q, _ = bits.Mul64(s.magic, k)
-		} else {
-			q = k / s.radix
-		}
-		ck += (k - q*s.radix) * s.place
-		k = q
-	}
-	return ck + k*r.steps[last].place
-}
-
-// maxKey is groupKey of the largest code of every dim in dims: the
-// largest key the view over dims can hold. Within keysFit it does not
-// wrap, even where the view's key count, ∏ card, is 2^64.
-func maxKey(dims []int, card []int) uint64 {
-	var k uint64
-	for _, d := range dims {
-		k = k*uint64(card[d]) + uint64(card[d]-1)
-	}
-	return k
-}
-
-// keysFit reports whether groupKey's largest key over card, every code at
-// its maximum, fits in 64 bits — exactly when ∏ card ≤ 2^64. A wider key
-// space would wrap and give distinct rows the same key.
-func keysFit(card []int) bool {
-	var k uint64
-	for _, c := range card {
-		if c <= 0 {
-			return true // an empty dimension admits no row
-		}
-		hi, lo := bits.Mul64(k, uint64(c))
-		lo, carry := bits.Add64(lo, uint64(c-1), 0)
-		if hi != 0 || carry != 0 {
-			return false
-		}
-		k = lo
-	}
-	return true
 }
 
 // View returns one stored view as a fresh map from group key to sum (nil
@@ -429,7 +312,8 @@ func BuildROLAPNaiveCtx(ctx context.Context, in *Input, opt Options) (_ *Views, 
 			if err := tick.Tick(); err != nil {
 				return err
 			}
-			a[groupKey(row, dims, in.Card)] += in.Vals[ri]
+			k, _ := keyspace.Key(row, dims, in.Card) // Validate checked the row
+			a[k] += in.Vals[ri]
 		}
 		if err := acct.chargeView(len(a)); err != nil {
 			return err
@@ -438,7 +322,7 @@ func BuildROLAPNaiveCtx(ctx context.Context, in *Input, opt Options) (_ *Views, 
 		for k, s := range a {
 			keys, sums = append(keys, k), append(sums, s)
 		}
-		out.stored[mask] = packedView(group(keys, sums, maxKey(dims, in.Card)))
+		out.stored[mask] = packedView(group(keys, sums, keyspace.Max(dims, in.Card)))
 		return nil
 	})
 	if err != nil {
@@ -480,7 +364,7 @@ func walkRuns(ctx context.Context, in *Input, baseKeys []uint64, st parallel.Sta
 		if parent >= 0 {
 			r = aggregateFromParent(out, parent, mask)
 		} else {
-			r = group(baseKeys, in.Vals, maxKey(maskDims(mask, n), in.Card))
+			r = group(baseKeys, in.Vals, keyspace.Max(maskDims(mask, n), in.Card))
 		}
 		if err := acct.chargeView(len(r.keys)); err != nil {
 			return err
@@ -561,17 +445,17 @@ func smallestAncestor(mask int, candidates []int, size func(mask int) int64) (be
 }
 
 // aggregateFromParent rolls a parent view a build computed up into the
-// child's group-by (see rekeyer). A view a build computes is packed, with
+// child's group-by (see keyspace.Rekeyer). A view a build computes is packed, with
 // no delta, so the parent run is walked as stored, in ascending key
 // order, and each child key accumulates its float sum in one fixed order
 // — the determinism the byte-identical parallel/sequential guarantee
 // rests on.
 func aggregateFromParent(v *Views, parent, child int) *run {
 	p := v.stored[parent].packed
-	rk := newRekeyer(v.Card, parent, child)
+	rk := keyspace.NewRekeyer(v.Card, parent, child)
 	keys := make([]uint64, len(p.keys))
 	for i, k := range p.keys {
-		keys[i] = rk.key(k)
+		keys[i] = rk.Key(k)
 	}
-	return group(keys, p.sums, maxKey(maskDims(child, len(v.Card)), v.Card))
+	return group(keys, p.sums, keyspace.Max(maskDims(child, len(v.Card)), v.Card))
 }

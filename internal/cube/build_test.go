@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"statcube/internal/keyspace"
 	"statcube/internal/obs"
 )
 
@@ -269,7 +270,7 @@ func TestValidateDimensionCap(t *testing.T) {
 	}
 }
 
-// wideCard spans 8193^5 > 2^64 keys, so groupKey wraps: the rows below get
+// wideCard spans 8193^5 > 2^64 keys, so keyspace.Key wraps: the rows below get
 // the same base key and would be summed into one cell.
 var (
 	wideCard = []int{8193, 8193, 8193, 8193, 8193}
@@ -278,7 +279,8 @@ var (
 
 func TestValidateRefusesKeySpaceBeyond64Bits(t *testing.T) {
 	dims := []int{0, 1, 2, 3, 4}
-	if a, b := groupKey(wideRows[0], dims, wideCard), groupKey(wideRows[1], dims, wideCard); a != b {
+	a, _ := keyspace.Key(wideRows[0], dims, wideCard)
+	if b, _ := keyspace.Key(wideRows[1], dims, wideCard); a != b {
 		t.Fatalf("rows no longer collide (%d vs %d); pick a new pair", a, b)
 	}
 	in := &Input{Card: wideCard, Rows: wideRows, Vals: []float64{1, 2}}

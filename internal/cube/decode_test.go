@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"statcube/internal/keyspace"
 )
 
 // decodePackedStaged is the packed-section decoder as it stood before its
@@ -159,7 +161,7 @@ func stagedSection(payload []byte) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n := len(r.keys); n > 0 && r.keys[n-1] > maxKey(maskDims(mask, 4), []int{1 << 16, 1 << 16, 1 << 16, 1 << 16}) {
+	if n := len(r.keys); n > 0 && r.keys[n-1] > keyspace.Max(maskDims(mask, 4), []int{1 << 16, 1 << 16, 1 << 16, 1 << 16}) {
 		return nil, corruptf("view mask %d key %d beyond its key space", mask, r.keys[n-1])
 	}
 	return r, nil

@@ -8,6 +8,7 @@ import (
 
 	"statcube/internal/budget"
 	"statcube/internal/fault"
+	"statcube/internal/keyspace"
 	"statcube/internal/qlog"
 )
 
@@ -72,9 +73,9 @@ func (m *MaterializedSet) Answer(mask int) (map[uint64]float64, int64, error) {
 	m.scanCost.Add(cost)
 	recordAnswer(false, cost)
 	// Fold the parent's entries, ascending, straight into the caller's map.
-	rk := newRekeyer(m.views.Card, parent, mask)
+	rk := keyspace.NewRekeyer(m.views.Card, parent, mask)
 	size := int(cost)
-	if mk := maxKey(maskDims(mask, len(m.views.Card)), m.views.Card); mk < uint64(size) {
+	if mk := keyspace.Max(maskDims(mask, len(m.views.Card)), m.views.Card); mk < uint64(size) {
 		size = int(mk) + 1
 	}
 	out := make(map[uint64]float64, size)
@@ -84,7 +85,7 @@ func (m *MaterializedSet) Answer(mask int) (map[uint64]float64, int64, error) {
 			return out, cost, nil
 		}
 		for i, k := range keys {
-			out[rk.key(k)] += sums[i]
+			out[rk.Key(k)] += sums[i]
 		}
 	}
 }
@@ -142,7 +143,7 @@ func (v *Views) fold(ctx context.Context, rows [][]int, vals []float64) ([]*view
 	var touched int64
 	// The batch's entries for one view and the sort's other buffer;
 	// reused view to view.
-	batch, scratch := make([]entry, len(rows)), make([]entry, len(rows))
+	batch, scratch := make([]keyspace.Entry[float64], len(rows)), make([]keyspace.Entry[float64], len(rows))
 	for mask, view := range v.stored {
 		if view == nil {
 			continue
@@ -161,9 +162,10 @@ func (v *Views) fold(ctx context.Context, rows [][]int, vals []float64) ([]*view
 		}
 		dims := maskDims(mask, len(card))
 		for ri, row := range rows {
-			batch[ri] = entry{groupKey(row, dims, card), vals[ri]}
+			k, _ := keyspace.Key(row, dims, card) // Validate checked the row
+			batch[ri] = keyspace.Entry[float64]{Key: k, Val: vals[ri]}
 		}
-		sorted := radixSort(batch, scratch, maxKey(dims, card))
+		sorted := keyspace.Sort(batch, scratch, keyspace.Max(dims, card))
 		stored[mask] = view.fold(sorted)
 		touched += int64(len(rows))
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"statcube/internal/budget"
+	"statcube/internal/keyspace"
 	"statcube/internal/qlog"
 )
 
@@ -141,7 +142,7 @@ type dense struct {
 
 func newDenseView(card []int, mask int) *dense {
 	dims := maskDims(mask, len(card))
-	size := maxKey(dims, card) + 1
+	size := keyspace.Max(dims, card) + 1
 	return &dense{
 		mask: mask, dims: dims, card: append([]int(nil), card...),
 		vals: make([]float64, size), present: make([]bool, size),
@@ -150,7 +151,7 @@ func newDenseView(card []int, mask int) *dense {
 
 // add folds a full-width coded row into the view.
 func (a *dense) add(row []int, v float64) {
-	pos := groupKey(row, a.dims, a.card)
+	pos, _ := keyspace.Key(row, a.dims, a.card) // Validate checked the row
 	a.vals[pos] += v
 	a.present[pos] = true
 }
@@ -160,10 +161,10 @@ func (a *dense) add(row []int, v float64) {
 // its child position by dropping the summed-out dimensions' digits.
 func (a *dense) rollup(childMask int) *dense {
 	child := newDenseView(a.card, childMask)
-	rk := newRekeyer(a.card, a.mask, childMask)
+	rk := keyspace.NewRekeyer(a.card, a.mask, childMask)
 	for p, present := range a.present {
 		if present {
-			cp := rk.key(uint64(p))
+			cp := rk.Key(uint64(p))
 			child.vals[cp] += a.vals[p]
 			child.present[cp] = true
 		}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"statcube/internal/keyspace"
 )
 
 // run is a sorted key run: group keys ascending, each key's sum beside
@@ -32,8 +34,8 @@ const (
 	blockWords = blockSize / 64 // presence words per block
 )
 
-// group is the package's one grouping kernel and its one sort: it folds
-// the entries (keys[i], vals[i]), every key at most maxKey, into a run.
+// group is the package's one grouping kernel: it folds the entries
+// (keys[i], vals[i]), every key at most maxKey, into a run.
 // Each key's sum starts from +0 and adds its values in input order — bit
 // for bit what `m[k] += v` over the entries gives — on every branch,
 // picked by the keys' shape:
@@ -42,8 +44,8 @@ const (
 //     dropping only trailing dimensions) are folded in one linear pass;
 //   - a key range within denseSpan of the entry count is summed one
 //     block at a time in a stack accumulator (see groupBlocks);
-//   - a wider range is stable-radix-sorted and its runs of equal keys
-//     summed.
+//   - a wider range is stable-radix-sorted (keyspace.Sort) and its runs
+//     of equal keys summed.
 //
 // The output is sized exactly. Scratch is sized by maxKey or the entry
 // count, never by ∏ card, which can be 2^64, and none of it outlives the
@@ -167,60 +169,24 @@ func readBlock(acc *[blockSize]float64, seen []uint64, base uint64, keys []uint6
 	return n
 }
 
-// entry is one (key, value) pair moving through radixSort's passes.
-type entry struct {
-	key uint64
-	val float64
-}
-
-// radixSort sorts src by key, one byte digit per pass, least significant
-// first, skipping any digit every entry shares, with dst (as long as src)
-// as the other buffer; it returns whichever holds the result. Each pass
-// is stable, so equal keys keep their input order.
-func radixSort(src, dst []entry, maxKey uint64) []entry {
-	var count [8][256]int
-	passes := (bits.Len64(maxKey) + 7) / 8
-	for _, e := range src {
-		for p := 0; p < passes; p++ {
-			count[p][byte(e.key>>(8*p))]++
-		}
-	}
-	for p := 0; p < passes; p++ {
-		c := &count[p]
-		if slices.Contains(c[:], len(src)) {
-			continue // one digit value for every entry: the pass would move none
-		}
-		for b, off := 0, 0; b < len(c); b++ {
-			c[b], off = off, off+c[b]
-		}
-		for _, e := range src {
-			d := byte(e.key >> (8 * p))
-			dst[c[d]] = e
-			c[d]++
-		}
-		src, dst = dst, src
-	}
-	return src
-}
-
 // groupSparse radix-sorts the entries and sums each run of equal keys.
 func groupSparse(keys []uint64, vals []float64, maxKey uint64) *run {
-	src := make([]entry, len(keys))
+	src := make([]keyspace.Entry[float64], len(keys))
 	for i, k := range keys {
-		src[i] = entry{k, vals[i]}
+		src[i] = keyspace.Entry[float64]{Key: k, Val: vals[i]}
 	}
-	src = radixSort(src, make([]entry, len(keys)), maxKey)
+	src = keyspace.Sort(src, make([]keyspace.Entry[float64], len(keys)), maxKey)
 	w := 0 // src[:w] holds the summed runs so far
 	for i := 0; i < len(src); w++ {
-		k, sum := src[i].key, 0.0
-		for ; i < len(src) && src[i].key == k; i++ {
-			sum += src[i].val
+		k, sum := src[i].Key, 0.0
+		for ; i < len(src) && src[i].Key == k; i++ {
+			sum += src[i].Val
 		}
-		src[w] = entry{k, sum}
+		src[w] = keyspace.Entry[float64]{Key: k, Val: sum}
 	}
 	r := &run{keys: make([]uint64, w), sums: make([]float64, w)}
 	for i, e := range src[:w] {
-		r.keys[i], r.sums[i] = e.key, e.val
+		r.keys[i], r.sums[i] = e.Key, e.Val
 	}
 	return r
 }
@@ -300,7 +266,7 @@ func (v *view) each(f func(keys []uint64, sums []float64)) {
 }
 
 // fold returns the view that folding the sorted entries of one batch
-// (equal keys in row order, see radixSort) into v gives; v is untouched.
+// (equal keys in row order, see keyspace.Sort) into v gives; v is untouched.
 // One forward merge of the batch with the delta builds the new delta:
 // each batch key's sum continues from the delta's, else from the packed
 // run's, else from +0, adding the key's values in row order — bit for
@@ -310,7 +276,7 @@ func (v *view) each(f func(keys []uint64, sums []float64)) {
 // grows by at most the batch's rows per load, so copying it every load
 // and the packed run once per pack copies the fewest entries per load
 // when the pack comes at that size. It is computed from sizes alone.
-func (v *view) fold(batch []entry) *view {
+func (v *view) fold(batch []keyspace.Entry[float64]) *view {
 	if len(batch) == 0 {
 		return v
 	}
@@ -321,7 +287,7 @@ func (v *view) fold(batch []entry) *view {
 	// lo are below every batch key left.
 	i, w, lo := 0, 0, 0
 	for j := 0; j < len(batch); w++ {
-		k := batch[j].key
+		k := batch[j].Key
 		for ; i < len(d.keys) && d.keys[i] < k; i, w = i+1, w+1 {
 			out.keys[w], out.sums[w] = d.keys[i], d.sums[i]
 		}
@@ -330,7 +296,7 @@ func (v *view) fold(batch []entry) *view {
 			s = d.sums[i]
 			i++
 		} else {
-			at, found := search(p.keys[lo:], k)
+			at, found := keyspace.Search(p.keys[lo:], k)
 			lo += at
 			if found {
 				s = p.sums[lo]
@@ -338,8 +304,8 @@ func (v *view) fold(batch []entry) *view {
 				size++
 			}
 		}
-		for ; j < len(batch) && batch[j].key == k; j++ {
-			s += batch[j].val
+		for ; j < len(batch) && batch[j].Key == k; j++ {
+			s += batch[j].Val
 		}
 		out.keys[w], out.sums[w] = k, s
 	}
@@ -362,30 +328,6 @@ func (v *view) pack() *view {
 		r.keys, r.sums = append(r.keys, keys...), append(r.sums, sums...)
 	})
 	return &view{packed: r, size: v.size}
-}
-
-// search returns where k is or would be in the ascending keys, and
-// whether it is there. It gallops from the front, then halves the last
-// stride with a conditional move, so it reads near the front first and
-// costs the log of the distance to k, not of the run: a merge's next key
-// is usually near its last.
-func search(keys []uint64, k uint64) (int, bool) {
-	hi := 1
-	for hi < len(keys) && keys[hi-1] < k {
-		hi *= 2
-	}
-	base, n := hi/2, min(hi, len(keys))-hi/2 // k's place is in [base, base+n]
-	for n > 1 {
-		half := n / 2
-		if keys[base+half] < k {
-			base += half
-		}
-		n -= half
-	}
-	if n == 1 && keys[base] < k {
-		base++
-	}
-	return base, base < len(keys) && keys[base] == k
 }
 
 // equal reports whether two views hold the same entries, keys equal and

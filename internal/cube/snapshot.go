@@ -10,6 +10,7 @@ import (
 	"slices"
 
 	"statcube/internal/fault"
+	"statcube/internal/keyspace"
 	"statcube/internal/snapshot"
 )
 
@@ -452,8 +453,8 @@ func DecodeViews(ctx context.Context, r io.Reader) (*Views, error) {
 		}
 		// One check of the last key bounds them all, the keys ascending:
 		// a key beyond the view's key space would be folded into a wrong
-		// cell by every roll-up (see rekeyer), not refused.
-		if n := len(r.keys); n > 0 && r.keys[n-1] > maxKey(maskDims(mask, len(v.Card)), v.Card) {
+		// cell by every roll-up (see keyspace.Rekeyer), not refused.
+		if n := len(r.keys); n > 0 && r.keys[n-1] > keyspace.Max(maskDims(mask, len(v.Card)), v.Card) {
 			return nil, corruptf("view mask %d key %d beyond its key space", mask, r.keys[n-1])
 		}
 		v.stored[mask] = packedView(r)
@@ -481,7 +482,7 @@ func decodeMeta(payload []byte) (*Views, error) {
 		}
 		card[d] = int(c)
 	}
-	if !keysFit(card) {
+	if !keyspace.Fit(card) {
 		return nil, corruptf("cardinalities %v span more than 2^64 keys", card)
 	}
 	return newViews(card), nil
