@@ -122,7 +122,7 @@ chaos-write:
 bench:
 	$(GO) test -bench='E9|E16' -benchtime=1x -count=3 -run='^$$' .
 	$(GO) test -bench=EvalRetail -benchtime=1x -run='^$$' ./internal/query
-	$(GO) test -bench='BuildSmallestParent|Materialize$$|Publish|DecodeMaterialized|EncodeViews' -benchtime=1x -run='^$$' ./internal/cube
+	$(GO) test -bench='BuildSmallestParent|Materialize$$|Publish|DecodeMaterialized|EncodeViews|RollUp' -benchtime=1x -run='^$$' ./internal/cube
 	$(GO) test -bench='OpenCheckpoint|OpenAtLogBound' -benchtime=1x -run='^$$' ./internal/writer
 	$(GO) test -bench=ObserveRows -benchtime=1x -run='^$$' ./internal/core
 	$(GO) test -bench=Sort -benchtime=1x -run='^$$' ./internal/keyspace

@@ -3,6 +3,7 @@ package cube_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -142,5 +143,24 @@ func BenchmarkMaterialize(b *testing.B) {
 		if _, err := cube.MaterializeCtx(ctx, served, benchMasks); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRollUp is the roll-up kernel alone: the raw facts' base view
+// (53 317 entries) rolled up into each of {011,101,110}, dropping the
+// trailing, the middle and the leading dimension.
+func BenchmarkRollUp(b *testing.B) {
+	retail, _ := benchRetail(b)
+	v, err := cube.BuildROLAPSmallestParentCtx(context.Background(), retail, cube.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mask := range benchMasks {
+		b.Run(fmt.Sprintf("%03b", mask), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v.RollUpBase(mask)
+			}
+		})
 	}
 }

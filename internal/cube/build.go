@@ -69,26 +69,40 @@ func (in *Input) validateHeader() error {
 	return nil
 }
 
-// baseKeys is the smallest-parent builds' one pass over the rows: after
-// Validate's O(1) checks it checks each row while linearizing it into its
-// base-cuboid key, polling ctx once per budget.DefaultTickEvery rows. At
-// the first bad row it returns Validate's error, which names that row,
-// since every row before it passed; so a bad input fails before any view
-// is built. A canceled pass is recorded as a build abort.
-func (in *Input) baseKeys(ctx context.Context) ([]uint64, error) {
+// groupBase is the smallest-parent builds' base group-by, in one pass
+// over the rows: after Validate's O(1) checks it checks each row while
+// linearizing it into its base-cuboid key (narrow, 4 bytes, when every
+// key is below 2^32), and learns the keys' shape segment by segment (see
+// keyShape), polling ctx once per budget.DefaultTickEvery rows; then it
+// takes the branch group would. At the first bad row it returns
+// Validate's error, which names that row, since every row before it
+// passed; so a bad input fails before any view is built. A canceled pass
+// is recorded as a build abort.
+func (in *Input) groupBase(ctx context.Context) (*run, error) {
 	if err := in.validateHeader(); err != nil {
 		return nil, err
 	}
+	all := maskDims(1<<uint(len(in.Card))-1, len(in.Card))
+	maxKey := keyspace.Max(all, in.Card)
+	if maxKey < 1<<32 {
+		return groupRows[uint32](ctx, in, all, maxKey)
+	}
+	return groupRows[uint64](ctx, in, all, maxKey)
+}
+
+// groupRows is groupBase's pass with K-wide keys over the dims in all,
+// every key at most maxKey.
+func groupRows[K keyWidth](ctx context.Context, in *Input, all []int, maxKey uint64) (*run, error) {
 	card := in.Card
-	all := maskDims(1<<uint(len(card))-1, len(card))
-	keys := make([]uint64, len(in.Rows))
-	for lo := 0; lo < len(in.Rows); lo += budget.DefaultTickEvery {
+	keys := make([]K, len(in.Rows))
+	s := newKeyShape(len(keys), maxKey)
+	for lo := 0; lo < len(keys); lo += budget.DefaultTickEvery {
 		if err := budget.Check(ctx); err != nil {
 			recordBuildAbort(err)
 			return nil, err
 		}
-		seg := in.Rows[lo:min(lo+budget.DefaultTickEvery, len(in.Rows))]
-		for i, row := range seg {
+		hi := min(lo+budget.DefaultTickEvery, len(keys))
+		for i, row := range in.Rows[lo:hi] {
 			if len(row) != len(card) {
 				return nil, in.Validate()
 			}
@@ -96,10 +110,11 @@ func (in *Input) baseKeys(ctx context.Context) ([]uint64, error) {
 			if bad >= 0 {
 				return nil, in.Validate()
 			}
-			keys[lo+i] = k
+			keys[lo+i] = K(k)
 		}
+		extendShape(&s, keys[:hi], lo)
 	}
-	return keys, nil
+	return groupShaped(&s, keys, in.Vals), nil
 }
 
 // Views holds every computed view: per mask, the view's linearized group
@@ -342,29 +357,27 @@ func BuildROLAPNaiveCtx(ctx context.Context, in *Input, opt Options) (_ *Views, 
 // time, ledger peaks and typed outcome.
 func BuildROLAPSmallestParentCtx(ctx context.Context, in *Input, opt Options) (_ *Views, err error) {
 	defer recordBuildFlight(ctx, "rolap_sp", qlog.Start(), in, opt, nil, &err)
-	keys, err := in.baseKeys(ctx)
+	base, err := in.groupBase(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return walkRuns(ctx, in, keys, opt.stage(ctx, "cube.rolap_sp", len(in.Rows)), everyMask)
+	return walkRuns(ctx, in, base, opt.stage(ctx, "cube.rolap_sp", len(in.Rows)), everyMask)
 }
 
 // walkRuns computes the wanted views of in (the base cuboid always): the
-// base grouped from its keys (baseKeys), every other view rolled up from
-// its smallest computed ancestor, each by the group kernel. It is the
-// whole of the smallest-parent ROLAP build and of MaterializeCtx, which
-// differ only in the masks they want.
-func walkRuns(ctx context.Context, in *Input, baseKeys []uint64, st parallel.Stage, wanted func(mask int) bool) (*Views, error) {
+// base is the run groupBase built, and every other view is rolled up from
+// its smallest computed ancestor (see rollUp). It is the whole of the
+// smallest-parent ROLAP build and of MaterializeCtx, which differ only in
+// the masks they want.
+func walkRuns(ctx context.Context, in *Input, base *run, st parallel.Stage, wanted func(mask int) bool) (*Views, error) {
 	n := len(in.Card)
 	out := newViews(in.Card)
 	acct := newAccountant(ctx)
 	defer acct.close()
 	err := walk(ctx, st, n, wanted, out.size, func(mask, parent int) error {
-		var r *run
+		r := base
 		if parent >= 0 {
 			r = aggregateFromParent(out, parent, mask)
-		} else {
-			r = group(baseKeys, in.Vals, keyspace.Max(maskDims(mask, n), in.Card))
 		}
 		if err := acct.chargeView(len(r.keys)); err != nil {
 			return err
@@ -445,17 +458,13 @@ func smallestAncestor(mask int, candidates []int, size func(mask int) int64) (be
 }
 
 // aggregateFromParent rolls a parent view a build computed up into the
-// child's group-by (see keyspace.Rekeyer). A view a build computes is packed, with
+// child's group-by (see rollUp). A view a build computes is packed, with
 // no delta, so the parent run is walked as stored, in ascending key
 // order, and each child key accumulates its float sum in one fixed order
 // — the determinism the byte-identical parallel/sequential guarantee
 // rests on.
 func aggregateFromParent(v *Views, parent, child int) *run {
 	p := v.stored[parent].packed
-	rk := keyspace.NewRekeyer(v.Card, parent, child)
-	keys := make([]uint64, len(p.keys))
-	for i, k := range p.keys {
-		keys[i] = rk.Key(k)
-	}
-	return group(keys, p.sums, keyspace.Max(maskDims(child, len(v.Card)), v.Card))
+	u := newRollUp(v.Card, parent, child, len(p.keys))
+	return u.fold(p.keys, p.sums)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"statcube/internal/budget"
 	"statcube/internal/keyspace"
 	"statcube/internal/obs"
 )
@@ -67,6 +68,26 @@ func TestInputValidate(t *testing.T) {
 	}
 }
 
+// blockedInput is a fact table whose base pass takes the blocked branch:
+// narrow keys over three blocks, out of order, and more rows than one
+// budget.DefaultTickEvery segment.
+func blockedInput(t *testing.T) *Input {
+	t.Helper()
+	in := randomInput([]int{20, 30, 40}, 3*budget.DefaultTickEvery, 5)
+	all := maskDims(7, 3)
+	keys := make([]uint32, len(in.Rows))
+	for i, row := range in.Rows {
+		k, _ := keyspace.Key(row, all, in.Card)
+		keys[i] = uint32(k)
+	}
+	s := newKeyShape(len(keys), keyspace.Max(all, in.Card))
+	extendShape(&s, keys, 0)
+	if s.sorted || !s.dense || len(s.count) < 2 {
+		t.Fatalf("the base of %v takes no blocked branch (sorted %v, dense %v, %d blocks)", in.Card, s.sorted, s.dense, len(s.count))
+	}
+	return in
+}
+
 // TestBuildsValidateLikeValidate: the smallest-parent build and
 // MaterializeCtx check their input inside their one pass over the rows,
 // and each bad input shape must still fail them with exactly Validate's
@@ -75,6 +96,11 @@ func TestInputValidate(t *testing.T) {
 func TestBuildsValidateLikeValidate(t *testing.T) {
 	good := func() *Input { return randomInput([]int{3, 4, 5}, 9000, 4) }
 	shapes := map[string]func() *Input{
+		"code at card, blocked base past the first segment": func() *Input {
+			in := blockedInput(t)
+			in.Rows[budget.DefaultTickEvery+1000][1] = 30
+			return in
+		},
 		"17 dims":           func() *Input { return &Input{Card: make([]int, 17)} },
 		"keys past 2^64":    func() *Input { return &Input{Card: []int{1 << 32, 1 << 32, 2}} },
 		"rows without vals": func() *Input { in := good(); in.Vals = in.Vals[:100]; return in },

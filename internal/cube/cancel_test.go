@@ -118,35 +118,64 @@ func TestBuildPreCanceled(t *testing.T) {
 // views, and lattice levels. Each abort must return the typed error and no
 // partial views, and leave no worker goroutines behind.
 func TestBuildMidFlightCancel(t *testing.T) {
-	in := cancelInput()
-	for _, b := range builders {
-		for _, workers := range []int{1, 4} {
-			sawCancel := false
-			for polls := 0; polls < 40; polls += 3 {
-				ctx := newCountdownCtx(polls)
-				res, err := b.build(ctx, in, Options{Workers: workers})
-				if err == nil {
-					// Ran to completion before the countdown expired —
-					// legitimate once polls exceeds the builder's total.
-					if res.Len() == 0 {
-						t.Fatalf("%s(w=%d, polls=%d): success with empty result", b.name, workers, polls)
+	inputs := map[string]*Input{"one block": cancelInput(), "blocked base": blockedInput(t)}
+	for inName, in := range inputs {
+		for _, b := range builders {
+			for _, workers := range []int{1, 4} {
+				sawCancel := false
+				for polls := 0; polls < 40; polls += 3 {
+					ctx := newCountdownCtx(polls)
+					res, err := b.build(ctx, in, Options{Workers: workers})
+					if err == nil {
+						// Ran to completion before the countdown expired —
+						// legitimate once polls exceeds the builder's total.
+						if res.Len() == 0 {
+							t.Fatalf("%s %s(w=%d, polls=%d): success with empty result", inName, b.name, workers, polls)
+						}
+						continue
 					}
-					continue
+					sawCancel = true
+					if !budget.IsCanceled(err) {
+						t.Fatalf("%s %s(w=%d, polls=%d): error %v is not ErrCanceled", inName, b.name, workers, polls, err)
+					}
+					if res.Len() != 0 {
+						t.Fatalf("%s %s(w=%d, polls=%d): partial result escaped", inName, b.name, workers, polls)
+					}
 				}
-				sawCancel = true
-				if !budget.IsCanceled(err) {
-					t.Fatalf("%s(w=%d, polls=%d): error %v is not ErrCanceled", b.name, workers, polls, err)
+				if !sawCancel {
+					t.Errorf("%s %s(w=%d): countdown never triggered a cancellation; test lost its bite", inName, b.name, workers)
 				}
-				if res.Len() != 0 {
-					t.Fatalf("%s(w=%d, polls=%d): partial result escaped", b.name, workers, polls)
-				}
-			}
-			if !sawCancel {
-				t.Errorf("%s(w=%d): countdown never triggered a cancellation; test lost its bite", b.name, workers)
 			}
 		}
 	}
 	checkGoroutinesDrain(t)
+}
+
+// TestBaseCancelMidPass: a context canceled while the smallest-parent
+// builds key a blocked base — after the pass's first segment of rows,
+// before its second — stops the pass there, ahead of a bad row in its
+// third segment: the typed error, no views, and exactly one build abort
+// recorded.
+func TestBaseCancelMidPass(t *testing.T) {
+	in := blockedInput(t)
+	in.Rows[2*budget.DefaultTickEvery+5][0] = 20
+	canceled := func() int64 { return obs.Default().Snapshot().Counters["cube.builds_canceled"] }
+	for _, b := range builders {
+		if b.name != "ROLAPSmallestParent" && b.name != "Materialize" {
+			continue
+		}
+		before := canceled()
+		res, err := b.build(newCountdownCtx(1), in, Options{})
+		if !budget.IsCanceled(err) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: error %v, want the typed cancellation", b.name, err)
+		}
+		if res.Len() != 0 {
+			t.Errorf("%s: %d views escaped a canceled base pass", b.name, res.Len())
+		}
+		if got := canceled() - before; got != 1 {
+			t.Errorf("%s: %d build aborts recorded, want 1", b.name, got)
+		}
+	}
 }
 
 // TestBuildCancelReleasesBudget: an aborted build must leave the

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"statcube/internal/keyspace"
 )
 
 // foldThenSort is group's reference: `m[k] += v` over the entries in
@@ -164,6 +166,122 @@ func TestGroupMatchesMapFold(t *testing.T) {
 	for _, b := range []string{"sorted", "one block", "blocks", "radix"} {
 		if reached[b] == 0 {
 			t.Errorf("no case reached the %s branch (reached: %v); every branch must be covered", b, reached)
+		}
+	}
+}
+
+// rollUpBranch names the branch the roll-up u from parent to child
+// takes, ck being the child keys of the parent run.
+func rollUpBranch(u rollUp, card []int, parent, child int, ck []uint64) string {
+	switch u.window {
+	case 0:
+		return map[string]string{"sorted": "sorted fallback", "blocks": "blocked fallback", "one block": "blocked fallback",
+			"radix": "radix fallback"}[groupBranch(ck, u.maxKey)]
+	case 1:
+		return "trailing drop"
+	}
+	for d, c := range card {
+		if parent&(1<<uint(d)) != 0 && c > 1 {
+			if child&(1<<uint(d)) == 0 {
+				return "leading window"
+			}
+			break
+		}
+	}
+	return "middle window"
+}
+
+// rollUpCase is one generated lattice: the cardinalities and the base
+// cuboid's entry count, keys drawn uniformly from its key space.
+type rollUpCase struct {
+	card    []int
+	entries int
+}
+
+// drawCards draws 2–5 dims, cardinality-1 dims among them, whose key
+// space stays within 2^40.
+func drawCards(rng *rand.Rand) []int {
+	choices := []int{1, 2, 3, 5, 7, 20, 64, 100, 180, 1000, 9000}
+	card := make([]int, 2+rng.Intn(4))
+	span := 1.0
+	for d := range card {
+		for {
+			c := choices[rng.Intn(len(choices))]
+			if span*float64(c) <= 1<<40 {
+				card[d], span = c, span*float64(c)
+				break
+			}
+		}
+	}
+	return card
+}
+
+// TestRollUpMatchesMapFold: rolling every stored parent up into every
+// child it derives gives bit for bit a `m[rk.Key(k)] += s` fold over the
+// parent run in key order, then sorted, with runs sized exactly — on
+// generated lattices of 2–5 dims with cardinality-1 dims among them, for
+// seeds 1, 7 and 42, on every branch of the roll-up, reached and counted.
+func TestRollUpMatchesMapFold(t *testing.T) {
+	fixed := []rollUpCase{
+		{[]int{100, 20, 180}, 12000}, // the retail shape: trailing, middle and leading windows
+		{[]int{3, 100, 100}, 6000},   // a 10 000-key leading window: blocked fallback
+		{[]int{5, 1000, 1000}, 3000}, // a sparse child: radix fallback
+		{[]int{1, 7, 1, 64, 3}, 2000},
+	}
+	reached := map[string]int{}
+	for _, seed := range []int64{1, 7, 42} {
+		rng := rand.New(rand.NewSource(seed))
+		cases := slices.Clone(fixed)
+		for range 5 {
+			cases = append(cases, rollUpCase{drawCards(rng), 1 + rng.Intn(5000)})
+		}
+		for _, c := range cases {
+			n := len(c.card)
+			base := 1<<uint(n) - 1
+			baseMax := keyspace.Max(maskDims(base, n), c.card)
+			keys, vals := make([]uint64, c.entries), make([]float64, c.entries)
+			for i := range keys {
+				keys[i] = uint64(rng.Int63n(int64(baseMax) + 1))
+				vals[i] = rng.NormFloat64() * 1e3 / 7
+			}
+			runs := make([]*run, base+1) // every view, by the reference fold from the base
+			runs[base] = foldThenSort(keys, vals)
+			for mask := range base {
+				rk := keyspace.NewRekeyer(c.card, base, mask)
+				ck := make([]uint64, len(runs[base].keys))
+				for i, k := range runs[base].keys {
+					ck[i] = rk.Key(k)
+				}
+				runs[mask] = foldThenSort(ck, runs[base].sums)
+			}
+			for parent := range runs {
+				p := runs[parent]
+				for child := range parent {
+					if !DerivableFrom(child, parent) {
+						continue
+					}
+					u := newRollUp(c.card, parent, child, len(p.keys))
+					ck := make([]uint64, len(p.keys))
+					for i, k := range p.keys {
+						ck[i] = u.rk.Key(k)
+					}
+					name := fmt.Sprintf("seed %d, card %v, %d entries, %0*b → %0*b", seed, c.card, c.entries, n, parent, n, child)
+					reached[rollUpBranch(u, c.card, parent, child, ck)]++
+					got, want := u.fold(p.keys, p.sums), foldThenSort(ck, p.sums)
+					if len(got.keys) != len(got.sums) || cap(got.keys) != len(got.keys) || cap(got.sums) != len(got.sums) {
+						t.Fatalf("%s: %d keys (cap %d), %d sums (cap %d): not sized exactly",
+							name, len(got.keys), cap(got.keys), len(got.sums), cap(got.sums))
+					}
+					if !packedView(got).equal(packedView(want), sameBits) {
+						t.Fatalf("%s: %d keys differ from the map fold's %d, or a sum's bits do", name, len(got.keys), len(want.keys))
+					}
+				}
+			}
+		}
+	}
+	for _, b := range []string{"trailing drop", "middle window", "leading window", "blocked fallback", "radix fallback"} {
+		if reached[b] == 0 {
+			t.Errorf("no roll-up reached the %s branch (reached: %v); every branch must be covered", b, reached)
 		}
 	}
 }

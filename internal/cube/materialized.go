@@ -37,7 +37,7 @@ type MaterializedSet struct {
 // materialization like the full-cube builders.
 func MaterializeCtx(ctx context.Context, in *Input, masks []int) (_ *MaterializedSet, err error) {
 	defer recordBuildFlight(ctx, "materialize", qlog.Start(), in, Options{}, nil, &err)
-	keys, err := in.baseKeys(ctx)
+	base, err := in.groupBase(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +48,7 @@ func MaterializeCtx(ctx context.Context, in *Input, masks []int) (_ *Materialize
 		}
 		want[mask] = true
 	}
-	v, err := walkRuns(ctx, in, keys, Options{}.stage(ctx, "cube.materialize", len(in.Rows)), func(mask int) bool { return want[mask] })
+	v, err := walkRuns(ctx, in, base, Options{}.stage(ctx, "cube.materialize", len(in.Rows)), func(mask int) bool { return want[mask] })
 	if err != nil {
 		return nil, err
 	}

@@ -34,35 +34,110 @@ const (
 	blockWords = blockSize / 64 // presence words per block
 )
 
+// keyWidth is the width group reads keys in: a batch whose largest
+// possible key is below 2^32 is keyed in half the bytes.
+type keyWidth interface{ ~uint32 | ~uint64 }
+
 // group is the package's one grouping kernel: it folds the entries
 // (keys[i], vals[i]), every key at most maxKey, into a run.
 // Each key's sum starts from +0 and adds its values in input order — bit
 // for bit what `m[k] += v` over the entries gives — on every branch,
-// picked by the keys' shape:
+// picked by the keys' shape, which one pass learns (see keyShape):
 //
-//   - keys already ascending (a base arriving in key order, a roll-up
-//     dropping only trailing dimensions) are folded in one linear pass;
+//   - keys already ascending (a base arriving in key order) are folded in
+//     one linear pass;
 //   - a key range within denseSpan of the entry count is summed one
 //     block at a time in a stack accumulator (see groupBlocks);
 //   - a wider range is stable-radix-sorted (keyspace.Sort) and its runs
 //     of equal keys summed.
 //
-// The output is sized exactly. Scratch is sized by maxKey or the entry
-// count, never by ∏ card, which can be 2^64, and none of it outlives the
-// call: no pooled buffer, so a finished build holds only its runs.
-func group(keys []uint64, vals []float64, maxKey uint64) *run {
-	if distinct, ok := ascending(keys); ok {
-		return groupSorted(keys, vals, distinct)
+// The smallest-parent builds run the same shape pass over the base rows
+// as they key them (see Input.groupBase), and roll views up by windows of
+// their parent run, falling back to group only for wide or sparse
+// children (see rollUp). The output is sized exactly. Scratch is sized by
+// maxKey or the entry count, never by ∏ card, which can be 2^64, and none
+// of it outlives the call: no pooled buffer, so a finished build holds
+// only its runs.
+func group[K keyWidth](keys []K, vals []float64, maxKey uint64) *run {
+	s := newKeyShape(len(keys), maxKey)
+	extendShape(&s, keys, 0)
+	return groupShaped(&s, keys, vals)
+}
+
+// keyShape is what group's dispatch needs to know of a batch of keys:
+// whether they ascend and, while they do, how many are distinct; once
+// they are known not to, and their range is dense, each block's key count
+// and every key's presence bit, which groupBlocks would otherwise take a
+// pass of its own to learn. A shape is learned in one pass that may come
+// in segments (see extendShape), so the base pass keys, checks and shapes
+// each segment of rows while it is in the cache.
+type keyShape struct {
+	maxKey   uint64
+	dense    bool     // maxKey within denseSpan of the entry count: the blocks branch
+	sorted   bool     // the keys seen so far ascend
+	distinct int      // distinct keys seen so far, while sorted
+	last     uint64   // the last key seen, while sorted
+	count    []int    // keys per block, once dense and not sorted
+	seen     []uint64 // presence bits, once dense and not sorted
+}
+
+// newKeyShape starts the shape of n keys, every one at most maxKey.
+// Past 2^32 entries groupBlocks could not index them in 4 bytes, so the
+// keys are radix-sorted however dense.
+func newKeyShape(n int, maxKey uint64) keyShape {
+	return keyShape{maxKey: maxKey, dense: maxKey/denseSpan < uint64(n) && uint64(n) <= 1<<32, sorted: true}
+}
+
+// extendShape extends s over keys[from:], s having seen keys[:from].
+// While the keys ascend it checks their order and counts the distinct
+// ones, and stops at the first descent; from then on, when the range is
+// dense, it counts every key's block and sets its presence bit, catching
+// up on the keys before the descent once. So keys in order pay for one
+// compare each, and keys out of order for one counting pass.
+func extendShape[K keyWidth](s *keyShape, keys []K, from int) {
+	seg := keys[from:]
+	if len(seg) == 0 {
+		return
 	}
-	if maxKey/denseSpan < uint64(len(keys)) {
-		return groupBlocks(keys, vals, maxKey)
+	if s.sorted {
+		distinct, ok := ascending(seg)
+		if ok && (from == 0 || uint64(seg[0]) >= s.last) {
+			if from > 0 && uint64(seg[0]) == s.last {
+				distinct-- // the key carries on from the last segment
+			}
+			s.distinct += distinct
+			s.last = uint64(seg[len(seg)-1])
+			return
+		}
+		s.sorted = false
+		if s.dense {
+			nb := int(s.maxKey>>blockBits) + 1
+			s.count, s.seen = make([]int, nb), make([]uint64, nb*blockWords)
+		}
+		seg = keys // the keys before the descent are counted too
 	}
-	return groupSparse(keys, vals, maxKey)
+	if s.dense {
+		for _, k := range seg {
+			s.count[k>>blockBits]++
+			s.seen[k/64] |= 1 << (k % 64)
+		}
+	}
+}
+
+// groupShaped takes the branch s picks for the entries it has seen.
+func groupShaped[K keyWidth](s *keyShape, keys []K, vals []float64) *run {
+	switch {
+	case s.sorted:
+		return groupSorted(keys, vals, s.distinct)
+	case s.dense:
+		return groupBlocks(keys, vals, s)
+	}
+	return groupSparse(keys, vals, s.maxKey)
 }
 
 // ascending reports whether keys never descend and, if so, how many
 // distinct keys they hold. It stops at the first descent.
-func ascending(keys []uint64) (int, bool) {
+func ascending[K keyWidth](keys []K) (int, bool) {
 	if len(keys) == 0 {
 		return 0, true
 	}
@@ -80,7 +155,7 @@ func ascending(keys []uint64) (int, bool) {
 }
 
 // groupSorted sums each run of equal keys of ascending entries.
-func groupSorted(keys []uint64, vals []float64, distinct int) *run {
+func groupSorted[K keyWidth](keys []K, vals []float64, distinct int) *run {
 	r := &run{keys: make([]uint64, distinct), sums: make([]float64, distinct)}
 	w := 0
 	for i := 0; i < len(keys); w++ {
@@ -88,56 +163,47 @@ func groupSorted(keys []uint64, vals []float64, distinct int) *run {
 		for ; i < len(keys) && keys[i] == k; i++ {
 			sum += vals[i]
 		}
-		r.keys[w], r.sums[w] = k, sum
+		r.keys[w], r.sums[w] = uint64(k), sum
 	}
 	return r
 }
 
-// groupBlocks sums the entries block by block in one 64 KiB accumulator.
+// groupBlocks sums the entries block by block in one 64 KiB accumulator,
+// given their shape: each block's key count and every key's presence bit.
 // A range of one block is summed straight from the input. A wider one is
-// first sorted by block — one counting pass, which also sets every key's
-// presence bit, then one stable scatter of each entry's offset in its
-// block and its value — so each block's entries are summed together, in
-// input order, and the accumulator is never written outside the cache.
+// first sorted by block — one stable scatter of each entry's index, 4
+// bytes — so each block's entries are summed together, in input order,
+// and the accumulator is never written outside the cache.
 // Each block is read out by its presence bits in ascending key order,
 // clearing the accumulator as it goes for the next block.
-func groupBlocks(keys []uint64, vals []float64, maxKey uint64) *run {
+func groupBlocks[K keyWidth](keys []K, vals []float64, s *keyShape) *run {
 	var acc [blockSize]float64
-	if maxKey < blockSize {
-		var seen [blockWords]uint64
+	r := newRunFor(s.seen)
+	if len(s.count) == 1 {
 		for i, k := range keys {
-			k &= blockSize - 1
-			acc[k] += vals[i]
-			seen[k/64] |= 1 << (k % 64)
+			acc[k&(blockSize-1)] += vals[i]
 		}
-		r := newRunFor(seen[:])
-		readBlock(&acc, seen[:], 0, r.keys, r.sums)
+		readBlock(&acc, s.seen, 0, r.keys, r.sums)
 		return r
 	}
-	nb := int(maxKey>>blockBits) + 1
-	end := make([]int, nb) // entries per block, then where each block's slice ends
-	seen := make([]uint64, nb*blockWords)
-	for _, k := range keys {
-		end[k>>blockBits]++
-		seen[k/64] |= 1 << (k % 64)
+	end := s.count // each block's start, advanced by the scatter to its end
+	for b, at := 0, 0; b < len(end); b++ {
+		end[b], at = at, at+end[b]
 	}
-	for b, at := 0, 0; b < nb; b++ {
-		end[b], at = at, at+end[b] // each block's start, advanced by the scatter to its end
-	}
-	off, sv := make([]uint16, len(keys)), make([]float64, len(keys))
+	idx := make([]uint32, len(keys)) // entry indices by block, each block's ascending
 	for i, k := range keys {
 		b := k >> blockBits
 		at := end[b]
-		off[at], sv[at] = uint16(k&(blockSize-1)), vals[i]
+		idx[at] = uint32(i)
 		end[b] = at + 1
 	}
-	r := newRunFor(seen)
 	w, at := 0, 0
-	for b := 0; b < nb; b++ {
+	for b := range end {
 		for ; at < end[b]; at++ {
-			acc[off[at]&(blockSize-1)] += sv[at]
+			i := idx[at]
+			acc[keys[i]&(blockSize-1)] += vals[i]
 		}
-		words := seen[b*blockWords : (b+1)*blockWords]
+		words := s.seen[b*blockWords : (b+1)*blockWords]
 		w += readBlock(&acc, words, uint64(b)<<blockBits, r.keys[w:], r.sums[w:])
 	}
 	return r
@@ -170,10 +236,10 @@ func readBlock(acc *[blockSize]float64, seen []uint64, base uint64, keys []uint6
 }
 
 // groupSparse radix-sorts the entries and sums each run of equal keys.
-func groupSparse(keys []uint64, vals []float64, maxKey uint64) *run {
+func groupSparse[K keyWidth](keys []K, vals []float64, maxKey uint64) *run {
 	src := make([]keyspace.Entry[float64], len(keys))
 	for i, k := range keys {
-		src[i] = keyspace.Entry[float64]{Key: k, Val: vals[i]}
+		src[i] = keyspace.Entry[float64]{Key: uint64(k), Val: vals[i]}
 	}
 	src = keyspace.Sort(src, make([]keyspace.Entry[float64], len(keys)), maxKey)
 	w := 0 // src[:w] holds the summed runs so far
@@ -189,6 +255,133 @@ func groupSparse(keys []uint64, vals []float64, maxKey uint64) *run {
 		r.keys[i], r.sums[i] = e.Key, e.Val
 	}
 	return r
+}
+
+// rollUp folds a parent run, ascending, into a child group-by that drops
+// some of the parent's dimensions (keyspace.Rekeyer maps the keys). The
+// child keys are not ascending in general, but they are in windows: the
+// child dims the parent orders before its first dropped dim (skipping
+// dims of cardinality 1) form a prefix that never descends along the
+// parent run, and the child keys under one prefix value fill one range of
+// W keys, W the product of the kept cardinalities after that dim. So:
+//
+//   - W = 1 — a child that drops only trailing dims, or none — gets its
+//     keys ascending, and sums each run of equal keys in one linear pass;
+//   - W ≤ blockSize, on a dense child, sums whole prefixes at a time into
+//     a stack accumulator of blockSize keys, [ZDN97]'s one scan of the
+//     parent without re-sorting it, and reads each window out ascending
+//     through readBlock when the next key falls past it;
+//   - a wider window, or a sparse child (a key range beyond denseSpan of
+//     the parent's entries, whose windows would be mostly empty), keys
+//     the parent in one slice and groups it (see group).
+//
+// Each child key's sum starts from +0 and adds its parent sums in the
+// parent's key order on every branch, so a view is bit for bit the same
+// whichever branch builds it.
+type rollUp struct {
+	rk     keyspace.Rekeyer
+	maxKey uint64 // the child's largest key
+	window uint64 // W, or 0 when the child is grouped by group
+}
+
+// newRollUp plans the roll-up of a parent run of entries entries over
+// the dims in parent into child's, card passing keyspace.Fit.
+func newRollUp(card []int, parent, child, entries int) rollUp {
+	u := rollUp{rk: keyspace.NewRekeyer(card, parent, child), maxKey: keyspace.Max(maskDims(child, len(card)), card)}
+	w, dropped := uint64(1), false
+	for d, c := range card {
+		if parent&(1<<uint(d)) == 0 || c <= 1 {
+			continue
+		}
+		switch {
+		case child&(1<<uint(d)) == 0:
+			dropped = true
+		case dropped:
+			if uint64(c) > blockSize/w {
+				return u // wider than a block
+			}
+			w *= uint64(c)
+		}
+	}
+	if w > 1 && u.maxKey/denseSpan >= uint64(entries) {
+		return u // sparse
+	}
+	u.window = w
+	return u
+}
+
+// fold rolls the parent run (keys, sums) up into the child's run, sized
+// exactly.
+func (u *rollUp) fold(keys []uint64, sums []float64) *run {
+	if u.window == 0 {
+		ck := make([]uint64, len(keys))
+		for i, k := range keys {
+			ck[i] = u.rk.Key(k)
+		}
+		return group(ck, sums, u.maxKey)
+	}
+	// The child has at most one key per parent entry and per key in its
+	// range; the runs are copied to their exact size if they hold fewer.
+	n := len(keys)
+	if u.maxKey < uint64(n) {
+		n = int(u.maxKey) + 1
+	}
+	r := &run{keys: make([]uint64, n), sums: make([]float64, n)}
+	if u.window == 1 {
+		n = u.foldSorted(keys, sums, r)
+	} else {
+		n = u.foldWindows(keys, sums, r)
+	}
+	if n == len(r.keys) {
+		return r
+	}
+	exact := &run{keys: make([]uint64, n), sums: make([]float64, n)}
+	copy(exact.keys, r.keys)
+	copy(exact.sums, r.sums)
+	return exact
+}
+
+// foldSorted sums the child's ascending keys' runs into r, returning how
+// many keys it wrote.
+func (u *rollUp) foldSorted(keys []uint64, sums []float64, r *run) int {
+	if len(keys) == 0 {
+		return 0
+	}
+	n, ck, sum := 0, u.rk.Key(keys[0]), 0.0
+	for i, k := range keys {
+		if c := u.rk.Key(k); c != ck {
+			r.keys[n], r.sums[n] = ck, sum
+			n, ck, sum = n+1, c, 0
+		}
+		sum += sums[i]
+	}
+	r.keys[n], r.sums[n] = ck, sum
+	return n + 1
+}
+
+// foldWindows sums the child keys a window of whole prefixes at a time —
+// span keys from lo, a prefix's first key — into the accumulator, and
+// reads each window out into r when a key falls past it, the next window
+// starting at that key's prefix. It returns how many keys it wrote.
+func (u *rollUp) foldWindows(keys []uint64, sums []float64, r *run) int {
+	var acc [blockSize]float64
+	var seen [blockWords]uint64
+	span := blockSize / u.window * u.window
+	lo, n := uint64(0), 0
+	for i, k := range keys {
+		o := u.rk.Key(k) - lo // the parent ascends, so no key is below lo
+		if o >= span {
+			n += readBlock(&acc, seen[:], lo, r.keys[n:], r.sums[n:])
+			clear(seen[:])
+			ck := lo + o
+			lo = ck - ck%u.window
+			o = ck - lo
+		}
+		o &= blockSize - 1
+		acc[o] += sums[i]
+		seen[o/64] |= 1 << (o % 64)
+	}
+	return n + readBlock(&acc, seen[:], lo, r.keys[n:], r.sums[n:])
 }
 
 // view is one stored view: a packed run overlaid by a delta run — the

@@ -237,6 +237,7 @@ type Decoder struct {
 	r    io.Reader
 	off  int64
 	done bool
+	buf  []byte // the payload buffer, reused across sections
 	// MaxSection caps one payload allocation; zero means
 	// DefaultMaxSection. Lower it when decoding untrusted or
 	// memory-budgeted input.
@@ -265,7 +266,9 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 // Next returns the next section. After the end marker it verifies the
 // stream is exhausted and returns io.EOF; truncation before the end
 // marker, a checksum mismatch, an oversized length, or trailing bytes
-// all return *CorruptError.
+// all return *CorruptError. The payload is read into one buffer the
+// decoder reuses, grown to the largest section so far, so it is valid
+// only until the next call to Next: a caller that keeps it copies it.
 func (d *Decoder) Next() (uint8, []byte, error) {
 	if d.done {
 		return 0, nil, io.EOF
@@ -288,7 +291,10 @@ func (d *Decoder) Next() (uint8, []byte, error) {
 	}
 	var payload []byte
 	if length > 0 {
-		payload = make([]byte, length)
+		if uint64(cap(d.buf)) < length {
+			d.buf = make([]byte, length)
+		}
+		payload = d.buf[:length]
 		if err := d.fill(payload, "section payload"); err != nil {
 			return 0, nil, err
 		}

@@ -29,6 +29,7 @@ func encodeSnapshot(t *testing.T, sections ...[]byte) []byte {
 }
 
 // decodeAll drains a snapshot, returning the sections or the first error.
+// A payload is valid only until the next Next, so each is cloned.
 func decodeAll(b []byte) ([][]byte, error) {
 	dec, err := NewDecoder(bytes.NewReader(b))
 	if err != nil {
@@ -43,7 +44,7 @@ func decodeAll(b []byte) ([][]byte, error) {
 		if err != nil {
 			return out, err
 		}
-		out = append(out, payload)
+		out = append(out, bytes.Clone(payload))
 	}
 }
 
@@ -62,6 +63,41 @@ func TestRoundTrip(t *testing.T) {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Errorf("section %d mismatch", i)
 		}
+	}
+}
+
+// TestPayloadReused: sections decode into one buffer, grown only for a
+// section larger than every one before it, and each payload still reads
+// back exactly.
+func TestPayloadReused(t *testing.T) {
+	want := [][]byte{[]byte("alpha"), []byte("beta"), bytes.Repeat([]byte{0xAB}, 4096), []byte("gamma")}
+	dec, err := NewDecoder(bytes.NewReader(encodeSnapshot(t, want...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev []byte
+	for i, w := range want {
+		_, payload, err := dec.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(payload, w) {
+			t.Fatalf("section %d: %q, want %q", i, payload, w)
+		}
+		switch i {
+		case 1:
+			if &payload[0] != &prev[0] {
+				t.Error("a smaller section did not reuse the payload buffer")
+			}
+		case 3:
+			if cap(payload) < 4096 {
+				t.Errorf("the buffer shrank to %d bytes after a 4096-byte section", cap(payload))
+			}
+		}
+		prev = payload
+	}
+	if _, _, err := dec.Next(); err != io.EOF {
+		t.Fatalf("after the last section: %v, want io.EOF", err)
 	}
 }
 

@@ -30,7 +30,8 @@ func writePayload(data []byte) func(io.Writer) error {
 	}
 }
 
-// readPayload returns a Load callback collecting the single section into dst.
+// readPayload returns a Load callback collecting the single section into
+// dst, cloned: a payload is valid only until the next Next.
 func readPayload(dst *[]byte) func(io.Reader) error {
 	return func(r io.Reader) error {
 		dec, err := NewDecoder(r)
@@ -45,7 +46,7 @@ func readPayload(dst *[]byte) func(io.Reader) error {
 			if err != nil {
 				return err
 			}
-			*dst = payload
+			*dst = bytes.Clone(payload)
 		}
 	}
 }
