@@ -125,7 +125,7 @@ bench:
 	$(GO) test -bench='BuildSmallestParent|Materialize$$|Publish|DecodeMaterialized|EncodeViews|RollUp' -benchtime=1x -run='^$$' ./internal/cube
 	$(GO) test -bench='OpenCheckpoint|OpenAtLogBound' -benchtime=1x -run='^$$' ./internal/writer
 	$(GO) test -bench=ObserveRows -benchtime=1x -run='^$$' ./internal/core
-	$(GO) test -bench=Sort -benchtime=1x -run='^$$' ./internal/keyspace
+	$(GO) test -bench='Sort|Group' -benchtime=1x -run='^$$' ./internal/keyspace
 	$(GO) test -bench='NewRetail|CubeInputFromObject' -benchtime=1x -run='^$$' ./internal/workload
 	$(GO) run ./cmd/cubebench -stats-json > $(BENCH_OUT)
 	bash scripts/serve_smoke.sh bench >> $(BENCH_OUT)

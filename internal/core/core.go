@@ -193,9 +193,13 @@ func (o *StatObject) ObserveAt(coords []int, obs map[string]float64) error {
 		acc = o.store.add(k)
 		o.identitySlots(acc)
 	}
+	var pos [1]uint32 // the one row, into the one cell acc (see foldColumn)
 	for i, m := range o.measures {
-		if x, ok := obs[m.Name]; ok || m.Func == Count {
-			m.observe(acc[o.offsets[i]:o.offsets[i]+m.slots()], x)
+		if x, ok := obs[m.Name]; ok {
+			col := [1]float64{x}
+			foldColumn(m, acc, 0, o.offsets[i], pos[:], col[:])
+		} else if m.Func == Count {
+			foldColumn(m, acc, 0, o.offsets[i], pos[:], nil)
 		}
 	}
 	return nil

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"statcube/internal/hierarchy"
+	"statcube/internal/keyspace"
 	"statcube/internal/schema"
 )
 
@@ -87,18 +89,47 @@ func observeEach(t *testing.T, o *StatObject, coords [][]int, obs map[string][]f
 	}
 }
 
+// ingestBranch names the branch keyspace.Group ranks a batch's keys on
+// in o, by the rules it dispatches on: "sorted" for keys in key order,
+// "dense" for a key range within keyspace.DenseSpan of the row count,
+// else "radix".
+func ingestBranch(t *testing.T, o *StatObject, coords [][]int) string {
+	t.Helper()
+	s := o.store
+	keys := make([]uint64, len(coords))
+	for r, c := range coords {
+		k, err := s.checkedKey(c)
+		if err != nil {
+			t.Fatalf("row %d: %v", r, err)
+		}
+		keys[r] = k
+	}
+	switch {
+	case slices.IsSorted(keys):
+		return "sorted"
+	case keyspace.Max(s.dims, s.shape)/keyspace.DenseSpan < uint64(len(keys)):
+		return "dense"
+	}
+	return "radix"
+}
+
 // TestObserveRowsMatchesObserveAt is the bulk load's differential test:
 // on random shapes, measures and batches, ObserveRows into an empty, a
 // settled or a tail-holding store leaves every cell's slots bit for bit
 // as a loop of ObserveAt calls does, and the next batch into that result
-// does too.
+// does too. Batches come small (most take Group's radix branch), large
+// enough for the shape's key range to be dense, or in key order, and
+// every branch is reached in each of the three states. A load that adds
+// cells leaves the run sized exactly, keys and slots.
 func TestObserveRowsMatchesObserveAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
+	reached := map[string]int{}
 	for trial := 0; trial < 300; trial++ {
 		first := AggFunc(trial % 5)
 		want := ingestObject(t, rng, first)
 		got := MustNew(want.sch, want.measures)
 		state := []string{"empty", "settled", "tail"}[trial%3]
+		kind := []string{"small", "dense", "in key order"}[trial/3%3]
 		if state != "empty" {
 			coords, obs := randomBatch(rng, want, rng.Intn(60))
 			observeEach(t, want, coords, obs)
@@ -112,12 +143,33 @@ func TestObserveRowsMatchesObserveAt(t *testing.T) {
 			observeEach(t, got, coords, obs)
 		}
 		for batch := 0; batch < 2; batch++ {
-			coords, obs := randomBatch(rng, want, rng.Intn(200))
+			n := rng.Intn(200)
+			if kind == "dense" {
+				n = int(keyspace.Max(got.store.dims, got.store.shape)/keyspace.DenseSpan) + 2 + rng.Intn(50)
+			}
+			coords, obs := randomBatch(rng, want, n)
+			if kind == "in key order" {
+				slices.SortFunc(coords, slices.Compare)
+			}
+			branch := ingestBranch(t, got, coords)
+			reached[state+", "+branch]++
 			observeEach(t, want, coords, obs)
+			cells := got.Cells()
 			if err := got.ObserveRows(coords, obs); err != nil {
-				t.Fatalf("trial %d (%s, %v): %v", trial, state, first, err)
+				t.Fatalf("trial %d (%s, %s batch, %v): %v", trial, state, kind, first, err)
 			}
 			cellsIdentical(t, got, want)
+			if s := got.store; got.Cells() > cells && (cap(s.keys) != len(s.keys) || cap(s.vals) != len(s.vals)) {
+				t.Fatalf("trial %d (%s, %s branch): run of %d keys (cap %d) and %d slots (cap %d), not sized exactly",
+					trial, state, branch, len(s.keys), cap(s.keys), len(s.vals), cap(s.vals))
+			}
+		}
+	}
+	for _, state := range []string{"empty", "settled", "tail"} {
+		for _, b := range []string{"sorted", "dense", "radix"} {
+			if reached[state+", "+b] == 0 {
+				t.Errorf("no batch into a %s store reached the %s branch (reached: %v)", state, b, reached)
+			}
 		}
 	}
 }
@@ -163,6 +215,20 @@ func TestObserveRefusesBadCoordinates(t *testing.T) {
 		if err := o.ObserveRows(rows, map[string][]float64{"x": {1, 2, 3, 4}}); !errors.Is(err, ErrCoordRange) {
 			t.Errorf("ObserveRows with row %v = %v, want ErrCoordRange", bad, err)
 		}
+	}
+	dense := make([][]int, 40) // a dense batch, out of key order, whose last row is out of range
+	for r := range dense {
+		dense[r] = []int{r % 2, r % 3}
+	}
+	if got := ingestBranch(t, o, dense[:len(dense)-1]); got != "dense" {
+		t.Fatalf("the dense batch's good rows take the %s branch", got)
+	}
+	dense[len(dense)-1] = []int{1, 3}
+	if err := o.ObserveRows(dense, map[string][]float64{"x": make([]float64, len(dense))}); !errors.Is(err, ErrCoordRange) {
+		t.Errorf("ObserveRows with a dense batch's last row out of range = %v, want ErrCoordRange", err)
+	}
+	if after := storeBits(o); after != before {
+		t.Errorf("a refused dense batch changed the store:\n%s\n%s", before, after)
 	}
 	if err := o.ObserveRows(good, map[string][]float64{"y": {1, 2}}); !errors.Is(err, ErrUnknownMeasure) {
 		t.Errorf("ObserveRows unknown measure = %v", err)

@@ -23,9 +23,9 @@ import (
 // ForEach first folds the tail into the run with one sort of the tail and
 // one linear merge, then walks the run, so an object built once sorts
 // once and every later pass over it is a straight scan. A bulk load
-// (StatObject.ObserveRows) bypasses the tail: it radix-sorts its batch
-// and writes an empty store's run directly, or merges its new keys into
-// a settled run in one pass.
+// (StatObject.ObserveRows) bypasses the tail: it ranks its batch's keys
+// (keyspace.Group) and writes an empty store's run directly, or folds
+// into a settled run and merges its new keys in one pass.
 //
 // Reads (Get, ForEach, Cells) may run concurrently with each other, so
 // one built object can serve many readers; writes must not run
@@ -158,6 +158,72 @@ func (s *MapStore) mergeTail(order []keyspace.Entry[int32]) {
 		}
 	}
 	s.tailKeys, s.tailVals, s.tailIdx = nil, nil, nil
+}
+
+// seed starts the slots in acc of the ascending keys of a batch, slots
+// floats each: from the run's stored slots for a key the run holds, else
+// from identity. It returns each key's place in the run: its index, or
+// ^ the index it would take when the run lacks it.
+func (s *MapStore) seed(keys []uint64, acc []float64, identity func([]float64)) []int {
+	sl := s.slots
+	at := make([]int, len(keys))
+	lo := 0 // run keys below lo are below every key still to seed
+	for d, k := range keys {
+		j, found := keyspace.Search(s.keys[lo:], k)
+		lo += j
+		if found {
+			for o := range sl { // a loop: most cells hold one slot, too few for copy's call
+				acc[d*sl+o] = s.vals[lo*sl+o]
+			}
+			at[d] = lo
+		} else {
+			identity(acc[d*sl : (d+1)*sl])
+			at[d] = ^lo
+		}
+	}
+	return at
+}
+
+// mergeRun writes the seeded and folded slots vals of the ascending keys
+// back into the run, at their places at (see seed): in place when the run
+// holds every key, else into a new run of exactly the merged size.
+func (s *MapStore) mergeRun(keys []uint64, vals []float64, at []int) {
+	sl := s.slots
+	fresh := 0
+	for _, a := range at {
+		if a < 0 {
+			fresh++
+		}
+	}
+	if fresh == 0 {
+		for d, a := range at {
+			for o := range sl {
+				s.vals[a*sl+o] = vals[d*sl+o]
+			}
+		}
+		return
+	}
+	n := len(s.keys) + fresh
+	outKeys, outVals := make([]uint64, n), make([]float64, n*sl)
+	i, w := 0, 0 // the next run entry and the next out slot
+	for d, a := range at {
+		j := a
+		if a < 0 {
+			j = ^a
+		}
+		copy(outKeys[w:], s.keys[i:j]) // the run's entries below keys[d]
+		copy(outVals[w*sl:], s.vals[i*sl:j*sl])
+		w += j - i
+		outKeys[w] = keys[d]
+		copy(outVals[w*sl:(w+1)*sl], vals[d*sl:(d+1)*sl])
+		w, i = w+1, j
+		if a >= 0 {
+			i++ // the folded cell replaces the stored one
+		}
+	}
+	copy(outKeys[w:], s.keys[i:])
+	copy(outVals[w*sl:], s.vals[i*sl:])
+	s.keys, s.vals = outKeys, outVals
 }
 
 // Get copies the cell's slots into dst and reports whether the cell is

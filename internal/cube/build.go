@@ -3,6 +3,7 @@ package cube
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync/atomic"
 
@@ -55,7 +56,8 @@ func (in *Input) Validate() error {
 }
 
 // validateHeader is Validate's O(1) part: the dimension cap, the key
-// width and the row count against the value count.
+// width, the row count against the value count, and the row count
+// keyspace.Group can rank.
 func (in *Input) validateHeader() error {
 	if len(in.Card) > 16 {
 		return fmt.Errorf("cube: %d dimensions means 2^%d views; refusing", len(in.Card), len(in.Card))
@@ -66,18 +68,20 @@ func (in *Input) validateHeader() error {
 	if len(in.Rows) != len(in.Vals) {
 		return fmt.Errorf("cube: %d rows, %d values", len(in.Rows), len(in.Vals))
 	}
+	if uint64(len(in.Rows)) > math.MaxUint32 {
+		return fmt.Errorf("cube: %d rows, more than keyspace.Group ranks (2^32-1)", len(in.Rows))
+	}
 	return nil
 }
 
 // groupBase is the smallest-parent builds' base group-by, in one pass
 // over the rows: after Validate's O(1) checks it checks each row while
 // linearizing it into its base-cuboid key (narrow, 4 bytes, when every
-// key is below 2^32), and learns the keys' shape segment by segment (see
-// keyShape), polling ctx once per budget.DefaultTickEvery rows; then it
-// takes the branch group would. At the first bad row it returns
-// Validate's error, which names that row, since every row before it
-// passed; so a bad input fails before any view is built. A canceled pass
-// is recorded as a build abort.
+// key is below 2^32), polling ctx once per budget.DefaultTickEvery rows;
+// then it groups the keys and values (see group). At the first bad row
+// it returns Validate's error, which names that row, since every row
+// before it passed; so a bad input fails before any view is built. A
+// canceled pass is recorded as a build abort.
 func (in *Input) groupBase(ctx context.Context) (*run, error) {
 	if err := in.validateHeader(); err != nil {
 		return nil, err
@@ -92,10 +96,9 @@ func (in *Input) groupBase(ctx context.Context) (*run, error) {
 
 // groupRows is groupBase's pass with K-wide keys over the dims in all,
 // every key at most maxKey.
-func groupRows[K keyWidth](ctx context.Context, in *Input, all []int, maxKey uint64) (*run, error) {
+func groupRows[K keyspace.Width](ctx context.Context, in *Input, all []int, maxKey uint64) (*run, error) {
 	card := in.Card
 	keys := make([]K, len(in.Rows))
-	s := newKeyShape(len(keys), maxKey)
 	for lo := 0; lo < len(keys); lo += budget.DefaultTickEvery {
 		if err := budget.Check(ctx); err != nil {
 			recordBuildAbort(err)
@@ -112,9 +115,8 @@ func groupRows[K keyWidth](ctx context.Context, in *Input, all []int, maxKey uin
 			}
 			keys[lo+i] = K(k)
 		}
-		extendShape(&s, keys[:hi], lo)
 	}
-	return groupShaped(&s, keys, in.Vals), nil
+	return group(keys, in.Vals, maxKey), nil
 }
 
 // Views holds every computed view: per mask, the view's linearized group

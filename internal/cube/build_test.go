@@ -68,22 +68,20 @@ func TestInputValidate(t *testing.T) {
 	}
 }
 
-// blockedInput is a fact table whose base pass takes the blocked branch:
-// narrow keys over three blocks, out of order, and more rows than one
-// budget.DefaultTickEvery segment.
-func blockedInput(t *testing.T) *Input {
+// denseInput is a fact table whose base pass takes the dense-rank
+// branch: narrow keys over a range within keyspace.DenseSpan of the row
+// count, out of order, and more rows than one budget.DefaultTickEvery
+// segment.
+func denseInput(t *testing.T) *Input {
 	t.Helper()
 	in := randomInput([]int{20, 30, 40}, 3*budget.DefaultTickEvery, 5)
 	all := maskDims(7, 3)
-	keys := make([]uint32, len(in.Rows))
+	keys := make([]uint64, len(in.Rows))
 	for i, row := range in.Rows {
-		k, _ := keyspace.Key(row, all, in.Card)
-		keys[i] = uint32(k)
+		keys[i], _ = keyspace.Key(row, all, in.Card)
 	}
-	s := newKeyShape(len(keys), keyspace.Max(all, in.Card))
-	extendShape(&s, keys, 0)
-	if s.sorted || !s.dense || len(s.count) < 2 {
-		t.Fatalf("the base of %v takes no blocked branch (sorted %v, dense %v, %d blocks)", in.Card, s.sorted, s.dense, len(s.count))
+	if got := groupBranch(keys, keyspace.Max(all, in.Card)); got != "dense" {
+		t.Fatalf("the base of %v takes the %s branch, not the dense one", in.Card, got)
 	}
 	return in
 }
@@ -96,8 +94,8 @@ func blockedInput(t *testing.T) *Input {
 func TestBuildsValidateLikeValidate(t *testing.T) {
 	good := func() *Input { return randomInput([]int{3, 4, 5}, 9000, 4) }
 	shapes := map[string]func() *Input{
-		"code at card, blocked base past the first segment": func() *Input {
-			in := blockedInput(t)
+		"code at card, dense base past the first segment": func() *Input {
+			in := denseInput(t)
 			in.Rows[budget.DefaultTickEvery+1000][1] = 30
 			return in
 		},

@@ -118,7 +118,7 @@ func TestBuildPreCanceled(t *testing.T) {
 // views, and lattice levels. Each abort must return the typed error and no
 // partial views, and leave no worker goroutines behind.
 func TestBuildMidFlightCancel(t *testing.T) {
-	inputs := map[string]*Input{"one block": cancelInput(), "blocked base": blockedInput(t)}
+	inputs := map[string]*Input{"one segment": cancelInput(), "dense base": denseInput(t)}
 	for inName, in := range inputs {
 		for _, b := range builders {
 			for _, workers := range []int{1, 4} {
@@ -152,12 +152,12 @@ func TestBuildMidFlightCancel(t *testing.T) {
 }
 
 // TestBaseCancelMidPass: a context canceled while the smallest-parent
-// builds key a blocked base — after the pass's first segment of rows,
+// builds key a dense base — after the pass's first segment of rows,
 // before its second — stops the pass there, ahead of a bad row in its
 // third segment: the typed error, no views, and exactly one build abort
 // recorded.
 func TestBaseCancelMidPass(t *testing.T) {
-	in := blockedInput(t)
+	in := denseInput(t)
 	in.Rows[2*budget.DefaultTickEvery+5][0] = 20
 	canceled := func() int64 { return obs.Default().Snapshot().Counters["cube.builds_canceled"] }
 	for _, b := range builders {

@@ -88,15 +88,13 @@ func drawGroupInput(c groupCase, rng *rand.Rand) ([]uint64, []float64) {
 // groupBranch names the branch group takes on keys, by the rules it
 // dispatches on.
 func groupBranch(keys []uint64, maxKey uint64) string {
-	switch _, sorted := ascending(keys); {
-	case sorted:
+	switch {
+	case slices.IsSorted(keys):
 		return "sorted"
-	case maxKey/denseSpan >= uint64(len(keys)):
+	case maxKey/keyspace.DenseSpan >= uint64(len(keys)):
 		return "radix"
-	case maxKey < blockSize:
-		return "one block"
 	}
-	return "blocks"
+	return "dense"
 }
 
 // checkGroup runs group on one input and fails unless it leaves the input
@@ -136,14 +134,14 @@ func TestGroupMatchesMapFold(t *testing.T) {
 		{groupCase{name: "sorted, dense", n: 5000, maxKey: 9999, sorted: true}, "sorted"},
 		{groupCase{name: "sorted, repeated", n: 3000, distinct: 50, maxKey: 1 << 40, sorted: true}, "sorted"},
 		{groupCase{name: "sorted, full 64-bit keys", n: 2000, distinct: 300, maxKey: math.MaxUint64, sorted: true}, "sorted"},
-		{groupCase{name: "small key space", n: 2000, maxKey: 255}, "one block"},
-		{groupCase{name: "small key space, repeated", n: 3000, distinct: 7, maxKey: 1000}, "one block"},
-		{groupCase{name: "key space near entries", n: 1000, maxKey: 3999}, "one block"},
-		{groupCase{name: "one full block", n: blockSize / 2, maxKey: blockSize - 1, edges: true}, "one block"},
-		{groupCase{name: "two blocks, the second one key wide", n: blockSize / 2, maxKey: blockSize, edges: true}, "blocks"},
-		{groupCase{name: "many blocks, edge keys", n: 3 * blockSize, maxKey: 9*blockSize - 1, edges: true}, "blocks"},
-		{groupCase{name: "many blocks, repeated", n: 3 * blockSize, distinct: 900, maxKey: 5*blockSize + 17, edges: true}, "blocks"},
-		{groupCase{name: "many blocks", n: 30000, maxKey: 100_000}, "blocks"},
+		{groupCase{name: "small key space", n: 2000, maxKey: 255}, "dense"},
+		{groupCase{name: "small key space, repeated", n: 3000, distinct: 7, maxKey: 1000}, "dense"},
+		{groupCase{name: "key space near entries", n: 1000, maxKey: 3999}, "dense"},
+		{groupCase{name: "one full block", n: blockSize / 2, maxKey: blockSize - 1, edges: true}, "dense"},
+		{groupCase{name: "two blocks, the second one key wide", n: blockSize / 2, maxKey: blockSize, edges: true}, "dense"},
+		{groupCase{name: "many blocks, edge keys", n: 3 * blockSize, maxKey: 9*blockSize - 1, edges: true}, "dense"},
+		{groupCase{name: "many blocks, repeated", n: 3 * blockSize, distinct: 900, maxKey: 5*blockSize + 17, edges: true}, "dense"},
+		{groupCase{name: "many blocks", n: 30000, maxKey: 100_000}, "dense"},
 		{groupCase{name: "wide key space", n: 1000, maxKey: 1 << 20}, "radix"},
 		{groupCase{name: "keys above 2^32", n: 1500, maxKey: 1<<44 + 12345}, "radix"},
 		{groupCase{name: "keys above 2^32, repeated", n: 4000, distinct: 9, maxKey: 1 << 60}, "radix"},
@@ -163,7 +161,7 @@ func TestGroupMatchesMapFold(t *testing.T) {
 			checkGroup(t, name, keys, vals, c.maxKey)
 		}
 	}
-	for _, b := range []string{"sorted", "one block", "blocks", "radix"} {
+	for _, b := range []string{"sorted", "dense", "radix"} {
 		if reached[b] == 0 {
 			t.Errorf("no case reached the %s branch (reached: %v); every branch must be covered", b, reached)
 		}
@@ -175,8 +173,7 @@ func TestGroupMatchesMapFold(t *testing.T) {
 func rollUpBranch(u rollUp, card []int, parent, child int, ck []uint64) string {
 	switch u.window {
 	case 0:
-		return map[string]string{"sorted": "sorted fallback", "blocks": "blocked fallback", "one block": "blocked fallback",
-			"radix": "radix fallback"}[groupBranch(ck, u.maxKey)]
+		return map[string]string{"sorted": "sorted fallback", "dense": "dense fallback", "radix": "radix fallback"}[groupBranch(ck, u.maxKey)]
 	case 1:
 		return "trailing drop"
 	}
@@ -224,7 +221,7 @@ func drawCards(rng *rand.Rand) []int {
 func TestRollUpMatchesMapFold(t *testing.T) {
 	fixed := []rollUpCase{
 		{[]int{100, 20, 180}, 12000}, // the retail shape: trailing, middle and leading windows
-		{[]int{3, 100, 100}, 6000},   // a 10 000-key leading window: blocked fallback
+		{[]int{3, 100, 100}, 6000},   // a 10 000-key leading window: dense fallback
 		{[]int{5, 1000, 1000}, 3000}, // a sparse child: radix fallback
 		{[]int{1, 7, 1, 64, 3}, 2000},
 	}
@@ -279,7 +276,7 @@ func TestRollUpMatchesMapFold(t *testing.T) {
 			}
 		}
 	}
-	for _, b := range []string{"trailing drop", "middle window", "leading window", "blocked fallback", "radix fallback"} {
+	for _, b := range []string{"trailing drop", "middle window", "leading window", "dense fallback", "radix fallback"} {
 		if reached[b] == 0 {
 			t.Errorf("no roll-up reached the %s branch (reached: %v); every branch must be covered", b, reached)
 		}
@@ -287,8 +284,8 @@ func TestRollUpMatchesMapFold(t *testing.T) {
 }
 
 // TestGroupNegativeZero: a key whose values are all -0.0 sums to +0, as
-// `m[k] += -0.0` on an absent key does, on every branch — and a block's
-// accumulator, cleared as it is read, hands the next block +0 too.
+// `m[k] += -0.0` on an absent key does, on every branch, keys on either
+// side of a presence word's edge among them.
 func TestGroupNegativeZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	var edges []uint64 // blockSize+1, blockSize, blockSize−1, 1, 0 over and over: never sorted
@@ -301,8 +298,8 @@ func TestGroupNegativeZero(t *testing.T) {
 		maxKey uint64
 	}{
 		{"sorted", []uint64{1, 2, 2}, 3},
-		{"one block", []uint64{2, 2, 1}, 3},
-		{"blocks", edges, blockSize + 1},
+		{"dense", []uint64{2, 2, 1}, 3},
+		{"dense", edges, blockSize + 1},
 		{"radix", []uint64{2, 2, 1}, math.MaxUint64},
 	}
 	for _, c := range cases {

@@ -18,204 +18,32 @@ type run struct {
 	sums []float64
 }
 
-// denseSpan is the widest key range, in possible keys per entry, that
-// group sums into dense blocks instead of radix-sorting the entries.
-const denseSpan = 4
-
-// A block is the key range group's dense branch sums at a time: 8192 keys,
+// A block is the key range a roll-up window sums at a time: 8192 keys,
 // whose float64 accumulator, 64 KiB, lives on the goroutine's stack and
-// in the core's cache. A dense range of one block is summed with no sort
-// at all, which is why a block is not smaller: at 4096 keys the dense
-// 20³ cube's base (8000 keys, 50 k entries) paid a scatter of 10 bytes an
-// entry, and its build ran slower than with the old range-wide array.
+// in the core's cache (see rollUp).
 const (
-	blockBits  = 13
-	blockSize  = 1 << blockBits
+	blockSize  = 1 << 13
 	blockWords = blockSize / 64 // presence words per block
 )
 
-// keyWidth is the width group reads keys in: a batch whose largest
-// possible key is below 2^32 is keyed in half the bytes.
-type keyWidth interface{ ~uint32 | ~uint64 }
-
-// group is the package's one grouping kernel: it folds the entries
-// (keys[i], vals[i]), every key at most maxKey, into a run.
-// Each key's sum starts from +0 and adds its values in input order — bit
-// for bit what `m[k] += v` over the entries gives — on every branch,
-// picked by the keys' shape, which one pass learns (see keyShape):
-//
-//   - keys already ascending (a base arriving in key order) are folded in
-//     one linear pass;
-//   - a key range within denseSpan of the entry count is summed one
-//     block at a time in a stack accumulator (see groupBlocks);
-//   - a wider range is stable-radix-sorted (keyspace.Sort) and its runs
-//     of equal keys summed.
-//
-// The smallest-parent builds run the same shape pass over the base rows
-// as they key them (see Input.groupBase), and roll views up by windows of
-// their parent run, falling back to group only for wide or sparse
-// children (see rollUp). The output is sized exactly. Scratch is sized by
-// maxKey or the entry count, never by ∏ card, which can be 2^64, and none
-// of it outlives the call: no pooled buffer, so a finished build holds
-// only its runs.
-func group[K keyWidth](keys []K, vals []float64, maxKey uint64) *run {
-	s := newKeyShape(len(keys), maxKey)
-	extendShape(&s, keys, 0)
-	return groupShaped(&s, keys, vals)
-}
-
-// keyShape is what group's dispatch needs to know of a batch of keys:
-// whether they ascend and, while they do, how many are distinct; once
-// they are known not to, and their range is dense, each block's key count
-// and every key's presence bit, which groupBlocks would otherwise take a
-// pass of its own to learn. A shape is learned in one pass that may come
-// in segments (see extendShape), so the base pass keys, checks and shapes
-// each segment of rows while it is in the cache.
-type keyShape struct {
-	maxKey   uint64
-	dense    bool     // maxKey within denseSpan of the entry count: the blocks branch
-	sorted   bool     // the keys seen so far ascend
-	distinct int      // distinct keys seen so far, while sorted
-	last     uint64   // the last key seen, while sorted
-	count    []int    // keys per block, once dense and not sorted
-	seen     []uint64 // presence bits, once dense and not sorted
-}
-
-// newKeyShape starts the shape of n keys, every one at most maxKey.
-// Past 2^32 entries groupBlocks could not index them in 4 bytes, so the
-// keys are radix-sorted however dense.
-func newKeyShape(n int, maxKey uint64) keyShape {
-	return keyShape{maxKey: maxKey, dense: maxKey/denseSpan < uint64(n) && uint64(n) <= 1<<32, sorted: true}
-}
-
-// extendShape extends s over keys[from:], s having seen keys[:from].
-// While the keys ascend it checks their order and counts the distinct
-// ones, and stops at the first descent; from then on, when the range is
-// dense, it counts every key's block and sets its presence bit, catching
-// up on the keys before the descent once. So keys in order pay for one
-// compare each, and keys out of order for one counting pass.
-func extendShape[K keyWidth](s *keyShape, keys []K, from int) {
-	seg := keys[from:]
-	if len(seg) == 0 {
-		return
+// group is the package's grouping kernel: it folds the entries (keys[i],
+// vals[i]), every key at most maxKey, into a run, sized exactly. The keys
+// are ranked by keyspace.Group and the values summed into their ranks,
+// each key's sum starting from +0 and adding its values in input order —
+// bit for bit what `m[k] += v` over the entries gives — whichever of
+// Group's branches (ascending, dense rank, radix sort) ranked them.
+// The smallest-parent builds group the base rows once they are keyed
+// (see Input.groupBase), and roll views up by windows of their parent
+// run, falling back to group only for wide or sparse children (see
+// rollUp). None of the scratch outlives the call: no pooled buffer, so a
+// finished build holds only its runs.
+func group[K keyspace.Width](keys []K, vals []float64, maxKey uint64) *run {
+	distinct, pos := keyspace.Group(keys, maxKey)
+	sums := make([]float64, len(distinct))
+	for i, p := range pos {
+		sums[p] += vals[i]
 	}
-	if s.sorted {
-		distinct, ok := ascending(seg)
-		if ok && (from == 0 || uint64(seg[0]) >= s.last) {
-			if from > 0 && uint64(seg[0]) == s.last {
-				distinct-- // the key carries on from the last segment
-			}
-			s.distinct += distinct
-			s.last = uint64(seg[len(seg)-1])
-			return
-		}
-		s.sorted = false
-		if s.dense {
-			nb := int(s.maxKey>>blockBits) + 1
-			s.count, s.seen = make([]int, nb), make([]uint64, nb*blockWords)
-		}
-		seg = keys // the keys before the descent are counted too
-	}
-	if s.dense {
-		for _, k := range seg {
-			s.count[k>>blockBits]++
-			s.seen[k/64] |= 1 << (k % 64)
-		}
-	}
-}
-
-// groupShaped takes the branch s picks for the entries it has seen.
-func groupShaped[K keyWidth](s *keyShape, keys []K, vals []float64) *run {
-	switch {
-	case s.sorted:
-		return groupSorted(keys, vals, s.distinct)
-	case s.dense:
-		return groupBlocks(keys, vals, s)
-	}
-	return groupSparse(keys, vals, s.maxKey)
-}
-
-// ascending reports whether keys never descend and, if so, how many
-// distinct keys they hold. It stops at the first descent.
-func ascending[K keyWidth](keys []K) (int, bool) {
-	if len(keys) == 0 {
-		return 0, true
-	}
-	distinct, prev := 1, keys[0]
-	for _, k := range keys[1:] {
-		if k < prev {
-			return 0, false
-		}
-		if k != prev {
-			distinct++
-		}
-		prev = k
-	}
-	return distinct, true
-}
-
-// groupSorted sums each run of equal keys of ascending entries.
-func groupSorted[K keyWidth](keys []K, vals []float64, distinct int) *run {
-	r := &run{keys: make([]uint64, distinct), sums: make([]float64, distinct)}
-	w := 0
-	for i := 0; i < len(keys); w++ {
-		k, sum := keys[i], 0.0
-		for ; i < len(keys) && keys[i] == k; i++ {
-			sum += vals[i]
-		}
-		r.keys[w], r.sums[w] = uint64(k), sum
-	}
-	return r
-}
-
-// groupBlocks sums the entries block by block in one 64 KiB accumulator,
-// given their shape: each block's key count and every key's presence bit.
-// A range of one block is summed straight from the input. A wider one is
-// first sorted by block — one stable scatter of each entry's index, 4
-// bytes — so each block's entries are summed together, in input order,
-// and the accumulator is never written outside the cache.
-// Each block is read out by its presence bits in ascending key order,
-// clearing the accumulator as it goes for the next block.
-func groupBlocks[K keyWidth](keys []K, vals []float64, s *keyShape) *run {
-	var acc [blockSize]float64
-	r := newRunFor(s.seen)
-	if len(s.count) == 1 {
-		for i, k := range keys {
-			acc[k&(blockSize-1)] += vals[i]
-		}
-		readBlock(&acc, s.seen, 0, r.keys, r.sums)
-		return r
-	}
-	end := s.count // each block's start, advanced by the scatter to its end
-	for b, at := 0, 0; b < len(end); b++ {
-		end[b], at = at, at+end[b]
-	}
-	idx := make([]uint32, len(keys)) // entry indices by block, each block's ascending
-	for i, k := range keys {
-		b := k >> blockBits
-		at := end[b]
-		idx[at] = uint32(i)
-		end[b] = at + 1
-	}
-	w, at := 0, 0
-	for b := range end {
-		for ; at < end[b]; at++ {
-			i := idx[at]
-			acc[keys[i]&(blockSize-1)] += vals[i]
-		}
-		words := s.seen[b*blockWords : (b+1)*blockWords]
-		w += readBlock(&acc, words, uint64(b)<<blockBits, r.keys[w:], r.sums[w:])
-	}
-	return r
-}
-
-// newRunFor allocates a run with one entry per presence bit set in seen.
-func newRunFor(seen []uint64) *run {
-	distinct := 0
-	for _, w := range seen {
-		distinct += bits.OnesCount64(w)
-	}
-	return &run{keys: make([]uint64, distinct), sums: make([]float64, distinct)}
+	return &run{keys: distinct, sums: sums}
 }
 
 // readBlock writes the present keys of one block (base plus the offsets
@@ -235,28 +63,6 @@ func readBlock(acc *[blockSize]float64, seen []uint64, base uint64, keys []uint6
 	return n
 }
 
-// groupSparse radix-sorts the entries and sums each run of equal keys.
-func groupSparse[K keyWidth](keys []K, vals []float64, maxKey uint64) *run {
-	src := make([]keyspace.Entry[float64], len(keys))
-	for i, k := range keys {
-		src[i] = keyspace.Entry[float64]{Key: uint64(k), Val: vals[i]}
-	}
-	src = keyspace.Sort(src, make([]keyspace.Entry[float64], len(keys)), maxKey)
-	w := 0 // src[:w] holds the summed runs so far
-	for i := 0; i < len(src); w++ {
-		k, sum := src[i].Key, 0.0
-		for ; i < len(src) && src[i].Key == k; i++ {
-			sum += src[i].Val
-		}
-		src[w] = keyspace.Entry[float64]{Key: k, Val: sum}
-	}
-	r := &run{keys: make([]uint64, w), sums: make([]float64, w)}
-	for i, e := range src[:w] {
-		r.keys[i], r.sums[i] = e.Key, e.Val
-	}
-	return r
-}
-
 // rollUp folds a parent run, ascending, into a child group-by that drops
 // some of the parent's dimensions (keyspace.Rekeyer maps the keys). The
 // child keys are not ascending in general, but they are in windows: the
@@ -271,9 +77,10 @@ func groupSparse[K keyWidth](keys []K, vals []float64, maxKey uint64) *run {
 //     a stack accumulator of blockSize keys, [ZDN97]'s one scan of the
 //     parent without re-sorting it, and reads each window out ascending
 //     through readBlock when the next key falls past it;
-//   - a wider window, or a sparse child (a key range beyond denseSpan of
-//     the parent's entries, whose windows would be mostly empty), keys
-//     the parent in one slice and groups it (see group).
+//   - a wider window, or a sparse child (a key range beyond
+//     keyspace.DenseSpan of the parent's entries, whose windows would be
+//     mostly empty), keys the parent in one slice and groups it (see
+//     group).
 //
 // Each child key's sum starts from +0 and adds its parent sums in the
 // parent's key order on every branch, so a view is bit for bit the same
@@ -303,7 +110,7 @@ func newRollUp(card []int, parent, child, entries int) rollUp {
 			w *= uint64(c)
 		}
 	}
-	if w > 1 && u.maxKey/denseSpan >= uint64(entries) {
+	if w > 1 && u.maxKey/keyspace.DenseSpan >= uint64(entries) {
 		return u // sparse
 	}
 	u.window = w

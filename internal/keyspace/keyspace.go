@@ -1,7 +1,8 @@
 // Package keyspace is the cell-key format core and cube share — Section
 // 6.2's row-major linearization, one uint64 per cell, ascending in cell
 // order — and the kernels over those keys: width check, bound, decode,
-// roll-up re-keyer, one stable radix sort and one galloping search.
+// roll-up re-keyer, one grouping primitive (Group), one stable radix sort
+// and one galloping search.
 package keyspace
 
 import (
